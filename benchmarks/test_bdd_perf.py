@@ -6,19 +6,7 @@ quantification (the workhorse of every decomposability check), ISOP
 covers and sifting reordering.
 
 Run:  pytest benchmarks/test_bdd_perf.py --benchmark-only
-
-``test_bdd_core_hog_speedup`` is not a pytest-benchmark case: it runs
-the full decomposition pipeline on the node-hog benchmarks, compares
-the wall clock and live node count against the pre-complement-edge
-core (measured at the seed commit with the same min-over-reps
-protocol) and writes ``benchmarks/BENCH_bdd_core.json``.
-
-Run:  pytest benchmarks/test_bdd_perf.py -k bdd_core -s
 """
-
-import json
-import os
-import time
 
 from repro.bdd import BDD, exists, isop, live_size, sift
 from repro.boolfn import weight_set
@@ -87,107 +75,3 @@ def test_sifting_separated_operands(benchmark):
     before, after = benchmark.pedantic(build_and_sift, rounds=1,
                                        iterations=1)
     assert after < before  # sifting must fix the separated order
-
-
-# ---------------------------------------------------------------------
-# Complement-edge core: before/after on the decomposition node hogs.
-#
-# "Before" is the pre-complement-edge core (tuple-keyed unique table,
-# recursive memoised NOT) at the seed commit 572fff4; "after" is the
-# packed-edge core.  Both sides were measured back-to-back in ONE
-# window on the same machine (fresh manager + session per rep, full
-# standard pipeline without emit, min wall clock over the listed reps,
-# live node count at the end of the run).  The pair is baked in rather
-# than re-timed here because this container's effective clock drifts
-# by up to 2x between measurement windows (observed even in process
-# CPU time), so a live wall clock against an hours-old baseline is
-# meaningless — only a same-window pair is honest.
-#
-# What the test *does* re-measure is everything deterministic: the
-# final live node count and gate count of each hog must reproduce the
-# recorded "after" numbers exactly, which pins the recorded run to the
-# current core, and complement sharing must never grow a final DAG.
-# The fresh wall clock is recorded under "revalidated" for context
-# only.
-# ---------------------------------------------------------------------
-
-_HOGS = {
-    # name: (before, after, min-over-reps used for both sides)
-    "9sym": ({"wall": 0.124, "live_nodes": 8545, "gates": 84},
-             {"wall": 0.169, "live_nodes": 6826, "gates": 84}, 3),
-    "e64": ({"wall": 0.165, "live_nodes": 9559, "gates": 394},
-            {"wall": 0.255, "live_nodes": 7127, "gates": 394}, 3),
-    "16sym8": ({"wall": 11.051, "live_nodes": 933120, "gates": 318},
-               {"wall": 8.205, "live_nodes": 662361, "gates": 318}, 2),
-    "cordic": ({"wall": 33.202, "live_nodes": 3252478, "gates": 282},
-               {"wall": 18.701, "live_nodes": 2186279, "gates": 282}, 2),
-    "alu4": ({"wall": 39.633, "live_nodes": 2216258, "gates": 4023},
-             {"wall": 36.346, "live_nodes": 1743041, "gates": 4023}, 1),
-}
-
-
-def _run_hog(name):
-    from repro.bench import get
-    from repro.decomp import DecompositionConfig
-    from repro.pipeline import (Pipeline, PipelineConfig, PipelineInput,
-                                Session)
-    mgr, specs = get(name).build()
-    # The recorded before/after pair predates the grouping CheckContext
-    # (its pruning changes how many intermediate nodes are ever
-    # allocated, hence live_count); pin the context off so the recorded
-    # "after" numbers keep reproducing the configuration they measured.
-    # BENCH_grouping.json covers the context's own before/after.
-    config = PipelineConfig(
-        decomposition=DecompositionConfig(use_check_context=False))
-    session = Session(config)
-    pipeline = Pipeline.standard(emit=False)
-    t0 = time.perf_counter()
-    run = pipeline.run(session, PipelineInput(mgr=mgr, specs=specs,
-                                              label=name))
-    wall = time.perf_counter() - t0
-    return {"wall": round(wall, 3), "live_nodes": mgr.live_count(),
-            "gates": run.netlist_stats().gates}
-
-
-def test_bdd_core_hog_speedup():
-    """Decompose the hogs on the packed-edge core; emit BENCH_bdd_core.json.
-
-    The acceptance bar for the complement-edge rework: at least one hog
-    shows a >= 1.5x same-window wall-clock speedup with its live node
-    count reduced, and every hog's recorded node/gate counts reproduce
-    bit-exactly on the current core.
-    """
-    doc = {"protocol": "before/after measured back-to-back in one "
-                       "window: min wall over reps, fresh session per "
-                       "rep, standard pipeline without emit; "
-                       "'revalidated' is a fresh single-rep run and "
-                       "checks determinism, not timing",
-           "before_commit": "572fff4 (pre-complement-edge core)",
-           "measured": "2026-08-07",
-           "hogs": {}}
-    best_speedup = 0.0
-    best_hog = None
-    for name, (before, after, reps) in sorted(_HOGS.items()):
-        now = _run_hog(name)
-        assert now["gates"] == after["gates"] == before["gates"], \
-            "%s: gate count drifted across the core rewrite" % name
-        assert now["live_nodes"] == after["live_nodes"], \
-            "%s: recorded 'after' run no longer matches this core" % name
-        assert after["live_nodes"] <= before["live_nodes"], \
-            "%s: complement edges grew the DAG" % name
-        speedup = round(before["wall"] / after["wall"], 2)
-        doc["hogs"][name] = {"before": before, "after": after,
-                             "speedup": speedup, "reps": reps,
-                             "revalidated": now}
-        if speedup > best_speedup:
-            best_speedup, best_hog = speedup, name
-    path = os.path.join(os.path.dirname(__file__),
-                        "BENCH_bdd_core.json")
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print("BENCH_bdd_core.json: best %s at %.2fx" %
-          (best_hog, best_speedup))
-    hog = doc["hogs"][best_hog]
-    assert best_speedup >= 1.5, doc["hogs"]
-    assert hog["after"]["live_nodes"] < hog["before"]["live_nodes"]

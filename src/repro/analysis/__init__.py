@@ -9,13 +9,13 @@
 * :func:`certify` / :func:`certify_file` — independent offline
   certifier replaying decomposition certificate traces in a fresh
   manager (``repro certify`` on the CLI); imports no engine or
-  pipeline code, enforced by the ``certifier-independence`` AST-lint
-  rule;
+  pipeline code, enforced by the ``certifier-independence`` rule of
+  ``repro selfcheck``;
 * :mod:`repro.analysis.repolint` — the repo-discipline static analyzer
   behind ``repro selfcheck``: a typed rule-plugin framework with a
   transitive import graph and a per-function dataflow walk, covering
-  the seam invariants formerly in ``tools/astlint.py`` (now a thin
-  shim) plus determinism/purity rules for the certified hot paths.
+  the six architectural seam invariants plus determinism/purity rules
+  for the certified hot paths.
 
 See docs/ANALYSIS.md for the rule and contract catalogue with paper
 references.

@@ -31,10 +31,13 @@ exists (emptiness conditions that fail have none to show).
 **Independence.**  This module imports only the neutral layers —
 ``repro.bdd``, ``repro.boolfn``, ``repro.io``, ``repro.network`` —
 and never the decomposition engine or the pipeline.
-``tools/astlint.py`` (rule ``certifier-independence``) enforces that
+``repro selfcheck`` (rule ``certifier-independence``) enforces that
 statically, so checker independence is machine-checked rather than
-claimed.  See docs/ANALYSIS.md for the threat model: what a passing
-certificate does and does not prove.
+claimed.  The closed-form theorem conditions live here, in
+:func:`theorem_residue`, and the engine's ``--check`` contracts import
+them from this module — never the other way round.  See
+docs/ANALYSIS.md for the threat model: what a passing certificate does
+and does not prove.
 """
 
 from repro.bdd import exists as _exists, forall as _forall, pick_minterm
@@ -198,47 +201,62 @@ def _check_variable_sets(report, step, step_id, theorem, support_names):
     return xa, xb
 
 
+def theorem_residue(mgr, theorem, q, r, xa, xb=None):
+    """Closed-form condition of a Theorem 1/2 or Table 1 step.
+
+    *q* / *r* are the on/off-set edges of the step's interval, *xa* /
+    *xb* its variable groups (names or indices).  Returns ``(residue,
+    holds)``: Theorem 1's ``Q & ∃XA.R & ∃XB.R``, its AND dual, and
+    Theorem 2's ``Q_D & ∃XB.R_D`` hold iff the residue is empty; Table
+    1's weak-step don't-cares ``Q - ∃XA.R`` (dually ``R - ∃XA.Q``) iff
+    it is non-empty.  Pure, so the offline certifier and the
+    ``--check`` contracts re-prove steps through the same formulas.
+    """
+    if theorem in ("thm1-and-dual", "table1-weak-and"):
+        q, r = r, q
+    if theorem in WEAK_THEOREMS:
+        residue = mgr.diff(q, _exists(mgr, xa, r))
+        return residue, residue != mgr.false
+    if theorem == "thm2-exor":
+        q, r = (mgr.and_(_exists(mgr, xa, q), _exists(mgr, xa, r)),
+                mgr.or_(_forall(mgr, xa, q), _forall(mgr, xa, r)))
+    elif theorem in ("thm1-or", "thm1-and-dual"):
+        q = mgr.and_(q, _exists(mgr, xa, r))
+    else:
+        raise ValueError("no closed-form residue for %r" % (theorem,))
+    residue = mgr.and_(q, _exists(mgr, xb, r))
+    return residue, residue == mgr.false
+
+
+#: Check id and message of a failed :func:`theorem_residue`.
+_RESIDUE_FAILURES = {
+    "thm1-or": ("or-residue", "Theorem 1 fails: Q & exists(XA,R) & "
+                "exists(XB,R) is non-empty"),
+    "thm1-and-dual": ("and-residue", "Theorem 1 dual fails: R & "
+                      "exists(XA,Q) & exists(XB,Q) is non-empty"),
+    "thm2-exor": ("exor-derivative", "Theorem 2 fails: Q_D & "
+                  "exists(XB, R_D) is non-empty"),
+    "table1-weak-or": ("weak-usefulness", "weak OR step injects no "
+                       "don't-cares (Q - exists(XA,R) is empty)"),
+    "table1-weak-and": ("weak-usefulness", "weak AND step injects no "
+                        "don't-cares (R - exists(XA,Q) is empty)"),
+}
+
+
 def _check_theorem(report, mgr, step_id, theorem, q, r, xa, xb):
     """Re-prove the step's theorem condition in the fresh manager."""
     report.count()
-    if theorem == "thm1-or":
-        residue = mgr.and_(mgr.and_(q.node, _exists(mgr, xa, r.node)),
-                           _exists(mgr, xb, r.node))
-        if residue != mgr.false:
-            report.fail("or-residue",
-                        "Theorem 1 fails: Q & exists(XA,R) & exists(XB,R) "
-                        "is non-empty", step=step_id,
-                        counterexample=_witness(mgr, residue))
-    elif theorem == "thm1-and-dual":
-        residue = mgr.and_(mgr.and_(r.node, _exists(mgr, xa, q.node)),
-                           _exists(mgr, xb, q.node))
-        if residue != mgr.false:
-            report.fail("and-residue",
-                        "Theorem 1 dual fails: R & exists(XA,Q) & "
-                        "exists(XB,Q) is non-empty", step=step_id,
-                        counterexample=_witness(mgr, residue))
-    elif theorem == "thm2-exor":
-        q_d = mgr.and_(_exists(mgr, xa, q.node), _exists(mgr, xa, r.node))
-        r_d = mgr.or_(_forall(mgr, xa, q.node), _forall(mgr, xa, r.node))
-        residue = mgr.and_(q_d, _exists(mgr, xb, r_d))
-        if residue != mgr.false:
-            report.fail("exor-derivative",
-                        "Theorem 2 fails: Q_D & exists(XB, R_D) is "
-                        "non-empty", step=step_id,
-                        counterexample=_witness(mgr, residue))
-    elif theorem == "table1-weak-or":
-        if mgr.diff(q.node, _exists(mgr, xa, r.node)) == mgr.false:
-            report.fail("weak-usefulness",
-                        "weak OR step injects no don't-cares "
-                        "(Q - exists(XA,R) is empty)", step=step_id)
-    elif theorem == "table1-weak-and":
-        if mgr.diff(r.node, _exists(mgr, xa, q.node)) == mgr.false:
-            report.fail("weak-usefulness",
-                        "weak AND step injects no don't-cares "
-                        "(R - exists(XA,Q) is empty)", step=step_id)
     # fig4-exor has no closed-form residue; it is covered by the
     # composition and support-separation checks (see the threat model
     # in docs/ANALYSIS.md).
+    if theorem not in _RESIDUE_FAILURES:
+        return
+    residue, holds = theorem_residue(mgr, theorem, q.node, r.node, xa, xb)
+    if not holds:
+        check, message = _RESIDUE_FAILURES[theorem]
+        # A useless weak step's residue is empty: no minterm to show.
+        report.fail(check, message, step=step_id,
+                    counterexample=_witness(mgr, residue))
 
 
 def _check_composition(report, mgr, step, step_id, theorem, gate, f,

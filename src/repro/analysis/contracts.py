@@ -25,16 +25,21 @@ certificates.  This module does, in an opt-in checked mode (CLI
   equally to hits rehydrated from a persistent store, see
   :mod:`repro.decomp.cache_store`).
 
+The four theorem contracts re-prove through the offline certifier's
+closed forms (:func:`repro.analysis.certify.theorem_residue`) and, for
+EXOR, the bare Fig. 4 propagation — never through the engine's checks,
+whose verdict memo would just replay the answer being audited.
+
 Violations raise :class:`ContractViolation` (a
 :class:`~repro.decomp.DecompositionError`) and are reported through the
 ``on_violation`` callback first, which the pipeline session uses to
 publish ``contract_violated`` events on its bus.
 """
 
+from repro.analysis.certify import theorem_residue
 from repro.decomp.bidecomp import DecompositionEngine, DecompositionError
-from repro.decomp.checks import (and_decomposable, or_decomposable,
-                                 weak_and_useful, weak_or_useful)
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
+from repro.decomp.exor import propagate_exor
 
 
 class ContractViolation(DecompositionError):
@@ -112,8 +117,7 @@ class CheckedDecompositionEngine(DecompositionEngine):
     Parameters are those of :class:`DecompositionEngine` plus
     ``on_violation(contract, message, detail)``, called right before a
     :class:`ContractViolation` is raised (the session publishes the
-    event there).  Checked mode forces the per-result interval check
-    regardless of ``config.check_invariants``.
+    event there).
     """
 
     def __init__(self, mgr, netlist, var_nodes, config=None, cache=None,
@@ -136,6 +140,22 @@ class CheckedDecompositionEngine(DecompositionEngine):
             self.on_violation(contract, message, detail)
         raise ContractViolation(contract, message, detail=detail)
 
+    @staticmethod
+    def _holds(isf, theorem, xa, xb=None):
+        """Re-prove *theorem* on *isf* through the certifier's formula."""
+        return theorem_residue(isf.mgr, theorem, isf.on.node,
+                               isf.off.node, xa, xb)[1]
+
+    def _exor_holds(self, isf, xa, xb):
+        """Per-pair Theorem 2 on a genuine interval, then the Fig. 4
+        propagation itself (no verdict memo, no filter)."""
+        if not isf.is_completely_specified():
+            for a in xa:
+                for b in xb:
+                    if not self._holds(isf, "thm2-exor", [a], [b]):
+                        return False
+        return propagate_exor(isf, xa, xb) is not None
+
     # -- engine hooks -----------------------------------------------------
     def _pre_decompose(self, isf):
         self._contract(
@@ -151,10 +171,10 @@ class CheckedDecompositionEngine(DecompositionEngine):
                 bool(xa_set) and xa_set <= support_set,
                 "weak %s step chose XA=%s outside the support %s"
                 % (gate, sorted(xa_set), sorted(support_set)))
-            useful = (weak_or_useful if gate == OR_GATE
-                      else weak_and_useful)
+            theorem = ("table1-weak-or" if gate == OR_GATE
+                       else "table1-weak-and")
             self._contract(
-                "weak-usefulness", useful(isf, xa),
+                "weak-usefulness", self._holds(isf, theorem, xa),
                 "weak %s step with XA=%s injects no don't-cares "
                 "(Table 1 termination argument broken)"
                 % (gate, sorted(xa_set)))
@@ -171,19 +191,18 @@ class CheckedDecompositionEngine(DecompositionEngine):
                sorted(support_set)))
         if gate == OR_GATE:
             self._contract(
-                "or-residue", or_decomposable(isf, xa, xb),
+                "or-residue", self._holds(isf, "thm1-or", xa, xb),
                 "Theorem 1 residue Q & exists(XA,R) & exists(XB,R) "
                 "is non-empty for XA=%s XB=%s"
                 % (sorted(xa_set), sorted(xb_set)))
         elif gate == AND_GATE:
             self._contract(
-                "and-residue", and_decomposable(isf, xa, xb),
+                "and-residue", self._holds(isf, "thm1-and-dual", xa, xb),
                 "AND-dual of Theorem 1 fails for XA=%s XB=%s"
                 % (sorted(xa_set), sorted(xb_set)))
         elif gate == EXOR_GATE:
-            from repro.decomp.exor import exor_decomposable
             self._contract(
-                "exor-check", exor_decomposable(isf, xa, xb),
+                "exor-check", self._exor_holds(isf, xa, xb),
                 "Fig. 4 EXOR check fails on re-run for XA=%s XB=%s"
                 % (sorted(xa_set), sorted(xb_set)))
         self._contract(
@@ -200,8 +219,6 @@ class CheckedDecompositionEngine(DecompositionEngine):
             "Theorem 4 quantifies XA out" % sorted(set(xa)))
 
     def _check(self, isf, csf, gate):
-        # Checked mode always verifies the recombined result, whatever
-        # config.check_invariants says.
         self._contract(
             "result-interval", isf.is_compatible(csf),
             "synthesised %s component leaves its interval (Q, ~R)"

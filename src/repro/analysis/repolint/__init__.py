@@ -1,8 +1,7 @@
 """repolint — the repository's self-analysis rule framework.
 
 ``repro selfcheck`` runs every registered rule over ``src/`` and
-``tools/``: the six seam invariants ported from the original
-``tools/astlint.py`` (now upgraded with a transitive import graph),
+``tools/``: the six seam invariants (with a transitive import graph),
 the determinism/purity family built on a per-function dataflow walk,
 and the int-kind discipline family built on an abstract interpretation
 of the packed-edge BDD core.  See ``docs/ANALYSIS.md`` for the rule

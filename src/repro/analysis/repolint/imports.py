@@ -24,8 +24,8 @@ def module_name_for(rel):
     Only ``src/``-rooted files map to importable module names
     (``src/repro/bdd/manager.py`` -> ``repro.bdd.manager``,
     ``src/repro/io/__init__.py`` -> ``repro.io``).  Scripts elsewhere
-    (``tools/astlint.py``) have imports worth following but no dotted
-    name other modules could import them by.
+    (``tools/*.py``) have imports worth following but no dotted name
+    other modules could import them by.
     """
     if not rel.startswith("src/") or not rel.endswith(".py"):
         return None
@@ -44,9 +44,8 @@ def direct_imports(tree):
     (the attribute may or may not be a submodule; the graph resolves
     ``pkg.sub`` only when a scanned module by that name exists, while
     rules matching on name prefixes see both spellings).  Relative
-    imports are left unresolved (the repo uses absolute imports only;
-    ``tools/astlint.py`` enforces none of this but the scan should not
-    crash on one).
+    imports are left unresolved (the repo uses absolute imports only,
+    but the scan should not crash on one).
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -1,12 +1,10 @@
-"""The six architectural seam rules, ported from ``tools/astlint.py``.
+"""The six architectural seam rules.
 
-Same ids, same semantics on direct evidence — plus the transitive
-import-graph substrate the old single-file lint lacked:
-``certifier-independence`` and ``process-boundary`` now also flag
+Direct evidence per file, plus the transitive import graph:
+``certifier-independence`` and ``process-boundary`` also flag
 *indirect* leakage, where a helper module imports the forbidden layer
-on the seam module's behalf (``tools/astlint.py`` remains as a thin
-shim over these).  docs/ANALYSIS.md carries the full rationale per
-rule.
+on the seam module's behalf.  docs/ANALYSIS.md carries the full
+rationale per rule.
 """
 
 import ast
@@ -125,12 +123,8 @@ def _is_live_bdd_module(name):
         for pkg in LIVE_BDD_PACKAGES)
 
 
-def direct_process_boundary_findings(rel, tree):
-    """``(line, message)`` for direct live-BDD imports in *tree*.
-
-    Shared with the ``tools/astlint.py`` shim, which still works one
-    file at a time.
-    """
+def _direct_process_boundary_findings(rel, tree):
+    """``(line, message)`` for direct live-BDD imports in *tree*."""
     for node in ast.walk(tree):
         names = []
         if isinstance(node, ast.Import):
@@ -158,7 +152,7 @@ def check_process_boundary(ctx):
         source = ctx.project.by_rel.get(rel)
         if source is None:
             continue
-        for line, message in direct_process_boundary_findings(
+        for line, message in _direct_process_boundary_findings(
                 rel, source.tree):
             yield ctx.finding(rel, line, message)
         for chain, line, name in ctx.graph.walk(
@@ -221,7 +215,7 @@ def _certifier_allowed(name):
                for pkg in CERTIFIER_ALLOWED)
 
 
-def direct_certifier_findings(rel, tree):
+def _direct_certifier_findings(rel, tree):
     """``(line, message)`` for direct off-allowlist repro imports."""
     for node in ast.walk(tree):
         names = []
@@ -252,7 +246,7 @@ def check_certifier_independence(ctx):
         source = ctx.project.by_rel.get(rel)
         if source is None:
             continue
-        for line, message in direct_certifier_findings(rel, source.tree):
+        for line, message in _direct_certifier_findings(rel, source.tree):
             yield ctx.finding(rel, line, message)
         for chain, line, name in ctx.graph.walk(rel):
             if len(chain) < 2 or not _is_repro_module(name):

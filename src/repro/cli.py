@@ -44,7 +44,6 @@ def _config_from_args(args):
         use_cache=not args.no_cache,
         exhaustive_grouping=args.exhaustive_grouping,
         weak_xa_size=args.weak_xa_size,
-        use_check_context=not args.no_check_context,
     )
 
 
@@ -124,11 +123,6 @@ def _add_config_flags(parser):
                         help="Section 5's exclude-one/add-many refinement")
     parser.add_argument("--weak-xa-size", type=int, default=1,
                         help="variables in the weak step's XA (paper: 1)")
-    parser.add_argument("--no-check-context", action="store_true",
-                        help="disable the shared quantification/check "
-                             "cache during variable grouping (identical "
-                             "results, more BDD ops -- exists for A/B "
-                             "operation-count runs)")
 
 
 def _add_resource_flags(parser):

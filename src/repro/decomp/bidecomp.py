@@ -65,24 +65,18 @@ class DecompositionConfig:
     * ``weak_xa_size`` — how many variables the weak step's XA may
       hold (the paper settled on 1 after experimentation);
     * ``objective`` — ``"area"`` scores groupings by coverage then
-      balance (the paper's cost); ``"delay"`` puts balance first;
-    * ``check_invariants`` — verify compatibility of every synthesised
-      component against its interval (slower; on by default in tests);
-    * ``use_check_context`` — route grouping/weak checks through a
-      shared :class:`~repro.decomp.context.CheckContext` (a
-      quantification cache, exact check-verdict memos, and the
-      set-lifted Theorem 2 filter that prunes infeasible EXOR
-      propagations).  Exact — results are byte-identical either way —
-      and on by default; off exists for the A/B operation-count
-      benchmark.
+      balance (the paper's cost); ``"delay"`` puts balance first.
+
+    Checking every synthesised component against its interval is the
+    ``--check`` mode's job (``bi_decompose(..., check=True)``), not a
+    config switch.
     """
 
     def __init__(self, use_or=True, use_and=True, use_exor=True,
                  use_weak=True, use_cache=True, use_inessential=True,
                  gate_preference=(OR_GATE, AND_GATE, EXOR_GATE),
                  exhaustive_grouping=False, weak_xa_size=1,
-                 objective="area", check_invariants=False,
-                 use_check_context=True):
+                 objective="area"):
         self.use_or = use_or
         self.use_and = use_and
         self.use_exor = use_exor
@@ -92,11 +86,9 @@ class DecompositionConfig:
         self.gate_preference = tuple(gate_preference)
         self.exhaustive_grouping = exhaustive_grouping
         self.weak_xa_size = weak_xa_size
-        self.use_check_context = use_check_context
         if objective not in ("area", "delay"):
             raise ValueError("objective must be 'area' or 'delay'")
         self.objective = objective
-        self.check_invariants = check_invariants
 
     def enabled_gates(self):
         """Strong gate types to try, in preference order."""
@@ -116,7 +108,7 @@ class DecompositionStats:
         self.weak = {OR_GATE: 0, AND_GATE: 0}
         self.shannon = 0
         self.inessential_removed = 0
-        # CheckContext counters (zero when use_check_context is off):
+        # CheckContext counters, summed over every recursion step:
         # decomposability checks probed during grouping, quantification
         # probes answered from the context cache, and fused
         # and_exists/or_forall kernel calls issued.
@@ -277,23 +269,21 @@ class DecompositionEngine:
             self.cache.insert(csf, node)
             return csf, node
 
-        ctx = (CheckContext(self.mgr) if self.config.use_check_context
-               else None)
+        ctx = CheckContext(self.mgr)
         step = self._find_strong_step(isf, support, ctx)
         if step is None and self.config.use_weak:
             step = self._find_weak_step(isf, support, ctx)
-        if ctx is not None:
-            stats = self.stats
-            stats.grouping_check_calls += ctx.check_calls
-            stats.quantify_cache_hits += ctx.cache_hits
-            stats.and_exists_calls += ctx.and_exists_calls
+        stats = self.stats
+        stats.grouping_check_calls += ctx.check_calls
+        stats.quantify_cache_hits += ctx.cache_hits
+        stats.and_exists_calls += ctx.and_exists_calls
         if step is None:
             return self._shannon_step(isf, support)
         gate, xa, isf_a = step
         return self._emit(isf, gate, xa, isf_a)
 
     # -- step selection ---------------------------------------------------
-    def _find_strong_step(self, isf, support, ctx=None):
+    def _find_strong_step(self, isf, support, ctx):
         """Try all enabled strong gates; return (gate, xa, isf_a) or None."""
         candidates = {}
         for gate in self.config.enabled_gates():
@@ -323,7 +313,7 @@ class DecompositionEngine:
         self._on_step(isf, support, gate, xa, xb, isf_a)
         return gate, xa, isf_a
 
-    def _find_weak_step(self, isf, support, ctx=None):
+    def _find_weak_step(self, isf, support, ctx):
         """Best weak OR/AND step, or None when nothing makes progress."""
         weak = find_weak_grouping(isf, support,
                                   max_vars=self.config.weak_xa_size,
@@ -385,11 +375,6 @@ class DecompositionEngine:
         if self.observer is not None:
             self.observer(kind, self.stats)
 
-    def _check(self, isf, csf, gate):
-        if self.config.check_invariants and not isf.is_compatible(csf):
-            raise DecompositionError(
-                "synthesised %s component leaves the interval" % gate)
-
     # -- sanitizer hooks --------------------------------------------------
     # No-ops here; repro.analysis.CheckedDecompositionEngine overrides
     # them to assert the paper's certificates at each recursion step.
@@ -402,3 +387,6 @@ class DecompositionEngine:
 
     def _on_derived_b(self, isf, gate, xa, f_a, isf_b):
         """Called once component B's interval is derived from f_A."""
+
+    def _check(self, isf, csf, gate):
+        """Called with every recombined result *csf* of a *gate* step."""

@@ -22,47 +22,36 @@ Weak decomposability (Table 1, second row) is checked by
 worth taking when it strictly enlarges the don't-care set of component
 A, which is the paper's termination argument.
 
-Every check accepts an optional
-:class:`~repro.decomp.context.CheckContext`.  With a context, every
-quantification comes from a shared per-manager cache and whole check
-verdicts memoise on their ``(Q, R, XA, XB)`` packed-edge keys; both
-paths build the same canonical BDDs, so they return identical booleans
-(and identical edges for :func:`derivative_isf`).  The context paths
-deliberately keep the plain apply forms below rather than fusing the
-conjunction into the quantification walk: the manager's global
-computed tables already share every materialised intermediate across
-the diff/or/and ecosystem, and DESIGN.md section 9 records the
-measurement where the fused ``and_exists`` walks lost to them.
+Every check runs through a :class:`~repro.decomp.context.CheckContext`
+(a caller that passes none gets a fresh one): every quantification
+comes from a shared per-manager cache and whole check verdicts memoise
+on their ``(Q, R, XA, XB)`` packed-edge keys.  The checks deliberately
+keep the plain apply forms below rather than fusing the conjunction
+into the quantification walk: the manager's global computed tables
+already share every materialised intermediate across the diff/or/and
+ecosystem, and DESIGN.md section 9 records the measurement where the
+fused ``and_exists`` walks lost to them.  The closed forms are restated
+independently in :func:`repro.analysis.certify.theorem_residue`, which
+the ``--check`` contracts and the offline certifier re-prove through.
 """
 
-from repro.bdd import exists as _exists, forall as _forall
 from repro.bdd.function import Function
-
-
-def _fn(mgr, node):
-    return Function(mgr, node)
+from repro.decomp.context import CheckContext
 
 
 def or_decomposable(isf, xa, xb, ctx=None):
     """Theorem 1: OR-bi-decomposability with variable sets (XA, XB)."""
+    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
-    if ctx is not None:
-        ctx.check_calls += 1
-        q, r = isf.on.node, isf.off.node
-        cached, store = ctx.check_memo("or", q, r, xa, xb)
-        if store is None:
-            return cached
-        # Same probe as below, but the two quantifications come from
-        # the context cache — across a pair scan each exists(x, R) is
-        # computed once and shared by every pair that touches x.
-        qa = mgr.and_(q, ctx.exists(r, xa))
-        return store(mgr.and_(qa, ctx.exists(r, xb)) == mgr.false)
-    r_no_xa = _exists(mgr, xa, isf.off.node)
-    r_no_xb = _exists(mgr, xb, isf.off.node)
-    # Q & (exists XA R) & (exists XB R) == 0, evaluated with the fused
-    # and_exists-free form (all three BDDs already exist).
-    qa = mgr.and_(isf.on.node, r_no_xa)
-    return mgr.and_(qa, r_no_xb) == mgr.false
+    ctx.check_calls += 1
+    q, r = isf.on.node, isf.off.node
+    cached, store = ctx.check_memo("or", q, r, xa, xb)
+    if store is None:
+        return cached
+    # Q & (exists XA R) & (exists XB R) == 0; across a pair scan each
+    # exists(x, R) is computed once and shared by every pair touching x.
+    qa = mgr.and_(q, ctx.exists(r, xa))
+    return store(mgr.and_(qa, ctx.exists(r, xb)) == mgr.false)
 
 
 def and_decomposable(isf, xa, xb, ctx=None):
@@ -76,21 +65,17 @@ def derivative_isf(isf, variables, ctx=None):
     For a compatible CSF f, the derivative ``df/dXA`` must be 1 exactly
     where two XA-cofactor points are forced to opposite values, and 0
     where two are forced to equal values (Theorem 2's Q_D / R_D).
-    Returns ``(q_d, r_d)`` as Functions.
+    Returns ``(q_d, r_d)`` as Functions.  All four quantifications come
+    from the context cache (the forall dual shares it via complement
+    edges) — the Fig. 5 EXOR pair scan re-derives these per-x building
+    blocks for every partner variable.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
     q, r = isf.on.node, isf.off.node
-    if ctx is not None:
-        # Same formulas, with all four quantifications served by the
-        # context cache (the forall dual shares it via complement
-        # edges) — the Fig. 5 EXOR pair scan re-derives these per-x
-        # building blocks for every partner variable.
-        q_d = mgr.and_(ctx.exists(q, variables), ctx.exists(r, variables))
-        r_d = mgr.or_(ctx.forall(q, variables), ctx.forall(r, variables))
-        return _fn(mgr, q_d), _fn(mgr, r_d)
-    q_d = mgr.and_(_exists(mgr, variables, q), _exists(mgr, variables, r))
-    r_d = mgr.or_(_forall(mgr, variables, q), _forall(mgr, variables, r))
-    return _fn(mgr, q_d), _fn(mgr, r_d)
+    q_d = mgr.and_(ctx.exists(q, variables), ctx.exists(r, variables))
+    r_d = mgr.or_(ctx.forall(q, variables), ctx.forall(r, variables))
+    return Function(mgr, q_d), Function(mgr, r_d)
 
 
 def exor_decomposable_single(isf, xa_var, xb_var, ctx=None):
@@ -99,19 +84,16 @@ def exor_decomposable_single(isf, xa_var, xb_var, ctx=None):
     The check is ``Q_D & exists(xb, R_D) == 0`` on the derivative ISF
     of F with respect to the XA variable.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
-    if ctx is not None:
-        ctx.check_calls += 1
-        cached, store = ctx.check_memo("exor1", isf.on.node, isf.off.node,
-                                       [xa_var], [xb_var])
-        if store is None:
-            return cached
-        q_d, r_d = derivative_isf(isf, [xa_var], ctx)
-        return store(mgr.and_(q_d.node,
-                              ctx.exists(r_d.node, [xb_var])) == mgr.false)
-    q_d, r_d = derivative_isf(isf, [xa_var])
-    r_d_no_xb = _exists(mgr, [xb_var], r_d.node)
-    return mgr.and_(q_d.node, r_d_no_xb) == mgr.false
+    ctx.check_calls += 1
+    cached, store = ctx.check_memo("exor1", isf.on.node, isf.off.node,
+                                   [xa_var], [xb_var])
+    if store is None:
+        return cached
+    q_d, r_d = derivative_isf(isf, [xa_var], ctx)
+    return store(mgr.and_(q_d.node,
+                          ctx.exists(r_d.node, [xb_var])) == mgr.false)
 
 
 def weak_or_useful(isf, xa, ctx=None):
@@ -120,13 +102,10 @@ def weak_or_useful(isf, xa, ctx=None):
     Table 1: component A of a weak OR step has ``Q_A = Q & exists(XA, R)``;
     the step injects don't-cares iff ``Q - exists(XA, R) != 0``.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
-    if ctx is not None:
-        ctx.check_calls += 1
-        r_no_xa = ctx.exists(isf.off.node, xa)
-    else:
-        r_no_xa = _exists(mgr, xa, isf.off.node)
-    return mgr.diff(isf.on.node, r_no_xa) != mgr.false
+    ctx.check_calls += 1
+    return mgr.diff(isf.on.node, ctx.exists(isf.off.node, xa)) != mgr.false
 
 
 def weak_and_useful(isf, xa, ctx=None):

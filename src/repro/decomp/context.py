@@ -3,9 +3,10 @@
 Variable grouping (Section 5, Figs. 5-6) is the algorithm's inner
 loop: every pair seed and every greedy-growth probe runs a Theorem 1/2
 check, and the full Fig. 4 propagation of the *winning* grouping is
-re-run once more when the engine derives the component intervals.  The
-naive implementation recomputes everything per probe.
-:class:`CheckContext` makes the probes share work at two levels:
+re-run once more when the engine derives the component intervals.
+Every check in :mod:`repro.decomp` runs through a :class:`CheckContext`
+(a public entry point called without one builds a fresh one), which
+makes the probes share work at two levels:
 
 1. **Quantification cache.**  ``exists(V, node)`` results are memoised
    keyed on ``(packed edge, frozenset of variable indices)``, so the
@@ -27,8 +28,10 @@ naive implementation recomputes everything per probe.
 
 All cached values are exact canonical BDD edges or booleans derived
 from them (quantifier commutativity plus unique-table canonicity), so
-enabling the context cannot change any decomposition decision: golden
-BLIFs and certificate traces stay byte-identical.  The caches live on
+the caches cannot change any decomposition decision.  The ``--check``
+contracts therefore never read them: they re-prove each step through
+:func:`repro.analysis.certify.theorem_residue` and
+:func:`repro.decomp.exor.propagate_exor`.  The caches live on
 the manager as ``_cache_ctx_*`` dicts, which
 :meth:`repro.bdd.manager.BDD.clear_caches` drops wholesale on reorder
 or GC exactly like the kernel's own computed tables — a cached edge is

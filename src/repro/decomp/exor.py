@@ -11,6 +11,8 @@ alternately propagate forced values between the components,
 until a fixpoint; any overlap of a component's must-1 and must-0 sets
 refutes decomposability.  On success it returns the component ISF
 *constraints* ``(A_isf, B_isf)``; on failure ``None``.
+:func:`propagate_exor` is the propagation itself; the check wraps it in
+the context's verdict memo and a necessary Theorem 2 filter.
 
 The propagation is exact for the check; the recursive decomposition
 re-derives component B from the chosen CSF f_A afterwards (see
@@ -20,10 +22,12 @@ re-derives component B from the chosen CSF f_A afterwards (see
 from repro.bdd import cube_to_bdd, exists as _exists, pick_cube
 from repro.bdd.function import Function
 from repro.boolfn.isf import ISF, InconsistentISF
+from repro.decomp.checks import exor_decomposable_single
+from repro.decomp.context import CheckContext
 
 
 def check_exor_bidecomp(isf, xa, xb, ctx=None):
-    """Run Fig. 4's CheckExorBiDecomp.
+    """Run Fig. 4's CheckExorBiDecomp through a check context.
 
     Parameters
     ----------
@@ -32,30 +36,19 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
     xa, xb:
         Disjoint variable sets (iterables of names/indices).
     ctx:
-        Optional :class:`~repro.decomp.context.CheckContext`.  With a
-        context the whole propagation outcome memoises on its
-        ``(Q, R, XA, XB)`` key (the engine re-runs the winning grouping
-        verbatim to derive the components), the set-lifted Theorem 2
-        filter of :func:`_set_derivative_filter` prunes infeasible
-        groupings before any propagation runs, and the projection steps
-        share the context's quantification cache.  Identical canonical
-        results either way.
+        The :class:`~repro.decomp.context.CheckContext` to run in (a
+        fresh one when omitted).  The whole propagation outcome
+        memoises on its ``(Q, R, XA, XB)`` key (the engine re-runs the
+        winning grouping verbatim to derive the components), the
+        set-lifted Theorem 2 filter of :func:`_set_derivative_filter`
+        prunes infeasible groupings before any propagation runs, and
+        the projection steps share the context's quantification cache.
 
     Returns ``(isf_a, isf_b)`` — the accumulated must-sets of the two
     components as ISFs — or ``None`` when no EXOR bi-decomposition with
-    these sets exists.
-
-    For completely specified intervals the exact cofactor ("rank-1")
-    test replaces the cube propagation: F decomposes iff
-
-        F(xa,xb,xc) = F(xa,b0,xc) ^ F(a0,xb,xc) ^ F(a0,b0,xc)
-
-    for an arbitrary anchor point (a0, b0), and then the right-hand
-    cofactors *are* the components.  This is orders of magnitude faster
-    and bitwise-equivalent in outcome.
+    these sets exists; :func:`propagate_exor` computes it.
     """
-    if ctx is None:
-        return _check_exor_impl(isf, xa, xb, ctx)
+    ctx = ctx or CheckContext(isf.mgr)
     # The propagation is a pure function of (Q, R, XA, XB) packed
     # edges, so its outcome memoises exactly.  This is the single
     # biggest repeat in the whole algorithm: the greedy growth loop
@@ -75,7 +68,7 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
             isf, xa, xb, ctx):
         store(False)
         return None
-    result = _check_exor_impl(isf, xa, xb, ctx)
+    result = propagate_exor(isf, xa, xb, ctx)
     if result is None:
         store(False)
         return None
@@ -116,7 +109,25 @@ def _set_derivative_filter(isf, xa, xb, ctx):
     return True
 
 
-def _check_exor_impl(isf, xa, xb, ctx):
+def propagate_exor(isf, xa, xb, ctx=None):
+    """Fig. 4's propagation itself, with no verdict memo and no filter.
+
+    Returns ``(isf_a, isf_b)`` or ``None`` like
+    :func:`check_exor_bidecomp`, computed afresh on every call; only the
+    projections go through *ctx*'s quantification cache.  The ``--check``
+    contracts re-prove EXOR steps here, so they never read back a
+    verdict the engine memoised.
+
+    For completely specified intervals the exact cofactor ("rank-1")
+    test replaces the cube propagation: F decomposes iff
+
+        F(xa,xb,xc) = F(xa,b0,xc) ^ F(a0,xb,xc) ^ F(a0,b0,xc)
+
+    for an arbitrary anchor point (a0, b0), and then the right-hand
+    cofactors *are* the components.  This is orders of magnitude faster
+    and bitwise-equivalent in outcome.
+    """
+    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
     if isf.is_completely_specified():
         return _csf_exor_components(isf, xa, xb)
@@ -126,12 +137,6 @@ def _check_exor_impl(isf, xa, xb, ctx):
         return _exists(mgr, vars_, mgr.or_(mgr.and_(u, pu),
                                            mgr.and_(v, pv)))
 
-    if ctx is not None:
-        def _project(vars_, node):
-            return ctx.exists(node, vars_)
-    else:
-        def _project(vars_, node):
-            return _exists(mgr, vars_, node)
     false = mgr.false
     q = isf.on.node
     r = isf.off.node
@@ -179,8 +184,8 @@ def _check_exor_impl(isf, xa, xb, ctx):
     # Untouched off-set points: force both components to 0 there
     # (0 EXOR 0 = 0), per the paper's final step.
     if r != false:
-        acc_ra = mgr.or_(acc_ra, _project(xb, r))
-        acc_rb = mgr.or_(acc_rb, _project(xa, r))
+        acc_ra = mgr.or_(acc_ra, ctx.exists(r, xb))
+        acc_rb = mgr.or_(acc_rb, ctx.exists(r, xa))
         if mgr.and_(acc_qa, acc_ra) != false:
             return None
         if mgr.and_(acc_qb, acc_rb) != false:
@@ -221,8 +226,8 @@ def exor_decomposable(isf, xa, xb, ctx=None):
     checks in a handful of quantifications.  Only survivors pay for the
     full Fig. 4 propagation.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     if not isf.is_completely_specified():
-        from repro.decomp.checks import exor_decomposable_single
         for a in xa:
             for b in xb:
                 if not exor_decomposable_single(isf, a, b, ctx):

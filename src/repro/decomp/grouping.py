@@ -16,11 +16,12 @@ bi-decomposition feasible:
 """
 
 from repro.decomp import checks
+from repro.decomp.context import CheckContext
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
 from repro.decomp.exor import exor_decomposable
 
 
-def _set_checker(isf, gate, ctx=None):
+def _set_checker(isf, gate, ctx):
     """Decomposability predicate over (xa, xb) variable *sets*."""
     if gate == OR_GATE:
         return lambda xa, xb: checks.or_decomposable(isf, xa, xb, ctx)
@@ -31,7 +32,7 @@ def _set_checker(isf, gate, ctx=None):
     raise ValueError("unknown gate %r" % gate)
 
 
-def _pair_checker(isf, gate, ctx=None):
+def _pair_checker(isf, gate, ctx):
     """Decomposability predicate over single-variable pairs.
 
     For EXOR the cheap derivative test of Theorem 2 replaces the full
@@ -49,11 +50,13 @@ def find_initial_grouping(isf, support, gate, ctx=None):
     Returns ``(frozenset, frozenset)`` or ``None`` when the function is
     not strongly bi-decomposable with this gate under any pair.
 
-    With a :class:`~repro.decomp.context.CheckContext` the per-variable
-    quantification family is cached across probes, so the O(n^2) pair
-    scan issues only O(n) kernel quantifications — lazily, which keeps
-    an early exit from paying for variables it never probed.
+    The :class:`~repro.decomp.context.CheckContext` (a fresh one when
+    omitted) caches the per-variable quantification family across
+    probes, so the O(n^2) pair scan issues only O(n) kernel
+    quantifications — lazily, which keeps an early exit from paying for
+    variables it never probed.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     check = _pair_checker(isf, gate, ctx)
     symmetric = gate in (OR_GATE, AND_GATE)
     if not isinstance(support, (tuple, list)):
@@ -76,6 +79,7 @@ def group_variables(isf, support, gate, ctx=None):
     sets balanced; a variable that fits neither set is dropped into the
     common set XC (implicitly, by not being added).
     """
+    ctx = ctx or CheckContext(isf.mgr)
     initial = find_initial_grouping(isf, support, gate, ctx)
     if initial is None:
         return None
@@ -105,6 +109,7 @@ def improve_grouping(isf, support, gate, xa, xb, ctx=None):
     available behind ``DecompositionConfig(exhaustive_grouping=True)``
     so the ablation benchmark can reproduce the trade-off.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     check = _set_checker(isf, gate, ctx)
     xa, xb = set(xa), set(xb)
     improved = True

@@ -8,7 +8,8 @@ injects the most don't-cares into component A (measured by how many
 on-set/off-set minterms become free).
 """
 
-from repro.bdd import exists as _exists, sat_count
+from repro.bdd import sat_count
+from repro.decomp.context import CheckContext
 from repro.decomp.derive import AND_GATE, OR_GATE
 
 
@@ -28,6 +29,7 @@ def find_weak_grouping(isf, support, max_vars=1, ctx=None):
     larger values grow XA greedily by don't-care gain and exist for the
     ablation benchmark that reproduces that finding.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     best = _best_single(isf, support, ctx)
     if best is None or max_vars <= 1:
         return best
@@ -35,27 +37,21 @@ def find_weak_grouping(isf, support, max_vars=1, ctx=None):
     return gate, _grow_weak_set(isf, support, gate, set(xa), max_vars, ctx)
 
 
-def _ex(isf, variables, node, ctx):
-    if ctx is not None:
-        return ctx.exists(node, variables)
-    return _exists(isf.mgr, variables, node)
-
-
-def _best_single(isf, support, ctx=None):
+def _best_single(isf, support, ctx):
     mgr = isf.mgr
     best = None
     best_gain = 0
     q, r = isf.on.node, isf.off.node
     for x in support:
         # Weak OR: Q_A = Q & exists(x, R); gain = |Q| - |Q_A|.
-        r_no_x = _ex(isf, [x], r, ctx)
+        r_no_x = ctx.exists(r, [x])
         q_a = mgr.and_(q, r_no_x)
         gain_or = sat_count(mgr, q) - sat_count(mgr, q_a)
         if gain_or > best_gain:
             best_gain = gain_or
             best = (OR_GATE, frozenset((x,)))
         # Weak AND (dual): R_A = R & exists(x, Q); gain = |R| - |R_A|.
-        q_no_x = _ex(isf, [x], q, ctx)
+        q_no_x = ctx.exists(q, [x])
         r_a = mgr.and_(r, q_no_x)
         gain_and = sat_count(mgr, r) - sat_count(mgr, r_a)
         if gain_and > best_gain:
@@ -64,20 +60,18 @@ def _best_single(isf, support, ctx=None):
     return best
 
 
-def _grow_weak_set(isf, support, gate, xa, max_vars, ctx=None):
+def _grow_weak_set(isf, support, gate, xa, max_vars, ctx):
     """Greedily extend XA while the injected don't-care count rises.
 
-    With a context, ``exists(XA | {z}, other)`` reuses the cached
-    ``exists(XA, other)`` — each growth probe is one single-variable
-    quantification of an already-quantified (smaller) BDD.
+    The context caches every ``exists(XA | {z}, other)`` probe, so a
+    candidate set revisited in a later round costs nothing.
     """
     mgr = isf.mgr
     if gate == OR_GATE:
         target, other = isf.on.node, isf.off.node
     else:
         target, other = isf.off.node, isf.on.node
-    current = sat_count(mgr, mgr.and_(target,
-                                      _ex(isf, xa, other, ctx)))
+    current = sat_count(mgr, mgr.and_(target, ctx.exists(other, xa)))
     while len(xa) < max_vars:
         best_var = None
         best_count = current
@@ -85,7 +79,7 @@ def _grow_weak_set(isf, support, gate, xa, max_vars, ctx=None):
             if z in xa:
                 continue
             count = sat_count(mgr, mgr.and_(
-                target, _ex(isf, xa | {z}, other, ctx)))
+                target, ctx.exists(other, xa | {z})))
             if count < best_count:
                 best_count = count
                 best_var = z

@@ -13,7 +13,7 @@ This module holds only what *both* sides of the protocol share: the
 format constants, the reader/writer, and the cover helpers.  The
 producer lives in :mod:`repro.decomp.trace`; the independent checker in
 :mod:`repro.analysis.certify` imports nothing from the engine or the
-pipeline (``tools/astlint.py`` rule ``certifier-independence``), which
+pipeline (``repro selfcheck`` rule ``certifier-independence``), which
 is why these helpers live here in :mod:`repro.io` rather than next to
 either of them.
 

@@ -18,7 +18,7 @@ BUDGET_SCOPES = ("run", "batch")
 
 #: Registry of pipeline stage names.  Every stage composed into a
 #: :class:`repro.pipeline.Pipeline` must use one of these names —
-#: ``tools/astlint.py`` enforces it statically (rule ``stage-registry``)
+#: ``repro selfcheck`` enforces it statically (rule ``stage-registry``)
 #: so event consumers can rely on a closed vocabulary.
 STAGE_NAMES = (
     "parse",

@@ -43,7 +43,7 @@ instead of a live session:
   ``batch_finished`` events around them.
 
 Only sanitized event payloads and store-format dicts cross the process
-boundary — never BDD nodes, Functions or ISFs (``tools/astlint.py``
+boundary — never BDD nodes, Functions or ISFs (``repro selfcheck``
 rule ``process-boundary`` enforces this statically).  Workers build
 their managers through the usual seam (``stage_build_isfs`` ->
 ``pla.make_manager`` -> ``Session.adopt_manager``).

@@ -45,6 +45,49 @@ def build_isf(mgr, variables, on_tt, off_tt):
     return ISF(on, off)
 
 
+def _split_exists(combine, on_tt, off_tt, n, xa, xb):
+    """Is some ``fA(XA, XC) <combine> fB(XB, XC)`` in the interval?
+
+    Decides the existential partition question by enumeration: every
+    fA over XA | XC, each of which forces fB cell by cell over XB | XC.
+    XC is the rest of the *n* variables; minterm ``i`` has ``x_k`` at
+    bit ``k``, and each truth table is indexed the same way over its own
+    variables in order.
+    """
+    xc = [v for v in range(n) if v not in xa and v not in xb]
+    a_vars, b_vars = list(xa) + xc, list(xb) + xc
+
+    def cell(i, variables):
+        return sum(((i >> v) & 1) << k for k, v in enumerate(variables))
+
+    cares = [(cell(i, a_vars), cell(i, b_vars), (on_tt >> i) & 1)
+             for i in range(1 << n) if ((on_tt | off_tt) >> i) & 1]
+    for fa in range(1 << (1 << len(a_vars))):
+        forced = {}
+        for ia, ib, value in cares:
+            a = (fa >> ia) & 1
+            fits = [b for b in (0, 1) if combine(a, b) == value]
+            if len(fits) == 2:
+                continue
+            if not fits or forced.setdefault(ib, fits[0]) != fits[0]:
+                break
+        else:
+            return True
+    return False
+
+
+def or_split_exists(on_tt, off_tt, n=3, xa=(0,), xb=(1,)):
+    """Brute-force oracle: does some fA(XA,XC) | fB(XB,XC) lie in the
+    interval?  Defaults: XA={x0}, XB={x1}, XC={x2}."""
+    return _split_exists(lambda a, b: a | b, on_tt, off_tt, n, xa, xb)
+
+
+def exor_split_exists(on_tt, off_tt, n=3, xa=(0,), xb=(1,)):
+    """Brute-force oracle: does some fA(XA,XC) ^ fB(XB,XC) lie in the
+    interval?  Defaults: XA={x0}, XB={x1}, XC={x2}."""
+    return _split_exists(lambda a, b: a ^ b, on_tt, off_tt, n, xa, xb)
+
+
 @pytest.fixture
 def mgr4():
     """A fresh 4-variable manager (a, b, c, d)."""

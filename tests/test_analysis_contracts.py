@@ -8,7 +8,9 @@ from repro.analysis import (CheckedDecompositionEngine, ContractStats,
                             ContractViolation)
 from repro.bdd import BDD
 from repro.boolfn import ISF, parse
-from repro.decomp import DecompositionError, bi_decompose
+from repro.decomp import (EXOR_GATE, OR_GATE, CheckContext,
+                          DecompositionError, bi_decompose,
+                          exor_decomposable, or_decomposable)
 from repro.pipeline import PipelineConfig, Session
 
 
@@ -165,6 +167,47 @@ class TestWeakStepContracts:
         doc = engine.contract_stats.as_dict()
         assert doc["checks"]["weak-usefulness"] == 1
         assert doc["total_violations"] == 0
+
+
+class TestMemoIndependence:
+    """Mutation canary: the contracts never read the engine's verdict
+    memo.  Each test poisons the manager-hosted memo with a
+    "decomposable" verdict for a grouping that is not decomposable,
+    shows the engine's own check now believes it, and expects the
+    contract to fire anyway."""
+
+    @staticmethod
+    def _poison(mgr, kind, isf, xa, xb, verdict):
+        _cached, store = CheckContext(mgr).check_memo(
+            kind, isf.on.node, isf.off.node, xa, xb)
+        store(verdict)
+
+    def test_poisoned_or_memo_cannot_vouch(self):
+        mgr = BDD(["a", "b"])
+        engine = _session(mgr)._ensure_engine()
+        isf = ISF.from_csf(parse(mgr, "a ^ b"))
+        self._poison(mgr, "or", isf, [0], [1], True)
+        assert or_decomposable(isf, [0], [1])
+        with pytest.raises(ContractViolation) as excinfo:
+            engine._on_step(isf, [0, 1], OR_GATE, [0], [1], isf)
+        assert excinfo.value.contract == "or-residue"
+
+    def test_poisoned_exor_memos_cannot_vouch(self):
+        # A completely specified AND (Fig. 4's cofactor test) and an
+        # interval whose care plane c=0 is an AND (Theorem 2's pair
+        # test): neither is EXOR-decomposable with XA={a}, XB={b}.
+        mgr = BDD(["a", "b", "c"])
+        engine = _session(mgr)._ensure_engine()
+        for isf in (ISF.from_csf(parse(mgr, "a & b")),
+                    ISF(parse(mgr, "a & b & ~c"),
+                        parse(mgr, "~(a & b) & ~c"))):
+            self._poison(mgr, "exor1", isf, [0], [1], True)
+            self._poison(mgr, "exor", isf, [0], [1],
+                         (isf.on.node, isf.off.node, mgr.false, mgr.false))
+            assert exor_decomposable(isf, [0], [1])
+            with pytest.raises(ContractViolation) as excinfo:
+                engine._on_step(isf, [0, 1, 2], EXOR_GATE, [0], [1], isf)
+            assert excinfo.value.contract == "exor-check"
 
 
 class TestContractStats:

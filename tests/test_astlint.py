@@ -1,296 +1,78 @@
-"""Tests for the repo AST lint (tools/astlint.py)."""
+"""Repo-level checks of the six seam rules in repro.analysis.repolint.
 
-import ast
-import importlib.util
+The seam rules (manager-seam, process-boundary, certifier-independence,
+node-encoding, bare-assert, stage-registry) are checked case by case in
+tests/test_repolint.py.  These tests pin the whole-repo guarantees: the
+rules are registered, the two boundary modules they guard stay clean,
+and findings print as clickable ``path:line`` anchors.
+"""
+
+import io
 from pathlib import Path
 
-import pytest
+from repro.analysis.repolint import REPO_RULES, run_repolint
+from repro.analysis.repolint.framework import RepolintReport
+from repro.analysis.rules import Finding, Severity
+from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-_spec = importlib.util.spec_from_file_location(
-    "astlint", REPO_ROOT / "tools" / "astlint.py")
-astlint = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(astlint)
+SEAM_RULES = ("manager-seam", "process-boundary", "certifier-independence",
+              "node-encoding", "bare-assert", "stage-registry")
 
 
-def _manager_seam(rel, source):
-    return list(astlint.check_manager_seam(rel, ast.parse(source)))
-
-
-def _bare_assert(rel, source):
-    return list(astlint.check_bare_assert(rel, ast.parse(source)))
-
-
-def _stage_registry(rel, source, registered=("parse", "decompose")):
-    return list(astlint.check_stage_registry(
-        rel, ast.parse(source), registered=set(registered)))
+def _findings_in(rel, rule_id):
+    """Active *rule_id* findings in *rel* from a scan of src/repro."""
+    report = run_repolint(paths=[REPO_ROOT / "src" / "repro"],
+                          root=REPO_ROOT, rules=[rule_id])
+    return [f for f in report.findings if f.path == rel]
 
 
 class TestRepoIsClean:
-    def test_default_paths_pass(self, capsys):
-        assert astlint.main([]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
-
-    def test_registry_matches_runtime_constant(self):
-        from repro.pipeline import STAGE_NAMES
-        assert astlint._registered_stage_names() == set(STAGE_NAMES)
-
-
-class TestManagerSeam:
-    def test_direct_construction_flagged(self):
-        findings = _manager_seam(
-            "src/repro/decomp/foo.py",
-            "from repro.bdd.manager import BDD\nmgr = BDD(['a'])\n")
-        assert len(findings) == 1
-        assert findings[0].rule == "manager-seam"
-
-    def test_package_import_flagged(self):
-        findings = _manager_seam(
-            "src/repro/pipeline/foo.py",
-            "from repro.bdd import BDD\nmgr = BDD(['a'])\n")
-        assert findings
-
-    def test_aliased_import_flagged(self):
-        findings = _manager_seam(
-            "src/repro/decomp/foo.py",
-            "from repro.bdd import BDD as Manager\nmgr = Manager([])\n")
-        assert findings
-
-    def test_attribute_chain_flagged(self):
-        findings = _manager_seam(
-            "src/repro/decomp/foo.py",
-            "import repro.bdd.manager\n"
-            "mgr = repro.bdd.manager.BDD(['a'])\n")
-        assert findings
-
-    def test_allowed_layers_pass(self):
-        source = "from repro.bdd.manager import BDD\nmgr = BDD(['a'])\n"
-        for rel in ("src/repro/bdd/foo.py", "src/repro/io/foo.py",
-                    "src/repro/bench/foo.py", "src/repro/fsm/foo.py"):
-            assert not _manager_seam(rel, source)
-
-    def test_import_without_call_passes(self):
-        # Type references / isinstance checks are fine; only
-        # construction is the violation.
-        findings = _manager_seam(
-            "src/repro/decomp/foo.py",
-            "from repro.bdd.manager import BDD\n"
-            "def f(mgr):\n    return isinstance(mgr, BDD)\n")
-        assert not findings
-
-    def test_outside_src_repro_ignored(self):
-        findings = _manager_seam(
-            "tools/foo.py",
-            "from repro.bdd.manager import BDD\nmgr = BDD(['a'])\n")
-        assert not findings
+    def test_default_paths_pass(self):
+        out = io.StringIO()
+        code = cli_main(["selfcheck", "--root", str(REPO_ROOT)], stdout=out)
+        assert code == 0
+        assert "0 finding(s)" in out.getvalue()
+        assert set(SEAM_RULES) <= set(REPO_RULES)
 
 
 class TestProcessBoundary:
-    BOUNDARY = "src/repro/pipeline/parallel.py"
-
-    def check(self, rel, source):
-        return list(astlint.check_process_boundary(rel, ast.parse(source)))
-
-    def test_live_bdd_imports_flagged(self):
-        for source in ("from repro.bdd import BDD\n",
-                       "from repro.bdd.manager import BDD\n",
-                       "import repro.bdd\n",
-                       "from repro.boolfn import ISF\n",
-                       "from repro import boolfn\n"):
-            findings = self.check(self.BOUNDARY, source)
-            assert findings, source
-            assert findings[0].rule == "process-boundary"
-
-    def test_store_format_imports_pass(self):
-        source = ("from repro.decomp.cache_store import merge_stores\n"
-                  "from repro.io import parse_pla\n"
-                  "from repro.pipeline.session import Session\n")
-        assert not self.check(self.BOUNDARY, source)
-
-    def test_other_modules_unaffected(self):
-        assert not self.check("src/repro/pipeline/session.py",
-                              "from repro.bdd import BDD\n")
-
     def test_real_parallel_module_is_clean(self):
-        path = REPO_ROOT / "src" / "repro" / "pipeline" / "parallel.py"
-        findings = self.check("src/repro/pipeline/parallel.py",
-                              path.read_text())
-        assert not findings
-
-    def test_boundary_module_stays_off_manager_seam_allowlist(self):
-        # Workers must reach managers through adopt_manager /
-        # pla.make_manager, so parallel.py must not be granted direct
-        # BDD construction rights.
-        assert not any(
-            self.BOUNDARY.startswith(prefix)
-            for prefix in astlint.MANAGER_SEAM_ALLOWED)
+        assert not _findings_in("src/repro/pipeline/parallel.py",
+                                "process-boundary")
 
 
 class TestCertifierIndependence:
-    CERTIFIER = "src/repro/analysis/certify.py"
-
-    def check(self, rel, source):
-        return list(astlint.check_certifier_independence(
-            rel, ast.parse(source)))
-
-    def test_engine_imports_flagged(self):
-        for source in ("from repro.decomp import BiDecompositionEngine\n",
-                       "from repro.decomp.bidecomp import decompose\n",
-                       "import repro.decomp.bidecomp\n",
-                       "from repro.pipeline.session import Session\n",
-                       "from repro import decomp\n",
-                       "import repro.pipeline\n"):
-            findings = self.check(self.CERTIFIER, source)
-            assert findings, source
-            assert findings[0].rule == "certifier-independence"
-
-    def test_allowed_imports_pass(self):
-        source = ("import json\n"
-                  "from repro.bdd import exists, pick_minterm\n"
-                  "from repro.bdd.function import Function\n"
-                  "from repro.io import load_pla, parse_blif\n"
-                  "from repro.io.cert import load_cert\n"
-                  "from repro.network import output_functions\n")
-        assert not self.check(self.CERTIFIER, source)
-
-    def test_other_modules_unaffected(self):
-        assert not self.check("src/repro/analysis/contracts.py",
-                              "from repro.decomp import OR_GATE\n")
-
     def test_real_certifier_module_is_clean(self):
-        path = REPO_ROOT / "src" / "repro" / "analysis" / "certify.py"
-        findings = self.check(self.CERTIFIER, path.read_text())
-        assert not findings
+        assert not _findings_in("src/repro/analysis/certify.py",
+                                "certifier-independence")
 
     def test_rule_is_registered(self):
-        assert astlint.check_certifier_independence in astlint.CHECKS
+        rule = REPO_RULES["certifier-independence"]
+        assert rule.severity == Severity.ERROR
+        assert rule.scope == "project"
 
 
 class TestNodeEncoding:
-    def check(self, rel, source):
-        return list(astlint.check_node_encoding(rel, ast.parse(source)))
-
-    def test_private_array_access_flagged(self):
-        for attr in ("_lo", "_hi", "_level", "_unique"):
-            findings = self.check(
-                "src/repro/decomp/foo.py",
-                "def f(mgr, e):\n    return mgr.%s[e >> 1]\n" % attr)
-            assert findings, attr
-            assert findings[0].rule == "node-encoding"
-            assert attr in findings[0].message
-
-    def test_complement_xor_flagged(self):
-        for source in ("def neg(f):\n    return f ^ 1\n",
-                       "def neg(f):\n    return 1 ^ f\n"):
-            findings = self.check("src/repro/decomp/foo.py", source)
-            assert findings, source
-            assert "complement-bit" in findings[0].message
-
-    def test_bdd_package_allowed(self):
-        source = ("def neg(mgr, f):\n"
-                  "    return (f ^ 1, mgr._lo[f >> 1])\n")
-        assert not self.check("src/repro/bdd/foo.py", source)
-
-    def test_public_api_passes(self):
-        source = ("def f(mgr, e):\n"
-                  "    return mgr.not_(mgr.low(e)), mgr.level(e)\n")
-        assert not self.check("src/repro/decomp/foo.py", source)
-
-    def test_plain_bit_arithmetic_passes(self):
-        # Truth-table indexing ((i >> k) & 1) is not edge arithmetic.
-        source = "def bit(i, k):\n    return (i >> k) & 1\n"
-        assert not self.check("src/repro/boolfn/foo.py", source)
-
-    def test_xor_with_other_constants_passes(self):
-        source = "def f(x):\n    return x ^ 3\n"
-        assert not self.check("src/repro/decomp/foo.py", source)
-
-    def test_outside_src_repro_ignored(self):
-        assert not self.check("tools/foo.py", "x = y ^ 1\n")
-
     def test_rule_is_registered(self):
-        assert astlint.check_node_encoding in astlint.CHECKS
-
-
-class TestBareAssert:
-    def test_assert_flagged(self):
-        findings = _bare_assert("src/repro/decomp/foo.py",
-                                "def f(x):\n    assert x > 0\n")
-        assert len(findings) == 1
-        assert findings[0].rule == "bare-assert"
-        assert findings[0].line == 2
-
-    def test_raise_passes(self):
-        findings = _bare_assert(
-            "src/repro/decomp/foo.py",
-            "def f(x):\n"
-            "    if x <= 0:\n        raise ValueError('x')\n")
-        assert not findings
-
-    def test_test_files_skipped_by_lint_file(self, tmp_path):
-        path = tmp_path / "test_foo.py"
-        path.write_text("assert True\n")
-        assert astlint.lint_file(path, registered=set()) == []
-
-    def test_outside_src_repro_ignored(self):
-        assert not _bare_assert("tools/foo.py", "assert True\n")
-
-
-class TestStageRegistry:
-    def test_unregistered_tuple_flagged(self):
-        findings = _stage_registry(
-            "src/repro/pipeline/foo.py",
-            "stages = [('parse', stage_parse), ('bogus', stage_bogus)]\n")
-        assert len(findings) == 1
-        assert "bogus" in findings[0].message
-
-    def test_unregistered_stage_call_flagged(self):
-        findings = _stage_registry(
-            "src/repro/pipeline/foo.py",
-            "def run(session):\n"
-            "    with session.stage('bogus'):\n        pass\n")
-        assert findings
-
-    def test_registered_names_pass(self):
-        findings = _stage_registry(
-            "src/repro/pipeline/foo.py",
-            "stages = [('parse', stage_parse)]\n"
-            "def run(session):\n"
-            "    with session.stage('decompose'):\n        pass\n")
-        assert not findings
-
-    def test_unrelated_tuples_ignored(self):
-        # A ("name", identifier) tuple only counts when the identifier
-        # looks like a stage function.
-        findings = _stage_registry(
-            "src/repro/pipeline/foo.py",
-            "pairs = [('bogus', handler), ('x', y)]\n")
-        assert not findings
+        rule = REPO_RULES["node-encoding"]
+        assert rule.severity == Severity.ERROR
+        assert rule.scope == "file"
 
 
 class TestDriver:
-    def test_violating_file_fails_main(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "rogue.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("from repro.bdd.manager import BDD\n"
-                       "mgr = BDD(['a'])\nassert mgr\n")
-        # Outside the repo root the path-prefix rules don't apply, so
-        # exercise the checks through a repo-relative spelling instead.
-        tree = ast.parse(bad.read_text())
-        rel = "src/repro/rogue.py"
-        findings = (list(astlint.check_manager_seam(rel, tree))
-                    + list(astlint.check_bare_assert(rel, tree)))
-        assert {f.rule for f in findings} == {"manager-seam",
-                                              "bare-assert"}
-
-    def test_main_reports_findings_for_repo_file(self, capsys):
-        # Run main over a single known-clean repo file: exit 0.
-        target = str(REPO_ROOT / "src" / "repro" / "cli.py")
-        assert astlint.main([target]) == 0
+    def test_main_reports_findings_for_repo_file(self):
+        # Run selfcheck over a single known-clean repo file: exit 0.
+        out = io.StringIO()
+        code = cli_main(["selfcheck", "--root", str(REPO_ROOT),
+                         str(REPO_ROOT / "src" / "repro" / "cli.py")],
+                        stdout=out)
+        assert code == 0
+        assert "over 1 file(s)" in out.getvalue()
 
     def test_finding_str_is_clickable(self):
-        finding = astlint.AstFinding("src/repro/x.py", 3, "bare-assert",
-                                     "msg")
-        assert str(finding) == "src/repro/x.py:3: [bare-assert] msg"
+        finding = Finding("bare-assert", Severity.ERROR, "msg",
+                          path="src/repro/x.py", line=3)
+        text = RepolintReport([finding]).format_text()
+        assert text.startswith("src/repro/x.py:3: [bare-assert] error: msg")

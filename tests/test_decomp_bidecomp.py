@@ -43,8 +43,7 @@ class TestCorrectness:
         on_tt, off_tt = pair
         mgr = make_mgr(5)
         isf = build_isf(mgr, list(range(5)), on_tt, off_tt)
-        config = DecompositionConfig(check_invariants=True)
-        result = bi_decompose({"f": isf}, config=config)
+        result = bi_decompose({"f": isf}, check=True)
         verify_against_isfs(result.netlist, {"f": isf})
 
     def test_constants_and_literals(self):

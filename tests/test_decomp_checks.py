@@ -8,29 +8,9 @@ from repro.decomp import (and_decomposable, derivative_isf,
                           exor_decomposable_single, or_decomposable,
                           weak_and_useful, weak_or_useful)
 
-from conftest import build_isf, isf_strategy, make_mgr, tt_strategy
+from conftest import (build_isf, isf_strategy, make_mgr, or_split_exists,
+                      tt_strategy)
 from repro.boolfn import from_truth_table
-
-
-def _or_split_exists(on_tt, off_tt):
-    """Brute-force oracle: does some fA(x0,x2) | fB(x1,x2) lie in the
-    interval?  Minterm index convention: i = x0 + 2*x1 + 4*x2."""
-    for fa in range(16):        # truth table over (x0, x2)
-        for fb in range(16):    # truth table over (x1, x2)
-            ok = True
-            for i in range(8):
-                x0, x1, x2 = i & 1, (i >> 1) & 1, (i >> 2) & 1
-                value = ((fa >> (x0 + 2 * x2)) & 1) | \
-                        ((fb >> (x1 + 2 * x2)) & 1)
-                if (on_tt >> i) & 1 and not value:
-                    ok = False
-                    break
-                if (off_tt >> i) & 1 and value:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
 
 
 class TestOrDecomposability:
@@ -89,7 +69,7 @@ class TestOrDecomposability:
         mgr = make_mgr(3)
         isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
         got = or_decomposable(isf, [0], [1])
-        assert got == _or_split_exists(on_tt, off_tt)
+        assert got == or_split_exists(on_tt, off_tt)
 
 
 class TestExorSingleton:

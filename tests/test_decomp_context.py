@@ -1,24 +1,23 @@
 """Tests for the shared decomposability-check context (CheckContext).
 
 The context is an exactness-preserving cache: everything it stores is
-a canonical BDD edge or a boolean derived from one, so every check
-must return the same answer with and without it, BLIF outputs must be
-byte-identical, and the caches must die with ``clear_caches()`` like
-the kernel's own computed tables.
+a canonical BDD edge or a boolean derived from one, so every check must
+agree with the brute-force truth-table oracles, replay the same answer
+from its memo, and the caches must die with ``clear_caches()`` like the
+kernel's own computed tables.
 """
 
-import pytest
 from hypothesis import given, settings
 
-from repro.bdd import BDD, exists as kernel_exists
-from repro.boolfn import from_truth_table
-from repro.decomp import CheckContext, DecompositionConfig, bi_decompose
+from repro.bdd import exists as kernel_exists
+from repro.decomp import CheckContext, bi_decompose
 from repro.decomp import checks
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
 from repro.decomp.exor import check_exor_bidecomp, exor_decomposable
 from repro.decomp.grouping import find_initial_grouping, group_variables
 
-from conftest import build_isf, isf_strategy, make_mgr
+from conftest import (brute_force, build_isf, exor_split_exists,
+                      isf_strategy, make_mgr, or_split_exists)
 
 
 def _parity(mgr, variables):
@@ -128,8 +127,17 @@ class TestCheckMemo:
         assert cached is None
 
 
+def _exists_tt(tt, n, xa):
+    """Truth table of exists(XA, f) by enumerating XA-cofactor classes."""
+    mask = sum(1 << v for v in xa)
+    return sum(1 << i for i in range(1 << n)
+               if any((tt >> j) & 1 for j in range(1 << n)
+                      if (i ^ j) & ~mask == 0))
+
+
 class TestCachedEqualsUncached:
-    """Every check answers identically with and without a context."""
+    """Context verdicts equal the brute-force ∃-partition oracles, and a
+    memo replay returns the first answer."""
 
     @settings(max_examples=50, deadline=None)
     @given(isf_strategy(3))
@@ -140,18 +148,23 @@ class TestCachedEqualsUncached:
         ctx = CheckContext(mgr)
         for xa, xb in (([0], [1]), ([0], [2]), ([1], [2]),
                        ([0, 1], [2]), ([0], [1, 2])):
-            assert checks.or_decomposable(isf, xa, xb, ctx) == \
-                checks.or_decomposable(isf, xa, xb)
-            assert checks.and_decomposable(isf, xa, xb, ctx) == \
-                checks.and_decomposable(isf, xa, xb)
+            want_or = or_split_exists(on_tt, off_tt, 3, xa, xb)
+            want_and = or_split_exists(off_tt, on_tt, 3, xa, xb)
+            for _replay in range(2):
+                assert checks.or_decomposable(isf, xa, xb, ctx) == want_or
+                assert checks.and_decomposable(isf, xa, xb, ctx) == \
+                    want_and
         for a, b in ((0, 1), (1, 0), (0, 2), (2, 1)):
-            assert checks.exor_decomposable_single(isf, a, b, ctx) == \
-                checks.exor_decomposable_single(isf, a, b)
+            want = exor_split_exists(on_tt, off_tt, 3, [a], [b])
+            for _replay in range(2):
+                assert checks.exor_decomposable_single(isf, a, b, ctx) == \
+                    want
         for xa in ([0], [1], [0, 2]):
-            assert checks.weak_or_useful(isf, xa, ctx) == \
-                checks.weak_or_useful(isf, xa)
-            assert checks.weak_and_useful(isf, xa, ctx) == \
-                checks.weak_and_useful(isf, xa)
+            assert checks.weak_or_useful(isf, xa, ctx) == bool(
+                on_tt & ~_exists_tt(off_tt, 3, xa))
+            assert checks.weak_and_useful(isf, xa, ctx) == bool(
+                off_tt & ~_exists_tt(on_tt, 3, xa))
+        assert ctx.cache_hits > 0
 
     @settings(max_examples=50, deadline=None)
     @given(isf_strategy(3))
@@ -160,11 +173,18 @@ class TestCachedEqualsUncached:
         mgr = make_mgr(3)
         isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
         ctx = CheckContext(mgr)
+        full = 0xFF
         for variables in ([0], [1], [0, 1], [1, 2]):
-            plain = checks.derivative_isf(isf, variables)
-            cached = checks.derivative_isf(isf, variables, ctx)
-            assert cached[0].node == plain[0].node
-            assert cached[1].node == plain[1].node
+            q_d, r_d = checks.derivative_isf(isf, variables, ctx)
+            assert brute_force(mgr, q_d.node, [0, 1, 2]) == (
+                _exists_tt(on_tt, 3, variables)
+                & _exists_tt(off_tt, 3, variables))
+            # forall(V, f) = ~exists(V, ~f)
+            assert brute_force(mgr, r_d.node, [0, 1, 2]) == full & ~(
+                _exists_tt(full & ~on_tt, 3, variables)
+                & _exists_tt(full & ~off_tt, 3, variables))
+            again = checks.derivative_isf(isf, variables, ctx)
+            assert (again[0].node, again[1].node) == (q_d.node, r_d.node)
 
     @settings(max_examples=40, deadline=None)
     @given(isf_strategy(4))
@@ -175,20 +195,20 @@ class TestCachedEqualsUncached:
         ctx = CheckContext(mgr)
         for xa, xb in (([0], [1]), ([0, 1], [2, 3]), ([0, 2], [1]),
                        ([0, 1], [2])):
-            plain = check_exor_bidecomp(isf, xa, xb)
-            cached = check_exor_bidecomp(isf, xa, xb, ctx)
-            if plain is None:
-                assert cached is None
-            else:
-                assert cached is not None
-                for got, want in zip(cached, plain):
-                    assert got.on.node == want.on.node
-                    assert got.off.node == want.off.node
+            want = exor_split_exists(on_tt, off_tt, 4, xa, xb)
+            first = check_exor_bidecomp(isf, xa, xb, ctx)
+            assert (first is not None) == want
             # Re-asking must replay the memo, with the same answer.
+            hits = ctx.cache_hits
             replay = check_exor_bidecomp(isf, xa, xb, ctx)
-            assert (replay is None) == (plain is None)
-            assert exor_decomposable(isf, xa, xb, ctx) == \
-                exor_decomposable(isf, xa, xb)
+            assert ctx.cache_hits == hits + 1
+            if first is None:
+                assert replay is None
+            else:
+                for got, was in zip(replay, first):
+                    assert got.on.node == was.on.node
+                    assert got.off.node == was.off.node
+            assert exor_decomposable(isf, xa, xb, ctx) == want
 
     @settings(max_examples=40, deadline=None)
     @given(isf_strategy(3))
@@ -201,9 +221,16 @@ class TestCachedEqualsUncached:
         if len(support) < 2:
             return
         ctx = CheckContext(mgr)
-        for gate in (OR_GATE, AND_GATE, EXOR_GATE):
-            assert group_variables(isf, support, gate, ctx) == \
-                group_variables(isf, support, gate)
+        oracles = {OR_GATE: or_split_exists,
+                   AND_GATE: lambda on, off, *rest: or_split_exists(
+                       off, on, *rest),
+                   EXOR_GATE: exor_split_exists}
+        for gate, oracle in oracles.items():
+            grouping = group_variables(isf, support, gate, ctx)
+            assert group_variables(isf, support, gate, ctx) == grouping
+            if grouping is not None:
+                xa, xb = (sorted(group) for group in grouping)
+                assert oracle(on_tt, off_tt, 3, xa, xb)
 
 
 class TestPairScanIsLinear:
@@ -255,37 +282,13 @@ class TestPairScanIsLinear:
 
 
 class TestEngineIntegration:
-    def _blif(self, mgr, specs, **config):
-        from repro.io import write_blif
-        result = bi_decompose(
-            specs, config=DecompositionConfig(**config))
-        return write_blif(result.netlist), result.stats
-
-    def test_context_keeps_blif_byte_identical(self):
-        from repro.bench import get
-        for name in ("rd53", "misex1"):
-            mgr, specs = get(name).build()
-            plain, _ = self._blif(mgr, specs, use_check_context=False)
-            mgr, specs = get(name).build()
-            cached, stats = self._blif(mgr, specs,
-                                       use_check_context=True)
-            assert plain == cached, name
-            assert stats.grouping_check_calls > 0
-            assert stats.quantify_cache_hits > 0
-
-    def test_context_off_reports_zero_counters(self):
-        from repro.bench import get
-        mgr, specs = get("rd53").build()
-        _, stats = self._blif(mgr, specs, use_check_context=False)
-        assert stats.grouping_check_calls == 0
-        assert stats.quantify_cache_hits == 0
-        assert stats.and_exists_calls == 0
-
     def test_counters_round_trip_through_as_dict(self):
         from repro.bench import get
-        mgr, specs = get("rd53").build()
-        _, stats = self._blif(mgr, specs, use_check_context=True)
         from repro.decomp.bidecomp import DecompositionStats
+        mgr, specs = get("rd53").build()
+        stats = bi_decompose(specs).stats
+        assert stats.grouping_check_calls > 0
+        assert stats.quantify_cache_hits > 0
         doc = stats.as_dict()
         for key in ("grouping_check_calls", "quantify_cache_hits",
                     "and_exists_calls"):
@@ -301,7 +304,7 @@ class TestSetDerivativeFilter:
         # refuses, the full Fig. 4 propagation must refuse too.  Sweep
         # every ISF shape over 4 points of a 4-variable space's
         # quotient by sampling truth tables.
-        from repro.decomp.exor import _set_derivative_filter
+        from repro.decomp.exor import _set_derivative_filter, propagate_exor
         mgr = make_mgr(4)
         ctx = CheckContext(mgr)
         samples = [(a & ~b, b & ~a)
@@ -313,4 +316,4 @@ class TestSetDerivativeFilter:
                 continue
             for xa, xb in (([0, 1], [2, 3]), ([0, 2], [1, 3])):
                 if not _set_derivative_filter(isf, xa, xb, ctx):
-                    assert check_exor_bidecomp(isf, xa, xb) is None
+                    assert propagate_exor(isf, xa, xb) is None

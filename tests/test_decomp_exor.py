@@ -6,32 +6,11 @@ from repro.bdd import BDD
 from repro.boolfn import ISF, parse
 from repro.decomp import (check_exor_bidecomp, derive_exor_component_b,
                           exor_decomposable)
+from repro.decomp.exor import propagate_exor
 
-from conftest import build_isf, isf_strategy, make_mgr, tt_strategy
+from conftest import (build_isf, exor_split_exists, isf_strategy, make_mgr,
+                      tt_strategy)
 from repro.boolfn import from_truth_table
-
-
-def _exor_split_exists(on_tt, off_tt):
-    """Oracle over 3 vars: some fA(x0,x2) ^ fB(x1,x2) in the interval?
-
-    Minterm index: i = x0 + 2*x1 + 4*x2.
-    """
-    for fa in range(16):
-        for fb in range(16):
-            ok = True
-            for i in range(8):
-                x0, x1, x2 = i & 1, (i >> 1) & 1, (i >> 2) & 1
-                value = ((fa >> (x0 + 2 * x2)) & 1) ^ \
-                        ((fb >> (x1 + 2 * x2)) & 1)
-                if (on_tt >> i) & 1 and not value:
-                    ok = False
-                    break
-                if (off_tt >> i) & 1 and value:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
 
 
 class TestAgainstOracle:
@@ -42,7 +21,7 @@ class TestAgainstOracle:
         mgr = make_mgr(3)
         isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
         got = check_exor_bidecomp(isf, [0], [1]) is not None
-        assert got == _exor_split_exists(on_tt, off_tt)
+        assert got == exor_split_exists(on_tt, off_tt)
 
     @settings(max_examples=50, deadline=None)
     @given(tt_strategy(3))
@@ -52,7 +31,21 @@ class TestAgainstOracle:
         isf = ISF.from_csf(mgr.fn(f))
         mask = (1 << 8) - 1
         got = check_exor_bidecomp(isf, [0], [1]) is not None
-        assert got == _exor_split_exists(table, ~table & mask)
+        assert got == exor_split_exists(table, ~table & mask)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(isf_strategy(4))
+    def test_propagation_alone_matches_brute_force_on_sets(self, pair):
+        # The --check contracts re-prove EXOR steps through the bare
+        # propagation (no memo, no Theorem 2 filter), so it must be
+        # exact on its own, also for multi-variable groups.
+        on_tt, off_tt = pair
+        mgr = make_mgr(4)
+        isf = build_isf(mgr, [0, 1, 2, 3], on_tt, off_tt)
+        for xa, xb in (([0], [1]), ([0, 1], [2, 3]), ([0, 2], [1])):
+            got = propagate_exor(isf, xa, xb) is not None
+            assert got == exor_split_exists(on_tt, off_tt, 4, xa, xb)
 
 
 class TestComponents:

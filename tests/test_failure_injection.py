@@ -10,8 +10,7 @@ import pytest
 
 from repro.bdd import BDD
 from repro.boolfn import ISF, InconsistentISF, parse
-from repro.decomp import (ComponentCache, DecompositionConfig,
-                          DecompositionEngine, bi_decompose)
+from repro.decomp import ComponentCache, DecompositionEngine, bi_decompose
 from repro.network import (Netlist, VerificationError, gates as G,
                            verify_against_isfs, verify_equivalent)
 from repro.network.mapper import map_netlist, verify_mapping
@@ -97,11 +96,10 @@ class TestInconsistentInputs:
 
     def test_engine_never_sees_inconsistent_interval(self):
         # All derivation formulas must keep intervals consistent; run
-        # with invariant checking to make the claim executable.
+        # under the --check contracts to make the claim executable.
         mgr = make_mgr(5)
         spec = {"f": parse(mgr, "(x0 | x1) & (x2 ^ x3) | ~x4 & x0")}
-        config = DecompositionConfig(check_invariants=True)
-        result = bi_decompose(spec, config=config, verify=True)
+        result = bi_decompose(spec, verify=True, check=True)
         assert result.stats.calls > 0
 
 

@@ -481,7 +481,7 @@ class TestScope:
         assert in_intkind_scope("src/repro/decomp/context.py")
         assert not in_intkind_scope("src/repro/decomp/engine.py")
         assert not in_intkind_scope("src/repro/network/extract.py")
-        assert not in_intkind_scope("tools/astlint.py")
+        assert not in_intkind_scope("tools/report.py")
 
     def test_out_of_scope_files_are_not_analyzed(self, tmp_path):
         analysis = _analyze(tmp_path, '''

@@ -58,6 +58,11 @@ class TestRepoIsClean:
             "intkind-subscript", "intkind-complement", "intkind-mix",
             "intkind-call", "intkind-memo-key"}
 
+    def test_stage_registry_parses_the_runtime_constant(self):
+        from repro.analysis.repolint.framework import registered_stage_names
+        from repro.pipeline import STAGE_NAMES
+        assert registered_stage_names(REPO_ROOT) == set(STAGE_NAMES)
+
     def test_certifier_espresso_chain_is_suppressed_not_hidden(self):
         report = run_repolint(root=REPO_ROOT)
         suppressed = [f for f in report.suppressed
@@ -130,7 +135,7 @@ class TestImportGraph:
         assert module_name_for("src/repro/bdd/manager.py") == \
             "repro.bdd.manager"
         assert module_name_for("src/repro/io/__init__.py") == "repro.io"
-        assert module_name_for("tools/astlint.py") is None
+        assert module_name_for("tools/report.py") is None
 
     def test_direct_imports_from_spellings(self):
         tree = ast.parse("import os\nfrom repro.io import pla\n"
@@ -411,6 +416,115 @@ class TestTransitiveSeams:
         assert not report.findings
 
 
+_BDD_CALL = "from repro.bdd.manager import BDD\nmgr = BDD(['a'])\n"
+_ARRAY = "def f(mgr, e):\n    return mgr.%s[e >> 1]\n"
+_DECOMP = "src/repro/decomp/foo.py"
+_PARALLEL = "src/repro/pipeline/parallel.py"
+_CERTIFY = "src/repro/analysis/certify.py"
+_STAGES = "src/repro/pipeline/foo.py"
+
+#: ``(rules, rel, source, finding lines)``: one file's direct evidence
+#: for the seam rules (comma-separated ids) and the exact lines flagged.
+SEAM_CASES = [
+    # Every manager construction spelling outside the factory layers;
+    # the process-boundary module gets no construction rights either.
+    ("manager-seam", _DECOMP, _BDD_CALL, [2]),
+    ("manager-seam", _STAGES,
+     "from repro.bdd import BDD\nmgr = BDD(['a'])\n", [2]),
+    ("manager-seam", _DECOMP,
+     "from repro.bdd import BDD as Manager\nmgr = Manager([])\n", [2]),
+    ("manager-seam", _DECOMP,
+     "import repro.bdd.manager\nmgr = repro.bdd.manager.BDD(['a'])\n",
+     [2]),
+    ("manager-seam", _PARALLEL, _BDD_CALL, [2]),
+    ("manager-seam", "src/repro/bdd/foo.py", _BDD_CALL, []),
+    ("manager-seam", "src/repro/io/foo.py", _BDD_CALL, []),
+    ("manager-seam", "src/repro/bench/foo.py", _BDD_CALL, []),
+    ("manager-seam", "src/repro/fsm/foo.py", _BDD_CALL, []),
+    ("manager-seam", _DECOMP, "from repro.bdd.manager import BDD\n"
+     "def f(mgr):\n    return isinstance(mgr, BDD)\n", []),
+    ("manager-seam", "tools/foo.py", _BDD_CALL, []),
+    ("process-boundary", _PARALLEL, "from repro.bdd import BDD\n", [1]),
+    ("process-boundary", _PARALLEL, "from repro.bdd.manager import BDD\n",
+     [1]),
+    ("process-boundary", _PARALLEL, "import repro.bdd\n", [1]),
+    ("process-boundary", _PARALLEL, "from repro.boolfn import ISF\n", [1]),
+    ("process-boundary", _PARALLEL, "from repro import boolfn\n", [1]),
+    ("process-boundary", _PARALLEL,
+     "from repro.decomp.cache_store import merge_stores\n"
+     "from repro.io import parse_pla\n"
+     "from repro.pipeline.session import Session\n", []),
+    ("process-boundary", "src/repro/pipeline/session.py",
+     "from repro.bdd import BDD\n", []),
+    ("certifier-independence", _CERTIFY,
+     "from repro.decomp import BiDecompositionEngine\n", [1]),
+    ("certifier-independence", _CERTIFY,
+     "from repro.decomp.bidecomp import decompose\n", [1]),
+    ("certifier-independence", _CERTIFY, "import repro.decomp.bidecomp\n",
+     [1]),
+    ("certifier-independence", _CERTIFY,
+     "from repro.pipeline.session import Session\n", [1]),
+    ("certifier-independence", _CERTIFY, "from repro import decomp\n", [1]),
+    ("certifier-independence", _CERTIFY, "import repro.pipeline\n", [1]),
+    ("certifier-independence", _CERTIFY,
+     "import json\nfrom repro.bdd import exists, pick_minterm\n"
+     "from repro.bdd.function import Function\n"
+     "from repro.io import load_pla, parse_blif\n"
+     "from repro.io.cert import load_cert\n"
+     "from repro.network import output_functions\n", []),
+    ("certifier-independence", "src/repro/analysis/contracts.py",
+     "from repro.decomp import OR_GATE\n", []),
+    ("node-encoding", _DECOMP, _ARRAY % "_lo", [2]),
+    ("node-encoding", _DECOMP, _ARRAY % "_hi", [2]),
+    ("node-encoding", _DECOMP, _ARRAY % "_level", [2]),
+    ("node-encoding", _DECOMP, _ARRAY % "_unique", [2]),
+    ("node-encoding", _DECOMP, "def neg(f):\n    return f ^ 1\n", [2]),
+    ("node-encoding", _DECOMP, "def neg(f):\n    return 1 ^ f\n", [2]),
+    ("node-encoding", "src/repro/bdd/foo.py",
+     "def neg(mgr, f):\n    return (f ^ 1, mgr._lo[f >> 1])\n", []),
+    ("node-encoding", _DECOMP,
+     "def f(mgr, e):\n    return mgr.not_(mgr.low(e)), mgr.level(e)\n",
+     []),
+    ("node-encoding", "src/repro/boolfn/foo.py",
+     "def bit(i, k):\n    return (i >> k) & 1\n", []),
+    ("node-encoding", _DECOMP, "def f(x):\n    return x ^ 3\n", []),
+    ("node-encoding", "tools/foo.py", "x = y ^ 1\n", []),
+    ("bare-assert", _DECOMP, "def f(x):\n    assert x > 0\n", [2]),
+    ("bare-assert", _DECOMP,
+     "def f(x):\n    if x <= 0:\n        raise ValueError('x')\n", []),
+    ("bare-assert", "src/repro/test_foo.py", "assert True\n", []),
+    ("bare-assert", "tools/foo.py", "assert True\n", []),
+    # Against the STAGE_NAMES = ('parse', 'decompose') of the scan.
+    ("stage-registry", _STAGES,
+     "stages = [('parse', stage_parse), ('bogus', stage_bogus)]\n", [1]),
+    ("stage-registry", _STAGES, "def run(session):\n"
+     "    with session.stage('bogus'):\n        pass\n", [2]),
+    ("stage-registry", _STAGES, "stages = [('parse', stage_parse)]\n"
+     "def run(session):\n    with session.stage('decompose'):\n"
+     "        pass\n", []),
+    ("stage-registry", _STAGES, "pairs = [('bogus', handler), ('x', y)]\n",
+     []),
+    ("manager-seam,bare-assert", "src/repro/rogue.py",
+     _BDD_CALL + "assert mgr\n", [2, 3]),
+]
+
+
+class TestSeamRules:
+    @pytest.mark.parametrize(
+        "rules,rel,source,expected", SEAM_CASES,
+        ids=["%s-%d" % (case[0], index)
+             for index, case in enumerate(SEAM_CASES)])
+    def test_direct_evidence(self, tmp_path, rules, rel, source,
+                             expected):
+        rules = rules.split(",")
+        report = _scan(tmp_path, {rel: source, "src/repro/pipeline/config.py":
+                                  "STAGE_NAMES = ('parse', 'decompose')\n"},
+                       rules=rules)
+        found = [f for f in report.findings if f.path == rel]
+        assert [f.line for f in found] == expected
+        assert {f.rule for f in found} == (set(rules) if expected else set())
+
+
 # ---------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------
@@ -585,6 +699,8 @@ class TestSelfcheckCli:
                          "--json", str(json_path),
                          "--sarif", str(sarif_path)], stdout=out)
         assert code == 1
+        # Text findings are clickable path:line anchors.
+        assert out.getvalue().startswith("src/repro/a.py:1: [bare-assert]")
         report = json.loads(json_path.read_text())
         assert report["summary"]["errors"] == 1
         sarif = json.loads(sarif_path.read_text())
