@@ -15,6 +15,7 @@ setup(
                  "Logic Functions' (DAC 2001)"),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.bdd": ["_kernel.c"]},
     python_requires=">=3.9",
     entry_points={
         "console_scripts": ["repro=repro.cli:main"],

@@ -1,0 +1,836 @@
+/* C inner loops of the BDD kernel.
+ *
+ * Two walks of the pure-Python kernel run here: the miss path of
+ * ``BDD.and_`` (which OR, DIFF, IMPLIES, NAND and NOR reach through
+ * De Morgan) and ``quantify._exists_iter`` (which ``forall`` shares
+ * through complement edges).  Both work through the CPython C API on
+ * the manager's own structures -- the ``_level`` / ``_lo`` / ``_hi``
+ * lists, the per-level ``_unique`` dicts, the ``_free`` list, the
+ * ``_ct_and`` dict and the caller's exists memo -- and repeat the Python
+ * loops step for step: the same probe order, node-creation order,
+ * counter increments, ``_peak_live`` updates, growth-hook firing and
+ * computed-table cap.  Node indices, counters and every module that
+ * reads the arena therefore see exactly what the Python loops leave.
+ *
+ * Counters follow the Python loops' commit points.  Increments the
+ * Python code writes to the manager at once (the top-level AND cache
+ * hit, ``_mk`` from the exists walk) go to the ``Kernel`` copy
+ * directly; an AND walk keeps its own tallies and adds them only when
+ * it completes, so a growth hook that raises leaves the manager's
+ * counters as the Python loop would.  The copy is written back before
+ * every hook call (the hook sees the manager as it would under the
+ * Python loops) and when the top-level call returns.
+ *
+ * repro.bdd.native compiles and loads this file; repro.bdd.manager and
+ * repro.bdd.quantify keep the Python loops as the fallback and as the
+ * differential tests' reference.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef uint64_t edge_t;
+
+/* Matches repro.bdd.quantify._SUFFIX_BITS. */
+#define SUFFIX_BITS 20
+
+static PyObject *s_level, *s_lo, *s_hi, *s_unique, *s_free, *s_ct_and,
+    *s_ct_lookups, *s_ct_hits, *s_uniq_lookups, *s_uniq_hits,
+    *s_peak_live, *s_q_steps, *s_growth_hook, *s_growth_countdown,
+    *s_growth_interval;
+
+/* ------------------------------------------------------------------ */
+/* Growable stacks with inline storage                                 */
+/* ------------------------------------------------------------------ */
+
+#define STACK(T, N) struct { T *items; Py_ssize_t len, cap; T local[N]; }
+#define STACK_INIT(s) \
+    ((s).items = (s).local, (s).len = 0, \
+     (s).cap = (Py_ssize_t)(sizeof((s).local) / sizeof((s).local[0])))
+#define STACK_FREE(s) \
+    do { if ((s).items != (s).local) PyMem_Free((s).items); } while (0)
+#define STACK_PUSH(s, v) \
+    (((s).len < (s).cap \
+      || grow((void **)&(s).items, (s).local, &(s).cap, \
+              sizeof((s).local[0])) == 0) \
+     ? ((s).items[(s).len++] = (v), 0) : -1)
+
+static int
+grow(void **items, void *local, Py_ssize_t *cap, size_t size)
+{
+    Py_ssize_t ncap = *cap * 2;
+    void *p;
+    if (*items == local) {
+        p = PyMem_Malloc((size_t)ncap * size);
+        if (p != NULL)
+            memcpy(p, local, (size_t)*cap * size);
+    }
+    else {
+        p = PyMem_Realloc(*items, (size_t)ncap * size);
+    }
+    if (p == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *items = p;
+    *cap = ncap;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Manager state                                                       */
+/* ------------------------------------------------------------------ */
+
+enum { C_CT_LOOKUPS, C_CT_HITS, C_UNIQ_LOOKUPS, C_UNIQ_HITS, C_PEAK_LIVE,
+       C_Q_STEPS, C_COUNTDOWN, N_COUNTERS };
+
+typedef struct {
+    PyObject *mgr;                      /* borrowed from the caller */
+    PyObject *level, *lo, *hi, *unique, *free, *ct;     /* new refs */
+    Py_ssize_t ct_max;
+    PyObject *hook;                     /* new ref, NULL for None */
+    long long interval;
+    long long val[N_COUNTERS];          /* working copies */
+    long long synced[N_COUNTERS];       /* as last read or written */
+} Kernel;
+
+static PyObject **const counter_names[N_COUNTERS] = {
+    &s_ct_lookups, &s_ct_hits, &s_uniq_lookups, &s_uniq_hits,
+    &s_peak_live, &s_q_steps, &s_growth_countdown,
+};
+
+static int
+get_ll(PyObject *obj, PyObject *name, long long *out)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* (Re)read the counters and the growth-hook settings. */
+static int
+sync_in(Kernel *k)
+{
+    PyObject *hook;
+    int i;
+    for (i = 0; i < N_COUNTERS; i++) {
+        if (get_ll(k->mgr, *counter_names[i], &k->val[i]) < 0)
+            return -1;
+        k->synced[i] = k->val[i];
+    }
+    hook = PyObject_GetAttr(k->mgr, s_growth_hook);
+    if (hook == NULL)
+        return -1;
+    Py_CLEAR(k->hook);
+    if (hook == Py_None)
+        Py_DECREF(hook);
+    else
+        k->hook = hook;
+    return get_ll(k->mgr, s_growth_interval, &k->interval);
+}
+
+/* Write back the counters that changed since the last sync. */
+static int
+sync_out(Kernel *k)
+{
+    int i;
+    for (i = 0; i < N_COUNTERS; i++) {
+        PyObject *v;
+        int rc;
+        if (k->val[i] == k->synced[i])
+            continue;
+        v = PyLong_FromLongLong(k->val[i]);
+        if (v == NULL)
+            return -1;
+        rc = PyObject_SetAttr(k->mgr, *counter_names[i], v);
+        Py_DECREF(v);
+        if (rc < 0)
+            return -1;
+        k->synced[i] = k->val[i];
+    }
+    return 0;
+}
+
+static PyObject *
+get_typed(PyObject *mgr, PyObject *name, PyTypeObject *type)
+{
+    PyObject *v = PyObject_GetAttr(mgr, name);
+    if (v != NULL && Py_TYPE(v) != type) {
+        PyErr_Format(PyExc_TypeError, "manager attribute %U must be a %s",
+                     name, type->tp_name);
+        Py_CLEAR(v);
+    }
+    return v;
+}
+
+static void
+kernel_release(Kernel *k)
+{
+    Py_CLEAR(k->level);
+    Py_CLEAR(k->lo);
+    Py_CLEAR(k->hi);
+    Py_CLEAR(k->unique);
+    Py_CLEAR(k->free);
+    Py_CLEAR(k->ct);
+    Py_CLEAR(k->hook);
+}
+
+static int
+kernel_open(Kernel *k, PyObject *mgr, Py_ssize_t ct_max)
+{
+    memset(k, 0, sizeof(*k));
+    k->mgr = mgr;
+    k->ct_max = ct_max;
+    if ((k->level = get_typed(mgr, s_level, &PyList_Type)) == NULL
+        || (k->lo = get_typed(mgr, s_lo, &PyList_Type)) == NULL
+        || (k->hi = get_typed(mgr, s_hi, &PyList_Type)) == NULL
+        || (k->unique = get_typed(mgr, s_unique, &PyList_Type)) == NULL
+        || (k->free = get_typed(mgr, s_free, &PyList_Type)) == NULL
+        || (k->ct = get_typed(mgr, s_ct_and, &PyDict_Type)) == NULL
+        || sync_in(k) < 0) {
+        kernel_release(k);
+        return -1;
+    }
+    return 0;
+}
+
+/* Flush and release; returns *result*, or NULL when the flush fails. */
+static PyObject *
+kernel_close(Kernel *k, PyObject *result)
+{
+    /* A pending exception is kept: the flush only restores counters. */
+    PyObject *type, *value, *tb;
+    PyErr_Fetch(&type, &value, &tb);
+    if (sync_out(k) < 0) {
+        if (type != NULL) {
+            PyErr_Clear();
+            PyErr_Restore(type, value, tb);
+        }
+        Py_CLEAR(result);
+    }
+    else if (type != NULL) {
+        PyErr_Restore(type, value, tb);
+    }
+    kernel_release(k);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* Arena and dict access                                               */
+/* ------------------------------------------------------------------ */
+
+static inline int
+as_edge(PyObject *v, edge_t *out)
+{
+    long long x = PyLong_AsLongLong(v);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    if (x < 0) {
+        PyErr_SetString(PyExc_ValueError, "negative BDD edge");
+        return -1;
+    }
+    *out = (edge_t)x;
+    return 0;
+}
+
+static inline int
+list_item(PyObject *list, edge_t idx, edge_t *out)
+{
+    if (idx >= (edge_t)PyList_GET_SIZE(list)) {
+        PyErr_SetString(PyExc_IndexError, "BDD node index out of range");
+        return -1;
+    }
+    return as_edge(PyList_GET_ITEM(list, (Py_ssize_t)idx), out);
+}
+
+/* Probe *dict* for the int *key*: 1 found (*out set), 0 absent, -1 error. */
+static inline int
+probe(PyObject *dict, edge_t key, edge_t *out)
+{
+    PyObject *kobj = PyLong_FromUnsignedLongLong(key), *v;
+    if (kobj == NULL)
+        return -1;
+    v = PyDict_GetItemWithError(dict, kobj);
+    Py_DECREF(kobj);
+    if (v == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return as_edge(v, out) < 0 ? -1 : 1;
+}
+
+static inline int
+store(PyObject *dict, edge_t key, edge_t value)
+{
+    PyObject *kobj = PyLong_FromUnsignedLongLong(key);
+    PyObject *vobj = PyLong_FromUnsignedLongLong(value);
+    int rc = -1;
+    if (kobj != NULL && vobj != NULL)
+        rc = PyDict_SetItem(dict, kobj, vobj);
+    Py_XDECREF(kobj);
+    Py_XDECREF(vobj);
+    return rc;
+}
+
+static inline int
+set_slot(PyObject *list, Py_ssize_t idx, edge_t value)
+{
+    PyObject *v = PyLong_FromUnsignedLongLong(value);
+    if (v == NULL)
+        return -1;
+    if (idx >= PyList_GET_SIZE(list)) {
+        Py_DECREF(v);
+        PyErr_SetString(PyExc_IndexError, "BDD node index out of range");
+        return -1;
+    }
+    return PyList_SetItem(list, idx, v);        /* steals v */
+}
+
+static inline int
+append(PyObject *list, edge_t value)
+{
+    PyObject *v = PyLong_FromUnsignedLongLong(value);
+    int rc;
+    if (v == NULL)
+        return -1;
+    rc = PyList_Append(list, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* The growth hook, with the manager in the state the Python loops
+ * would leave it in; settings and counters are re-read afterwards. */
+static int
+call_hook(Kernel *k)
+{
+    PyObject *hook = k->hook, *r;
+    if (sync_out(k) < 0)
+        return -1;
+    Py_INCREF(hook);
+    r = PyObject_CallOneArg(hook, k->mgr);
+    Py_DECREF(hook);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return sync_in(k);
+}
+
+/* BDD._mk: find or create the node (level, lo, hi), normalised.
+ * *lookups* / *hits* are the unique-table tallies to bump. */
+static int
+make_node(Kernel *k, long long level, edge_t lo, edge_t hi,
+          long long *lookups, long long *hits, edge_t *out)
+{
+    edge_t c, node;
+    PyObject *table, *kobj, *nobj;
+    Py_ssize_t nfree, live;
+    int rc;
+
+    if (lo == hi) {
+        *out = lo;
+        return 0;
+    }
+    c = lo & 1;
+    if (c) {
+        lo ^= 1;
+        hi ^= 1;
+    }
+    if (level < 0 || level >= PyList_GET_SIZE(k->unique)) {
+        PyErr_SetString(PyExc_IndexError, "BDD level out of range");
+        return -1;
+    }
+    table = PyList_GET_ITEM(k->unique, (Py_ssize_t)level);
+    if (!PyDict_CheckExact(table)) {
+        PyErr_SetString(PyExc_TypeError, "unique table must be a dict");
+        return -1;
+    }
+    (*lookups)++;
+    kobj = PyLong_FromUnsignedLongLong((lo << 32) | hi);
+    if (kobj == NULL)
+        return -1;
+    Py_INCREF(table);
+    nobj = PyDict_GetItemWithError(table, kobj);
+    if (nobj != NULL) {
+        (*hits)++;
+        rc = as_edge(nobj, &node);
+        goto done;
+    }
+    rc = -1;
+    if (PyErr_Occurred())
+        goto done;
+    nfree = PyList_GET_SIZE(k->free);
+    if (nfree) {
+        nobj = PyList_GET_ITEM(k->free, nfree - 1);
+        Py_INCREF(nobj);
+        if (PyList_SetSlice(k->free, nfree - 1, nfree, NULL) < 0
+            || as_edge(nobj, &node) < 0
+            || set_slot(k->level, (Py_ssize_t)node, (edge_t)level) < 0
+            || set_slot(k->lo, (Py_ssize_t)node, lo) < 0
+            || set_slot(k->hi, (Py_ssize_t)node, hi) < 0) {
+            Py_DECREF(nobj);
+            goto done;
+        }
+    }
+    else {
+        node = (edge_t)PyList_GET_SIZE(k->level);
+        nobj = PyLong_FromUnsignedLongLong(node);
+        if (nobj == NULL)
+            goto done;
+        if (append(k->level, (edge_t)level) < 0 || append(k->lo, lo) < 0
+            || append(k->hi, hi) < 0) {
+            Py_DECREF(nobj);
+            goto done;
+        }
+    }
+    rc = PyDict_SetItem(table, kobj, nobj);
+    Py_DECREF(nobj);
+    if (rc < 0)
+        goto done;
+    live = PyList_GET_SIZE(k->level) - PyList_GET_SIZE(k->free);
+    if (live > k->val[C_PEAK_LIVE])
+        k->val[C_PEAK_LIVE] = live;
+    if (k->hook != NULL && --k->val[C_COUNTDOWN] <= 0) {
+        k->val[C_COUNTDOWN] = k->interval;
+        rc = call_hook(k);
+    }
+done:
+    Py_DECREF(table);
+    Py_DECREF(kobj);
+    if (rc < 0)
+        return -1;
+    *out = (node << 1) | c;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* AND                                                                 */
+/* ------------------------------------------------------------------ */
+
+/* AND's terminal cases: 1 with *out set, else 0. */
+static inline int
+and_trivial(edge_t a, edge_t b, edge_t *out)
+{
+    if (a == b || b == 1)
+        *out = a;
+    else if (a == 1)
+        *out = b;
+    else if (a == 0 || b == 0 || a == (b ^ 1))
+        *out = 0;
+    else
+        return 0;
+    return 1;
+}
+
+#define SORT2(x, y) \
+    do { if ((x) > (y)) { edge_t t_ = (x); (x) = (y); (y) = t_; } } while (0)
+
+/* The children of edge e (top level elvl) at level lvl, complement
+ * resolved; e itself twice when its top lies below lvl. */
+static inline int
+branches(Kernel *k, edge_t e, edge_t elvl, edge_t lvl, edge_t *e0,
+         edge_t *e1)
+{
+    if (elvl != lvl) {
+        *e0 = *e1 = e;
+        return 0;
+    }
+    if (list_item(k->lo, e >> 1, e0) < 0 || list_item(k->hi, e >> 1, e1) < 0)
+        return -1;
+    *e0 ^= e & 1;
+    *e1 ^= e & 1;
+    return 0;
+}
+
+/* Frames: 0 expand the pair (a, b); 1 reduce the top two results into
+ * level a, memoised under key b; 2 push the literal result a. */
+typedef struct { edge_t a, b; int tag; } AndFrame;
+
+#define APUSH(tag_, a_, b_) \
+    do { AndFrame fr_ = {(a_), (b_), (tag_)}; \
+         if (STACK_PUSH(tasks, fr_) < 0) goto error; } while (0)
+#define RPUSH(v_) \
+    do { if (STACK_PUSH(results, (edge_t)(v_)) < 0) goto error; } while (0)
+
+/* BDD.and_'s loop for a normalised pair f < g whose computed-table probe
+ * has just missed (the loop's first frame counts that probe). */
+static int
+and_walk(Kernel *k, edge_t f, edge_t g, edge_t *out)
+{
+    STACK(AndFrame, 64) tasks;
+    STACK(edge_t, 64) results;
+    PyObject *ct = k->ct;
+    long long lookups = 1, hits = 0, ulookups = 0, uhits = 0;
+    edge_t a = f, b = g, key = (f << 32) | g, lo_e = 0, hi_e = 0, res;
+    edge_t la, lb, lvl = 0, a0, a1, b0, b1;
+    int have_lo, have_hi, r;
+
+    STACK_INIT(tasks);
+    STACK_INIT(results);
+    goto expand;
+    while (tasks.len) {
+        AndFrame fr = tasks.items[--tasks.len];
+        if (fr.tag == 2) {
+            RPUSH(fr.a);
+            continue;
+        }
+        if (fr.tag == 1) {
+            hi_e = results.items[--results.len];
+            lo_e = results.items[--results.len];
+            lvl = fr.a;
+            key = fr.b;
+            goto make;
+        }
+        /* Re-probe: the sibling subtree may have filled this key since
+         * the frame was pushed. */
+        a = fr.a;
+        b = fr.b;
+        key = (a << 32) | b;
+        lookups++;
+        r = probe(ct, key, &res);
+        if (r < 0)
+            goto error;
+        if (r) {
+            hits++;
+            RPUSH(res);
+            continue;
+        }
+expand:
+        for (;;) {
+            if (list_item(k->level, a >> 1, &la) < 0
+                || list_item(k->level, b >> 1, &lb) < 0)
+                goto error;
+            lvl = la < lb ? la : lb;
+            if (branches(k, a, la, lvl, &a0, &a1) < 0
+                || branches(k, b, lb, lvl, &b0, &b1) < 0)
+                goto error;
+            /* Eager resolution of the low child. */
+            have_lo = and_trivial(a0, b0, &lo_e);
+            if (!have_lo) {
+                SORT2(a0, b0);
+                lookups++;
+                have_lo = probe(ct, (a0 << 32) | b0, &lo_e);
+                if (have_lo < 0)
+                    goto error;
+                hits += have_lo;
+            }
+            /* Eager resolution of the high child; its miss is counted
+             * by the frame that re-probes it. */
+            have_hi = and_trivial(a1, b1, &hi_e);
+            if (!have_hi) {
+                SORT2(a1, b1);
+                have_hi = probe(ct, (a1 << 32) | b1, &hi_e);
+                if (have_hi < 0)
+                    goto error;
+                lookups += have_hi;
+                hits += have_hi;
+            }
+            if (!have_lo) {
+                APUSH(1, lvl, key);
+                if (!have_hi)
+                    APUSH(0, a1, b1);
+                else
+                    APUSH(2, hi_e, 0);
+                /* Descend the low spine without a frame. */
+                a = a0;
+                b = b0;
+                key = (a0 << 32) | b0;
+                continue;
+            }
+            if (have_hi)
+                break;
+            /* Low child resolved, high child pending. */
+            RPUSH(lo_e);
+            APUSH(1, lvl, key);
+            APUSH(0, a1, b1);
+            have_lo = 0;
+            break;
+        }
+        if (!have_lo)
+            continue;
+make:
+        if (make_node(k, (long long)lvl, lo_e, hi_e, &ulookups, &uhits,
+                      &res) < 0
+            || store(ct, key, res) < 0)
+            goto error;
+        RPUSH(res);
+    }
+    k->val[C_CT_LOOKUPS] += lookups;
+    k->val[C_CT_HITS] += hits;
+    k->val[C_UNIQ_LOOKUPS] += ulookups;
+    k->val[C_UNIQ_HITS] += uhits;
+    if (PyDict_GET_SIZE(ct) > k->ct_max)
+        PyDict_Clear(ct);
+    *out = results.items[0];
+    STACK_FREE(tasks);
+    STACK_FREE(results);
+    return 0;
+error:
+    STACK_FREE(tasks);
+    STACK_FREE(results);
+    return -1;
+}
+
+#undef APUSH
+#undef RPUSH
+
+/* BDD.and_ in full: top-level fast paths, cache probe, then the walk. */
+static int
+and_top(Kernel *k, edge_t f, edge_t g, edge_t *out)
+{
+    int r;
+    if (and_trivial(f, g, out))
+        return 0;
+    SORT2(f, g);
+    r = probe(k->ct, (f << 32) | g, out);
+    if (r < 0)
+        return -1;
+    if (r) {
+        k->val[C_CT_LOOKUPS]++;
+        k->val[C_CT_HITS]++;
+        return 0;
+    }
+    return and_walk(k, f, g, out);
+}
+
+/* ------------------------------------------------------------------ */
+/* Existential quantification                                          */
+/* ------------------------------------------------------------------ */
+
+/* Frames: 0 visit edge x with quantified-level cursor i; 1 combine the
+ * top two results at level lvl (OR when q), memoised under key x. */
+typedef struct { edge_t x; long long lvl; Py_ssize_t i; int tag, q; } QFrame;
+
+#define QPUSH(tag_, x_, lvl_, i_, q_) \
+    do { QFrame fr_ = {(x_), (lvl_), (i_), (tag_), (q_)}; \
+         if (STACK_PUSH(tasks, fr_) < 0) goto error; } while (0)
+#define RPUSH(v_) \
+    do { if (STACK_PUSH(results, (edge_t)(v_)) < 0) goto error; } while (0)
+
+static int
+exists_walk(Kernel *k, edge_t f, const long long *levels,
+            const long long *sids, Py_ssize_t n, PyObject *cache,
+            edge_t *out)
+{
+    STACK(QFrame, 64) tasks;
+    STACK(edge_t, 64) results;
+    long long steps = 0, lvl;
+    edge_t e, key, lo, hi, res, lv;
+    Py_ssize_t i;
+    int r;
+
+    STACK_INIT(tasks);
+    STACK_INIT(results);
+    QPUSH(0, f, 0, 0, 0);
+    while (tasks.len) {
+        QFrame fr = tasks.items[--tasks.len];
+        steps++;
+        if (fr.tag == 0) {
+            e = fr.x;
+            if (e < 2) {
+                RPUSH(e);
+                continue;
+            }
+            if (list_item(k->level, e >> 1, &lv) < 0)
+                goto error;
+            lvl = (long long)lv;
+            /* Drop quantified levels that can no longer appear below. */
+            i = fr.i;
+            while (i < n && levels[i] < lvl)
+                i++;
+            if (i == n) {
+                RPUSH(e);
+                continue;
+            }
+            key = (e << SUFFIX_BITS) | (edge_t)sids[i];
+            r = probe(cache, key, &res);
+            if (r < 0)
+                goto error;
+            if (r) {
+                RPUSH(res);
+                continue;
+            }
+            if (branches(k, e, lv, lv, &lo, &hi) < 0)
+                goto error;
+            QPUSH(1, key, lvl, 0, levels[i] == lvl);
+            QPUSH(0, hi, 0, i, 0);
+            QPUSH(0, lo, 0, i, 0);
+        }
+        else {
+            hi = results.items[--results.len];
+            lo = results.items[--results.len];
+            if (fr.q) {
+                /* BDD.or_: De Morgan over AND. */
+                if (and_top(k, lo ^ 1, hi ^ 1, &res) < 0)
+                    goto error;
+                res ^= 1;
+            }
+            else {
+                /* Quantification only removes variables, so lo/hi top
+                 * levels stay strictly below lvl: _mk is safe here. */
+                if (make_node(k, fr.lvl, lo, hi, &k->val[C_UNIQ_LOOKUPS],
+                              &k->val[C_UNIQ_HITS], &res) < 0)
+                    goto error;
+            }
+            if (store(cache, fr.x, res) < 0)
+                goto error;
+            RPUSH(res);
+        }
+    }
+    k->val[C_Q_STEPS] += steps;
+    *out = results.items[0];
+    STACK_FREE(tasks);
+    STACK_FREE(results);
+    return 0;
+error:
+    STACK_FREE(tasks);
+    STACK_FREE(results);
+    return -1;
+}
+
+#undef QPUSH
+#undef RPUSH
+
+/* ------------------------------------------------------------------ */
+/* Module functions                                                    */
+/* ------------------------------------------------------------------ */
+
+static int
+arg_edge(PyObject *v, edge_t *out)
+{
+    if (!PyLong_Check(v)) {
+        PyErr_SetString(PyExc_TypeError, "BDD edges are ints");
+        return -1;
+    }
+    return as_edge(v, out);
+}
+
+PyDoc_STRVAR(and_doc,
+"and_(mgr, f, g, ct_max)\n\n"
+"Miss path of BDD.and_ for a normalised pair f < g whose computed-table\n"
+"probe missed; clears mgr._ct_and when it ends above ct_max entries.");
+
+static PyObject *
+py_and(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Kernel k;
+    edge_t f, g, res;
+    Py_ssize_t ct_max;
+    PyObject *result = NULL;
+
+    (void)self;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "and_ takes 4 arguments");
+        return NULL;
+    }
+    if (arg_edge(args[1], &f) < 0 || arg_edge(args[2], &g) < 0)
+        return NULL;
+    ct_max = PyLong_AsSsize_t(args[3]);
+    if (ct_max == -1 && PyErr_Occurred())
+        return NULL;
+    if (kernel_open(&k, args[0], ct_max) < 0)
+        return NULL;
+    if (and_walk(&k, f, g, &res) == 0)
+        result = PyLong_FromUnsignedLongLong(res);
+    return kernel_close(&k, result);
+}
+
+PyDoc_STRVAR(exists_doc,
+"exists(mgr, f, levels, sids, cache, ct_max)\n\n"
+"quantify._exists_iter's walk: *levels* is the sorted level tuple,\n"
+"*sids* the suffix ids of its tails and *cache* the exists memo dict.");
+
+static PyObject *
+py_exists(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Kernel k;
+    edge_t f, res;
+    Py_ssize_t n, i, ct_max;
+    long long *levels = NULL, *sids;
+    PyObject *levels_seq = NULL, *sids_seq = NULL, *result = NULL;
+
+    (void)self;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "exists takes 6 arguments");
+        return NULL;
+    }
+    if (!PyDict_CheckExact(args[4])) {
+        PyErr_SetString(PyExc_TypeError, "exists memo must be a dict");
+        return NULL;
+    }
+    if (arg_edge(args[1], &f) < 0)
+        return NULL;
+    ct_max = PyLong_AsSsize_t(args[5]);
+    if (ct_max == -1 && PyErr_Occurred())
+        return NULL;
+    levels_seq = PySequence_Fast(args[2], "levels must be a sequence");
+    sids_seq = PySequence_Fast(args[3], "sids must be a sequence");
+    if (levels_seq == NULL || sids_seq == NULL)
+        goto out;
+    n = PySequence_Fast_GET_SIZE(levels_seq);
+    if (PySequence_Fast_GET_SIZE(sids_seq) < n) {
+        PyErr_SetString(PyExc_ValueError, "one suffix id per level needed");
+        goto out;
+    }
+    levels = PyMem_Malloc(sizeof(long long) * (size_t)(2 * n + 1));
+    if (levels == NULL) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    sids = levels + n;
+    for (i = 0; i < n; i++) {
+        levels[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(levels_seq, i));
+        sids[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(sids_seq, i));
+        if (PyErr_Occurred())
+            goto out;
+    }
+    if (kernel_open(&k, args[0], ct_max) < 0)
+        goto out;
+    if (exists_walk(&k, f, levels, sids, n, args[4], &res) == 0)
+        result = PyLong_FromUnsignedLongLong(res);
+    result = kernel_close(&k, result);
+out:
+    PyMem_Free(levels);
+    Py_XDECREF(levels_seq);
+    Py_XDECREF(sids_seq);
+    return result;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"and_", (PyCFunction)(void (*)(void))py_and, METH_FASTCALL, and_doc},
+    {"exists", (PyCFunction)(void (*)(void))py_exists, METH_FASTCALL,
+     exists_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "_kernel",
+    "C inner loops of the BDD kernel (see repro.bdd.native).", -1,
+    kernel_methods, NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    struct { PyObject **slot; const char *name; } names[] = {
+        {&s_level, "_level"}, {&s_lo, "_lo"}, {&s_hi, "_hi"},
+        {&s_unique, "_unique"}, {&s_free, "_free"}, {&s_ct_and, "_ct_and"},
+        {&s_ct_lookups, "_ct_lookups"}, {&s_ct_hits, "_ct_hits"},
+        {&s_uniq_lookups, "_uniq_lookups"}, {&s_uniq_hits, "_uniq_hits"},
+        {&s_peak_live, "_peak_live"}, {&s_q_steps, "_q_steps"},
+        {&s_growth_hook, "_growth_hook"},
+        {&s_growth_countdown, "_growth_countdown"},
+        {&s_growth_interval, "_growth_interval"},
+    };
+    size_t i;
+    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        if (*names[i].slot == NULL) {
+            *names[i].slot = PyUnicode_InternFromString(names[i].name);
+            if (*names[i].slot == NULL)
+                return NULL;
+        }
+    }
+    return PyModule_Create(&kernel_module);
+}

@@ -27,9 +27,15 @@ Storage layout:
   saved); DESIGN.md records the numbers.  Invalidation (reorder/GC)
   drops the per-operator dicts wholesale.
 
-The recursive operator walks of the pre-complement core are replaced by
-explicit-stack iterative loops, so deep cones pay no python recursion
-overhead and cannot hit the recursion limit.
+The operator walks are explicit-stack iterative loops, so deep cones
+pay no python recursion overhead and cannot hit the recursion limit.
+The hottest of them, the miss path of :meth:`BDD.and_` (which OR, DIFF,
+IMPLIES, NAND and NOR reach through De Morgan), runs in C when
+:mod:`repro.bdd.native` could build its extension: the C loop works on
+these same lists and dicts and repeats the Python loop below step for
+step, so node indices and counters do not depend on which one ran.  The
+Python loop stays as the fallback and as the differential tests'
+reference.
 
 The manager offers:
 
@@ -46,6 +52,7 @@ The public, handle-based API lives in :mod:`repro.bdd.function`; this
 module is deliberately edge-based for speed.
 """
 
+from repro.bdd import native
 from repro.bdd.node import FALSE, TRUE, TERMINAL_LEVEL
 from repro.bdd.types import Edge, Level, VarId
 
@@ -118,6 +125,8 @@ class BDD:
         self._growth_hook = None
         self._growth_interval = 1024
         self._growth_countdown = 1024
+        # C inner loops (repro.bdd.native), or None for the Python loops.
+        self._kernel = native.KERNEL
         for name in var_names:
             self.add_var(name)
 
@@ -310,6 +319,8 @@ class BDD:
             self._ct_lookups += 1
             self._ct_hits += 1
             return res
+        if self._kernel is not None:
+            return self._kernel.and_(self, f, g, _CT_MAX)
         # Local aliases: these loops are the package's hot path.
         _lev = self._level
         _lo = self._lo

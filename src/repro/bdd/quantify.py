@@ -22,8 +22,14 @@ suffix_id`` — instead of allocating and hashing nested tuples on every
 probe.  All of these live in ``_cache_*`` attributes, which
 :meth:`repro.bdd.manager.BDD.clear_caches` drops wholesale on reorder
 or GC, keeping ids and level tokens consistent with the current order.
+
+The exists walk runs in C when :mod:`repro.bdd.native` could build its
+extension (the fused ``and_exists`` walk stays in Python); the Python
+loop in :func:`_exists_iter` is the fallback and the differential
+tests' reference, and both leave the same memo entries and counters.
 """
 
+from repro.bdd import manager as _manager
 from repro.bdd.node import FALSE, TRUE
 from repro.bdd.types import Edge, SuffixId
 
@@ -93,6 +99,9 @@ def exists(mgr, variables, f: Edge) -> Edge:
 
 def _exists_iter(mgr, f: Edge, levels, cache) -> Edge:
     _suffix_tuples, sids = _suffixes(mgr, levels)
+    if mgr._kernel is not None:
+        return mgr._kernel.exists(mgr, f, levels, sids, cache,
+                                  _manager._CT_MAX)
     n = len(levels)
     _lev = mgr._level
     _lo = mgr._lo

@@ -88,8 +88,20 @@ class CheckContext:
         return cache
 
     def _varset(self, variables):
-        mgr = self.mgr
-        return frozenset(mgr.var_index(v) for v in variables)
+        """Frozenset of the variable indices in *variables*.
+
+        Memoised per distinct argument tuple, as
+        :func:`repro.bdd.quantify._levels_token` is: every probe
+        normalises the same few variable sets.
+        """
+        key = tuple(variables)
+        cache = self._dict("_cache_ctx_varset")
+        varset = cache.get(key)
+        if varset is None:
+            mgr = self.mgr
+            varset = frozenset(mgr.var_index(v) for v in key)
+            cache[key] = varset
+        return varset
 
     # -- quantification -------------------------------------------------
     def exists(self, node: Edge, variables) -> Edge:

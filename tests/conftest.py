@@ -13,6 +13,17 @@ def make_mgr(n, prefix="x"):
     return BDD(["%s%d" % (prefix, i) for i in range(n)])
 
 
+def kernel_state(mgr):
+    """Everything the BDD kernel's C and Python loops must leave
+    identical: arena, free list, unique / AND / exists tables in
+    insertion order, ``cache_stats()`` and the growth-hook countdown."""
+    return (mgr._level, mgr._lo, mgr._hi, mgr._free,
+            [list(table.items()) for table in mgr._unique],
+            list(mgr._ct_and.items()),
+            list(getattr(mgr, "_cache_exists", {}).items()),
+            mgr.cache_stats(), mgr._growth_countdown)
+
+
 def brute_force(mgr, node, variables):
     """Truth table of *node* over *variables* as a packed int."""
     table = 0

@@ -7,18 +7,25 @@ A thousand randomized expression DAGs are built three ways in parallel:
   edges and two terminals — the semantics of the pre-complement core,
 * as packed integer truth tables (the ground truth).
 
-For every case the harness cross-checks truth tables, supports, ISOP
-covers and the complement-edge node counts against the reference
-(complement sharing may only ever *shrink* a DAG, never grow it).
-The RNG is seeded per case, so any failure reproduces by seed.
+The operation mix is AND / OR / XOR / NOT plus ``exists`` / ``forall``
+over random variable sets.  For every case the harness cross-checks
+truth tables, supports, ISOP covers and the complement-edge node counts
+against the reference (complement sharing may only ever *shrink* a DAG,
+never grow it).  Each case is also replayed on a manager held on the
+Python loops (:func:`repro.bdd.native._python_loops`): the C inner
+loops must leave the same edges, arena, unique tables, computed tables
+and ``cache_stats()``, node for node.  The RNG is seeded per case, so
+any failure reproduces by seed.
 """
 
 import random
 
 import pytest
 
-from repro.bdd import BDD, FALSE, isop
+from repro.bdd import BDD, FALSE, exists, forall, isop, native
 from repro.bdd.isop import cover_to_bdd
+
+from conftest import kernel_state
 
 
 class RefBDD:
@@ -70,6 +77,20 @@ class RefBDD:
         return self.mk(level, self.apply(op, f0, g0),
                        self.apply(op, f1, g1))
 
+    def restrict(self, f, level, value):
+        if f in (self.F, self.T) or f[0] > level:
+            return f
+        if f[0] == level:
+            return f[2] if value else f[1]
+        return self.mk(f[0], self.restrict(f[1], level, value),
+                       self.restrict(f[2], level, value))
+
+    def quantify(self, op, f, levels):
+        for level in levels:
+            f = self.apply(op, self.restrict(f, level, 0),
+                           self.restrict(f, level, 1))
+        return f
+
     def node_count(self, f):
         seen = set()
         stack = [f]
@@ -84,14 +105,33 @@ class RefBDD:
         return len(seen)
 
 
-def _random_case(seed, num_vars, num_ops):
-    """One differential case: returns (mgr, edge, ref, ref_node, table).
+def _quantify_table(table, variables, num_vars, combine):
+    """Truth-table quantification: *combine* the two cofactors per var."""
+    full = (1 << (1 << num_vars)) - 1
+    for var in variables:
+        shift = 1 << var
+        mask = 0
+        for row in range(1 << num_vars):
+            if (row >> var) & 1:
+                mask |= 1 << row
+        half = combine((table & mask) >> shift, table & ~mask & full)
+        table = half | (half << shift)
+    return table
 
-    The expression DAG reuses earlier subterms, so shared substructure
-    (where complement edges pay off) occurs naturally.
+
+def _random_case(seed, num_vars, num_ops, python_loops=False):
+    """One differential case: returns (mgr, edges, ref_node, table).
+
+    *edges* lists every edge the case built, in order; the last one is
+    the case's function, which *ref_node* and *table* describe.  The
+    expression DAG reuses earlier subterms, so shared substructure
+    (where complement edges pay off) occurs naturally.  With
+    *python_loops* the manager runs the Python loops, not the C ones.
     """
     rng = random.Random(seed)
     mgr = BDD(["x%d" % i for i in range(num_vars)])
+    if python_loops:
+        native._python_loops(mgr)
     ref = RefBDD(num_vars)
     full = (1 << (1 << num_vars)) - 1
     terms = []
@@ -104,10 +144,22 @@ def _random_case(seed, num_vars, num_ops):
     ops = (("and_", lambda a, b: a and b, int.__and__),
            ("or_", lambda a, b: a or b, int.__or__),
            ("xor", lambda a, b: a != b, int.__xor__))
+    quantifiers = ((exists, lambda a, b: a or b, int.__or__),
+                   (forall, lambda a, b: a and b, int.__and__))
     for _ in range(num_ops):
-        if rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.25:
             e, r, t = rng.choice(terms)
             terms.append((mgr.not_(e), ref.not_(r), t ^ full))
+            continue
+        if roll < 0.45:
+            quantify, ref_op, int_op = rng.choice(quantifiers)
+            e, r, t = rng.choice(terms)
+            variables = sorted(rng.sample(range(num_vars),
+                                          rng.randint(1, 3)))
+            terms.append((quantify(mgr, variables, e),
+                          ref.quantify(ref_op, r, variables),
+                          _quantify_table(t, variables, num_vars, int_op)))
             continue
         name, ref_op, int_op = rng.choice(ops)
         ea, ra, ta = rng.choice(terms)
@@ -115,8 +167,8 @@ def _random_case(seed, num_vars, num_ops):
         edge = getattr(mgr, name)(ea, eb)
         terms.append((edge, ref.apply(ref_op, ra, rb),
                       int_op(ta, tb)))
-    edge, ref_node, table = terms[-1]
-    return mgr, edge, ref_node, table
+    _edge, ref_node, table = terms[-1]
+    return mgr, [e for e, _r, _t in terms], ref_node, table
 
 
 def _support_of_table(table, num_vars):
@@ -140,7 +192,16 @@ def test_differential_against_reference(chunk):
         seed = chunk * CASES_PER_CHUNK + case
         rng = random.Random(seed)
         num_ops = rng.randint(4, 16)
-        mgr, edge, ref_node, table = _random_case(seed, NUM_VARS, num_ops)
+        mgr, edges, ref_node, table = _random_case(seed, NUM_VARS, num_ops)
+        edge = edges[-1]
+
+        # 0. The C and the Python loops build the same manager, node for
+        #    node (trivially so where the C loops are unavailable).
+        py_mgr, py_edges, _, _ = _random_case(seed, NUM_VARS, num_ops,
+                                              python_loops=True)
+        assert edges == py_edges, "seed %d: edges differ" % seed
+        assert kernel_state(mgr) == kernel_state(py_mgr), \
+            "seed %d: C and Python loops left different managers" % seed
 
         # 1. Truth table: the new core agrees with the integer oracle.
         got = 0
@@ -176,8 +237,8 @@ def test_interval_isop_differential():
     for seed in range(100):
         rng = random.Random(10_000 + seed)
         num_ops = rng.randint(4, 12)
-        mgr, f_edge, _, f_table = _random_case(
-            10_000 + seed, NUM_VARS, num_ops)
+        mgr, edges, _, _ = _random_case(10_000 + seed, NUM_VARS, num_ops)
+        f_edge = edges[-1]
         # Derive a don't-care mask from a second expression over the
         # same manager (fresh managers per case keep this cheap).
         dc = mgr.var(rng.randrange(NUM_VARS))

@@ -64,11 +64,19 @@ class TestQuantificationCache:
         ctx = CheckContext(mgr)
         f = mgr.and_(mgr.var(0), mgr.var(1))
         ctx.exists(f, [0])
-        assert mgr._cache_ctx_exists
+        assert mgr._cache_ctx_exists and mgr._cache_ctx_varset
         mgr.clear_caches()
-        assert not mgr._cache_ctx_exists
+        assert not mgr._cache_ctx_exists and not mgr._cache_ctx_varset
         ctx.exists(f, [0])
         assert ctx.exists_calls == 2   # recomputed, not replayed
+
+    def test_variable_sets_are_interned_per_argument(self):
+        mgr = make_mgr(3)
+        ctx = CheckContext(mgr)
+        first = ctx._varset(["x0", 2])
+        assert first == frozenset({0, 2})
+        assert ctx._varset(["x0", 2]) is first
+        assert ctx._varset((2, 0)) == first
 
     def test_contexts_on_different_managers_are_isolated(self):
         mgr_a, mgr_b = make_mgr(3), make_mgr(3)

@@ -10,10 +10,11 @@ BLIF subsets), configuration validation, and driver ergonomics
 import io
 import json
 import sys
+import traceback
 
 import pytest
 
-from repro.bdd import BDD
+from repro.bdd import BDD, exists, native
 from repro.bench import get
 from repro.boolfn import ISF, parse
 from repro.decomp import bi_decompose
@@ -127,6 +128,27 @@ class TestEvents:
 # ---------------------------------------------------------------------
 # Resource budgets
 # ---------------------------------------------------------------------
+#: ``(function, line)`` that runs the growth hook inside a kernel walk:
+#: the hand-over to the C loops where they are loaded, else the Python
+#: loops' own hook call.
+_KERNEL_CALL = {
+    "and_": ("and_", "return self._kernel.and_(self, f, g, _CT_MAX)"),
+    "exists": ("_exists_iter",
+               "return mgr._kernel.exists(mgr, f, levels, sids, cache,"),
+} if native.ACTIVE else {
+    "and_": ("and_", "self._growth_hook(self)"),
+    "exists": ("and_", "self._growth_hook(self)"),
+}
+
+
+def _hook_caller(info):
+    """``(function, line)`` of the frame that ran the growth hook."""
+    frames = traceback.extract_tb(info.tb)
+    names = [frame.name for frame in frames]
+    caller = frames[names.index("_on_manager_growth") - 1]
+    return caller.name, caller.line
+
+
 class TestLimits:
     def test_time_limit_raises_pipeline_timeout(self):
         session = Session(PipelineConfig(time_limit=1e-9))
@@ -137,12 +159,42 @@ class TestLimits:
 
     def test_node_limit_raises_clean_error(self):
         mgr, specs = get("9sym").build()
+        assert mgr._kernel is native.KERNEL
         session = Session(PipelineConfig(max_nodes=10), mgr=mgr)
         with pytest.raises(NodeLimitExceeded) as info:
             Pipeline.standard().run(
                 session, PipelineInput(mgr=mgr, specs=specs))
         assert info.value.limit == 10
         assert info.value.nodes > 10
+
+    def test_node_limit_trips_inside_the_kernel_walk(self):
+        # One node over the built specs: the first growth-hook check
+        # fires inside an AND walk — the C loop where it is loaded.
+        mgr, specs = get("9sym").build()
+        session = Session(PipelineConfig(max_nodes=mgr.live_count() + 1),
+                          mgr=mgr)
+        with pytest.raises(NodeLimitExceeded) as info:
+            Pipeline.standard().run(
+                session, PipelineInput(mgr=mgr, specs=specs))
+        assert _hook_caller(info) == _KERNEL_CALL["and_"]
+        assert info.value.stage == "decompose"
+
+    @pytest.mark.parametrize("op", ["and_", "exists"])
+    def test_time_limit_trips_inside_the_kernel_walk(self, op):
+        mgr = BDD(["x%d" % i for i in range(20)])
+        f = g = mgr.false
+        for i in range(10):
+            f = mgr.xor(f, mgr.and_(mgr.var(i), mgr.var(i + 10)))
+            g = mgr.or_(g, mgr.and_(mgr.var(i), mgr.nvar(i + 10)))
+        h = mgr.xor(f, g)
+        session = Session(PipelineConfig(time_limit=600.0), mgr=mgr)
+        session.adopt_deadline(Deadline(1e-9))
+        with pytest.raises(PipelineTimeout) as info:
+            if op == "and_":
+                mgr.and_(f, g)
+            else:
+                exists(mgr, [0, 2, 4, 11, 13], h)
+        assert _hook_caller(info) == _KERNEL_CALL[op]
 
     def test_generous_limits_do_not_interfere(self):
         _session, run = run_standard(
