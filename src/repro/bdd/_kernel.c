@@ -1,16 +1,23 @@
-/* C inner loops of the BDD kernel.
+/* C inner loops and tables of the BDD kernel.
  *
  * Two walks of the pure-Python kernel run here: the miss path of
  * ``BDD.and_`` (which OR, DIFF, IMPLIES, NAND and NOR reach through
  * De Morgan) and ``quantify._exists_iter`` (which ``forall`` shares
  * through complement edges).  Both work through the CPython C API on
  * the manager's own structures -- the ``_level`` / ``_lo`` / ``_hi``
- * lists, the per-level ``_unique`` dicts, the ``_free`` list, the
- * ``_ct_and`` dict and the caller's exists memo -- and repeat the Python
+ * lists, the per-level ``_unique`` tables, the ``_free`` list, the
+ * ``_ct_and`` table and the caller's exists memo -- and repeat the Python
  * loops step for step: the same probe order, node-creation order,
  * counter increments, ``_peak_live`` updates, growth-hook firing and
  * computed-table cap.  Node indices, counters and every module that
  * reads the arena therefore see exactly what the Python loops leave.
+ *
+ * The tables are ``Table`` objects (below): exact, insertion-ordered
+ * maps from uint64 keys to uint64 values that the walks probe inline,
+ * without boxing a key.  Python code uses them through the subset of
+ * the dict API the kernel needs, and they iterate in the order a dict
+ * would, so the differential tests can compare them with the dicts the
+ * Python fallback uses.
  *
  * Counters follow the Python loops' commit points.  Increments the
  * Python code writes to the manager at once (the top-level AND cache
@@ -80,6 +87,413 @@ grow(void **items, void *local, Py_ssize_t *cap, size_t size)
 }
 
 /* ------------------------------------------------------------------ */
+/* Table: an exact, insertion-ordered uint64 -> uint64 map             */
+/* ------------------------------------------------------------------ */
+
+/* Entries sit in insertion order with the key and value inline; an
+ * int32 open-addressing index (Fibonacci hashing, linear probing) maps
+ * a key to its entry.  A delete marks the entry DEAD and leaves its
+ * index slot as a tombstone.  When the entry array is full, a rebuild
+ * compacts the live entries into an array at least twice their number
+ * and indexes them afresh, so the index is never more than half full.
+ * Iterating the entry array gives dict's order: an overwrite keeps the
+ * key's position, a delete and re-insert moves it to the end. */
+
+#define DEAD UINT64_MAX                 /* the key of a deleted entry */
+#define KEY_MAX (UINT64_MAX - 1)
+#define EMPTY (-1)
+#define MIN_CAP 8
+#define MAX_CAP ((Py_ssize_t)1 << 30)   /* index positions fit in int32 */
+
+typedef struct { uint64_t key, value; } Entry;
+
+typedef struct {
+    PyObject_HEAD
+    Entry *entries;         /* cap slots; the first used are filled */
+    int32_t *index;         /* 2 * cap slots: EMPTY or an entry position */
+    Py_ssize_t used, len, cap;
+    int shift;              /* 64 - log2(2 * cap) */
+} Table;
+
+static PyTypeObject TableType;
+
+static inline size_t
+home_slot(const Table *t, uint64_t key)
+{
+    return (size_t)((key * 0x9E3779B97F4A7C15ULL) >> t->shift);
+}
+
+/* The entry position of *key* (never DEAD), or -1. */
+static inline Py_ssize_t
+table_find(const Table *t, uint64_t key)
+{
+    size_t mask = (size_t)(2 * t->cap - 1), i;
+    int32_t pos;
+    if (t->cap == 0)
+        return -1;
+    for (i = home_slot(t, key); (pos = t->index[i]) != EMPTY;
+         i = (i + 1) & mask) {
+        if (t->entries[pos].key == key)
+            return pos;
+    }
+    return -1;
+}
+
+/* Compact the live entries into fresh arrays sized for them. */
+static int
+table_rebuild(Table *t)
+{
+    Py_ssize_t cap = MIN_CAP, n = 0, i;
+    size_t mask, j;
+    Entry *entries;
+    int32_t *index;
+    int shift = 64 - 1;
+
+    while (cap < 2 * t->len)
+        cap *= 2;
+    if (cap > MAX_CAP) {
+        PyErr_SetString(PyExc_MemoryError, "Table too large");
+        return -1;
+    }
+    for (i = cap; i > 1; i >>= 1)
+        shift--;
+    entries = PyMem_Malloc((size_t)cap * sizeof(Entry));
+    index = PyMem_Malloc((size_t)(2 * cap) * sizeof(int32_t));
+    if (entries == NULL || index == NULL) {
+        PyMem_Free(entries);
+        PyMem_Free(index);
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(index, 0xff, (size_t)(2 * cap) * sizeof(int32_t));
+    mask = (size_t)(2 * cap - 1);
+    for (i = 0; i < t->used; i++) {
+        uint64_t key = t->entries[i].key;
+        if (key == DEAD)
+            continue;
+        entries[n] = t->entries[i];
+        j = (size_t)((key * 0x9E3779B97F4A7C15ULL) >> shift);
+        while (index[j] != EMPTY)
+            j = (j + 1) & mask;
+        index[j] = (int32_t)n++;
+    }
+    PyMem_Free(t->entries);
+    PyMem_Free(t->index);
+    t->entries = entries;
+    t->index = index;
+    t->cap = cap;
+    t->used = t->len = n;
+    t->shift = shift;
+    return 0;
+}
+
+/* Map *key* (at most KEY_MAX) to *value*. */
+static int
+table_set(Table *t, uint64_t key, uint64_t value)
+{
+    Py_ssize_t pos = table_find(t, key);
+    size_t mask, i;
+    if (pos >= 0) {
+        t->entries[pos].value = value;
+        return 0;
+    }
+    if (t->used == t->cap && table_rebuild(t) < 0)
+        return -1;
+    mask = (size_t)(2 * t->cap - 1);
+    for (i = home_slot(t, key); t->index[i] != EMPTY; i = (i + 1) & mask)
+        ;
+    t->index[i] = (int32_t)t->used;
+    t->entries[t->used].key = key;
+    t->entries[t->used].value = value;
+    t->used++;
+    t->len++;
+    return 0;
+}
+
+static void
+table_clear(Table *t)
+{
+    PyMem_Free(t->entries);
+    PyMem_Free(t->index);
+    t->entries = NULL;
+    t->index = NULL;
+    t->used = t->len = t->cap = 0;
+}
+
+/* An int as uint64; OverflowError when negative or too large.  Where
+ * long has 64 bits, PyLong_AsUnsignedLong's digit loop is used: the
+ * long long variant goes through a byte-array conversion for any int of
+ * two or more digits, which costs more than the whole probe. */
+static inline uint64_t
+as_uint64(PyObject *obj)
+{
+#if SIZEOF_LONG >= 8
+    return (uint64_t)PyLong_AsUnsignedLong(obj);
+#else
+    return (uint64_t)PyLong_AsUnsignedLongLong(obj);
+#endif
+}
+
+/* A key from Python: 1 with *out set for an int in [0, KEY_MAX], 0 for
+ * anything else (no exception set), -1 on error. */
+static int
+key_of(PyObject *obj, uint64_t *out)
+{
+    uint64_t v;
+    if (!PyLong_Check(obj))
+        return 0;
+    v = as_uint64(obj);
+    if (v == UINT64_MAX && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        return 0;
+    }
+    if (v > KEY_MAX)
+        return 0;
+    *out = v;
+    return 1;
+}
+
+/* A key to store: TypeError for a non-int, OverflowError out of range. */
+static int
+key_arg(PyObject *obj, uint64_t *out)
+{
+    int r = key_of(obj, out);
+    if (r == 0) {
+        if (PyLong_Check(obj))
+            PyErr_SetString(PyExc_OverflowError,
+                            "Table keys lie in [0, 2**64 - 2]");
+        else
+            PyErr_Format(PyExc_TypeError, "Table keys are ints, not %.100s",
+                         Py_TYPE(obj)->tp_name);
+    }
+    return r == 1 ? 0 : -1;
+}
+
+static PyObject *
+table_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    if (PyTuple_GET_SIZE(args) || (kwds != NULL && PyDict_GET_SIZE(kwds))) {
+        PyErr_SetString(PyExc_TypeError, "Table() takes no arguments");
+        return NULL;
+    }
+    return type->tp_alloc(type, 0);     /* zeroed: an empty table */
+}
+
+static void
+table_dealloc(Table *t)
+{
+    table_clear(t);
+    Py_TYPE(t)->tp_free((PyObject *)t);
+}
+
+static Py_ssize_t
+table_length(Table *t)
+{
+    return t->len;
+}
+
+static int
+table_contains(Table *t, PyObject *keyobj)
+{
+    uint64_t key;
+    int r = key_of(keyobj, &key);
+    return r == 1 ? table_find(t, key) >= 0 : r;
+}
+
+static void
+key_error(PyObject *keyobj)
+{
+    PyObject *args = PyTuple_Pack(1, keyobj);
+    if (args != NULL) {
+        PyErr_SetObject(PyExc_KeyError, args);
+        Py_DECREF(args);
+    }
+}
+
+static PyObject *
+table_subscript(Table *t, PyObject *keyobj)
+{
+    uint64_t key;
+    Py_ssize_t pos = -1;
+    int r = key_of(keyobj, &key);
+    if (r < 0)
+        return NULL;
+    if (r)
+        pos = table_find(t, key);
+    if (pos < 0) {
+        key_error(keyobj);
+        return NULL;
+    }
+    return PyLong_FromUnsignedLongLong(t->entries[pos].value);
+}
+
+static int
+table_ass_subscript(Table *t, PyObject *keyobj, PyObject *valobj)
+{
+    uint64_t key, value;
+    Py_ssize_t pos = -1;
+    int r;
+    if (valobj != NULL) {
+        if (key_arg(keyobj, &key) < 0)
+            return -1;
+        if (!PyLong_Check(valobj)) {
+            PyErr_Format(PyExc_TypeError, "Table values are ints, not %.100s",
+                         Py_TYPE(valobj)->tp_name);
+            return -1;
+        }
+        value = as_uint64(valobj);
+        if (value == UINT64_MAX && PyErr_Occurred())
+            return -1;
+        return table_set(t, key, value);
+    }
+    r = key_of(keyobj, &key);
+    if (r < 0)
+        return -1;
+    if (r)
+        pos = table_find(t, key);
+    if (pos < 0) {
+        key_error(keyobj);
+        return -1;
+    }
+    t->entries[pos].key = DEAD;
+    t->len--;
+    return 0;
+}
+
+static PyObject *
+table_get(Table *t, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t key;
+    Py_ssize_t pos = -1;
+    PyObject *dflt = nargs == 2 ? args[1] : Py_None;
+    int r;
+    if (nargs < 1 || nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "get takes 1 or 2 arguments");
+        return NULL;
+    }
+    r = key_of(args[0], &key);
+    if (r < 0)
+        return NULL;
+    if (r)
+        pos = table_find(t, key);
+    if (pos < 0) {
+        Py_INCREF(dflt);
+        return dflt;
+    }
+    return PyLong_FromUnsignedLongLong(t->entries[pos].value);
+}
+
+static PyObject *
+table_clear_method(Table *t, PyObject *unused)
+{
+    (void)unused;
+    table_clear(t);
+    Py_RETURN_NONE;
+}
+
+/* The live entries in order: keys (what 0), values (1) or items (2). */
+static PyObject *
+table_list(Table *t, int what)
+{
+    PyObject *list = PyList_New(t->len), *item;
+    Py_ssize_t i, n = 0;
+    if (list == NULL)
+        return NULL;
+    for (i = 0; i < t->used; i++) {
+        const Entry *e = &t->entries[i];
+        if (e->key == DEAD)
+            continue;
+        if (what == 0)
+            item = PyLong_FromUnsignedLongLong(e->key);
+        else if (what == 1)
+            item = PyLong_FromUnsignedLongLong(e->value);
+        else
+            item = Py_BuildValue("(KK)", (unsigned long long)e->key,
+                                 (unsigned long long)e->value);
+        if (item == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, n++, item);
+    }
+    return list;
+}
+
+static PyObject *
+table_keys(Table *t, PyObject *unused)
+{
+    (void)unused;
+    return table_list(t, 0);
+}
+
+static PyObject *
+table_values(Table *t, PyObject *unused)
+{
+    (void)unused;
+    return table_list(t, 1);
+}
+
+static PyObject *
+table_items(Table *t, PyObject *unused)
+{
+    (void)unused;
+    return table_list(t, 2);
+}
+
+static PyObject *
+table_iter(Table *t)
+{
+    PyObject *keys = table_list(t, 0), *it;
+    if (keys == NULL)
+        return NULL;
+    it = PyObject_GetIter(keys);
+    Py_DECREF(keys);
+    return it;
+}
+
+static PyMethodDef table_methods[] = {
+    {"get", (PyCFunction)(void (*)(void))table_get, METH_FASTCALL,
+     "get(key[, default]) -> the value for key, else default (None)."},
+    {"clear", (PyCFunction)table_clear_method, METH_NOARGS,
+     "Remove every entry and free the arrays."},
+    {"keys", (PyCFunction)table_keys, METH_NOARGS,
+     "The keys in insertion order, as a list."},
+    {"values", (PyCFunction)table_values, METH_NOARGS,
+     "The values in insertion order, as a list."},
+    {"items", (PyCFunction)table_items, METH_NOARGS,
+     "The (key, value) pairs in insertion order, as a list."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMappingMethods table_as_mapping = {
+    (lenfunc)table_length,
+    (binaryfunc)table_subscript,
+    (objobjargproc)table_ass_subscript,
+};
+
+static PySequenceMethods table_as_sequence = {
+    .sq_contains = (objobjproc)table_contains,
+};
+
+static PyTypeObject TableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.bdd._kernel.Table",
+    .tp_basicsize = sizeof(Table),
+    .tp_dealloc = (destructor)table_dealloc,
+    .tp_as_sequence = &table_as_sequence,
+    .tp_as_mapping = &table_as_mapping,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Table()\n\nAn exact, insertion-ordered map from ints in "
+              "[0, 2**64 - 2] to ints in\n[0, 2**64 - 1]: the subset of "
+              "dict the BDD kernel's tables use.",
+    .tp_iter = (getiterfunc)table_iter,
+    .tp_methods = table_methods,
+    .tp_new = table_new,
+};
+
+/* ------------------------------------------------------------------ */
 /* Manager state                                                       */
 /* ------------------------------------------------------------------ */
 
@@ -88,7 +502,8 @@ enum { C_CT_LOOKUPS, C_CT_HITS, C_UNIQ_LOOKUPS, C_UNIQ_HITS, C_PEAK_LIVE,
 
 typedef struct {
     PyObject *mgr;                      /* borrowed from the caller */
-    PyObject *level, *lo, *hi, *unique, *free, *ct;     /* new refs */
+    PyObject *level, *lo, *hi, *unique, *free;  /* new refs */
+    Table *ct;                                  /* new ref */
     Py_ssize_t ct_max;
     PyObject *hook;                     /* new ref, NULL for None */
     long long interval;
@@ -191,7 +606,7 @@ kernel_open(Kernel *k, PyObject *mgr, Py_ssize_t ct_max)
         || (k->hi = get_typed(mgr, s_hi, &PyList_Type)) == NULL
         || (k->unique = get_typed(mgr, s_unique, &PyList_Type)) == NULL
         || (k->free = get_typed(mgr, s_free, &PyList_Type)) == NULL
-        || (k->ct = get_typed(mgr, s_ct_and, &PyDict_Type)) == NULL
+        || (k->ct = (Table *)get_typed(mgr, s_ct_and, &TableType)) == NULL
         || sync_in(k) < 0) {
         kernel_release(k);
         return -1;
@@ -221,7 +636,7 @@ kernel_close(Kernel *k, PyObject *result)
 }
 
 /* ------------------------------------------------------------------ */
-/* Arena and dict access                                               */
+/* Arena and table access                                              */
 /* ------------------------------------------------------------------ */
 
 static inline int
@@ -248,31 +663,25 @@ list_item(PyObject *list, edge_t idx, edge_t *out)
     return as_edge(PyList_GET_ITEM(list, (Py_ssize_t)idx), out);
 }
 
-/* Probe *dict* for the int *key*: 1 found (*out set), 0 absent, -1 error. */
+/* Probe *t* for *key*: 1 found (*out set), 0 absent. */
 static inline int
-probe(PyObject *dict, edge_t key, edge_t *out)
+probe(const Table *t, edge_t key, edge_t *out)
 {
-    PyObject *kobj = PyLong_FromUnsignedLongLong(key), *v;
-    if (kobj == NULL)
-        return -1;
-    v = PyDict_GetItemWithError(dict, kobj);
-    Py_DECREF(kobj);
-    if (v == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    return as_edge(v, out) < 0 ? -1 : 1;
+    Py_ssize_t pos = key == DEAD ? -1 : table_find(t, key);
+    if (pos < 0)
+        return 0;
+    *out = t->entries[pos].value;
+    return 1;
 }
 
 static inline int
-store(PyObject *dict, edge_t key, edge_t value)
+store(Table *t, edge_t key, edge_t value)
 {
-    PyObject *kobj = PyLong_FromUnsignedLongLong(key);
-    PyObject *vobj = PyLong_FromUnsignedLongLong(value);
-    int rc = -1;
-    if (kobj != NULL && vobj != NULL)
-        rc = PyDict_SetItem(dict, kobj, vobj);
-    Py_XDECREF(kobj);
-    Py_XDECREF(vobj);
-    return rc;
+    if (key == DEAD) {
+        PyErr_SetString(PyExc_OverflowError, "Table key out of range");
+        return -1;
+    }
+    return table_set(t, key, value);
 }
 
 static inline int
@@ -324,8 +733,8 @@ static int
 make_node(Kernel *k, long long level, edge_t lo, edge_t hi,
           long long *lookups, long long *hits, edge_t *out)
 {
-    edge_t c, node;
-    PyObject *table, *kobj, *nobj;
+    edge_t c, node, key;
+    PyObject *table;
     Py_ssize_t nfree, live;
     int rc;
 
@@ -343,50 +752,35 @@ make_node(Kernel *k, long long level, edge_t lo, edge_t hi,
         return -1;
     }
     table = PyList_GET_ITEM(k->unique, (Py_ssize_t)level);
-    if (!PyDict_CheckExact(table)) {
-        PyErr_SetString(PyExc_TypeError, "unique table must be a dict");
+    if (Py_TYPE(table) != &TableType) {
+        PyErr_SetString(PyExc_TypeError, "unique table must be a Table");
         return -1;
     }
     (*lookups)++;
-    kobj = PyLong_FromUnsignedLongLong((lo << 32) | hi);
-    if (kobj == NULL)
-        return -1;
-    Py_INCREF(table);
-    nobj = PyDict_GetItemWithError(table, kobj);
-    if (nobj != NULL) {
+    key = (lo << 32) | hi;
+    if (probe((Table *)table, key, &node)) {
         (*hits)++;
-        rc = as_edge(nobj, &node);
-        goto done;
+        *out = (node << 1) | c;
+        return 0;
     }
+    Py_INCREF(table);
     rc = -1;
-    if (PyErr_Occurred())
-        goto done;
     nfree = PyList_GET_SIZE(k->free);
     if (nfree) {
-        nobj = PyList_GET_ITEM(k->free, nfree - 1);
-        Py_INCREF(nobj);
-        if (PyList_SetSlice(k->free, nfree - 1, nfree, NULL) < 0
-            || as_edge(nobj, &node) < 0
+        if (as_edge(PyList_GET_ITEM(k->free, nfree - 1), &node) < 0
+            || PyList_SetSlice(k->free, nfree - 1, nfree, NULL) < 0
             || set_slot(k->level, (Py_ssize_t)node, (edge_t)level) < 0
             || set_slot(k->lo, (Py_ssize_t)node, lo) < 0
-            || set_slot(k->hi, (Py_ssize_t)node, hi) < 0) {
-            Py_DECREF(nobj);
+            || set_slot(k->hi, (Py_ssize_t)node, hi) < 0)
             goto done;
-        }
     }
     else {
         node = (edge_t)PyList_GET_SIZE(k->level);
-        nobj = PyLong_FromUnsignedLongLong(node);
-        if (nobj == NULL)
-            goto done;
         if (append(k->level, (edge_t)level) < 0 || append(k->lo, lo) < 0
-            || append(k->hi, hi) < 0) {
-            Py_DECREF(nobj);
+            || append(k->hi, hi) < 0)
             goto done;
-        }
     }
-    rc = PyDict_SetItem(table, kobj, nobj);
-    Py_DECREF(nobj);
+    rc = store((Table *)table, key, node);
     if (rc < 0)
         goto done;
     live = PyList_GET_SIZE(k->level) - PyList_GET_SIZE(k->free);
@@ -398,7 +792,6 @@ make_node(Kernel *k, long long level, edge_t lo, edge_t hi,
     }
 done:
     Py_DECREF(table);
-    Py_DECREF(kobj);
     if (rc < 0)
         return -1;
     *out = (node << 1) | c;
@@ -461,11 +854,11 @@ and_walk(Kernel *k, edge_t f, edge_t g, edge_t *out)
 {
     STACK(AndFrame, 64) tasks;
     STACK(edge_t, 64) results;
-    PyObject *ct = k->ct;
+    Table *ct = k->ct;
     long long lookups = 1, hits = 0, ulookups = 0, uhits = 0;
     edge_t a = f, b = g, key = (f << 32) | g, lo_e = 0, hi_e = 0, res;
     edge_t la, lb, lvl = 0, a0, a1, b0, b1;
-    int have_lo, have_hi, r;
+    int have_lo, have_hi;
 
     STACK_INIT(tasks);
     STACK_INIT(results);
@@ -489,10 +882,7 @@ and_walk(Kernel *k, edge_t f, edge_t g, edge_t *out)
         b = fr.b;
         key = (a << 32) | b;
         lookups++;
-        r = probe(ct, key, &res);
-        if (r < 0)
-            goto error;
-        if (r) {
+        if (probe(ct, key, &res)) {
             hits++;
             RPUSH(res);
             continue;
@@ -512,8 +902,6 @@ expand:
                 SORT2(a0, b0);
                 lookups++;
                 have_lo = probe(ct, (a0 << 32) | b0, &lo_e);
-                if (have_lo < 0)
-                    goto error;
                 hits += have_lo;
             }
             /* Eager resolution of the high child; its miss is counted
@@ -522,8 +910,6 @@ expand:
             if (!have_hi) {
                 SORT2(a1, b1);
                 have_hi = probe(ct, (a1 << 32) | b1, &hi_e);
-                if (have_hi < 0)
-                    goto error;
                 lookups += have_hi;
                 hits += have_hi;
             }
@@ -561,8 +947,8 @@ make:
     k->val[C_CT_HITS] += hits;
     k->val[C_UNIQ_LOOKUPS] += ulookups;
     k->val[C_UNIQ_HITS] += uhits;
-    if (PyDict_GET_SIZE(ct) > k->ct_max)
-        PyDict_Clear(ct);
+    if (ct->len > k->ct_max)
+        table_clear(ct);
     *out = results.items[0];
     STACK_FREE(tasks);
     STACK_FREE(results);
@@ -580,14 +966,10 @@ error:
 static int
 and_top(Kernel *k, edge_t f, edge_t g, edge_t *out)
 {
-    int r;
     if (and_trivial(f, g, out))
         return 0;
     SORT2(f, g);
-    r = probe(k->ct, (f << 32) | g, out);
-    if (r < 0)
-        return -1;
-    if (r) {
+    if (probe(k->ct, (f << 32) | g, out)) {
         k->val[C_CT_LOOKUPS]++;
         k->val[C_CT_HITS]++;
         return 0;
@@ -611,7 +993,7 @@ typedef struct { edge_t x; long long lvl; Py_ssize_t i; int tag, q; } QFrame;
 
 static int
 exists_walk(Kernel *k, edge_t f, const long long *levels,
-            const long long *sids, Py_ssize_t n, PyObject *cache,
+            const long long *sids, Py_ssize_t n, Table *cache,
             edge_t *out)
 {
     STACK(QFrame, 64) tasks;
@@ -619,7 +1001,6 @@ exists_walk(Kernel *k, edge_t f, const long long *levels,
     long long steps = 0, lvl;
     edge_t e, key, lo, hi, res, lv;
     Py_ssize_t i;
-    int r;
 
     STACK_INIT(tasks);
     STACK_INIT(results);
@@ -645,10 +1026,7 @@ exists_walk(Kernel *k, edge_t f, const long long *levels,
                 continue;
             }
             key = (e << SUFFIX_BITS) | (edge_t)sids[i];
-            r = probe(cache, key, &res);
-            if (r < 0)
-                goto error;
-            if (r) {
+            if (probe(cache, key, &res)) {
                 RPUSH(res);
                 continue;
             }
@@ -740,7 +1118,7 @@ py_and(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 PyDoc_STRVAR(exists_doc,
 "exists(mgr, f, levels, sids, cache, ct_max)\n\n"
 "quantify._exists_iter's walk: *levels* is the sorted level tuple,\n"
-"*sids* the suffix ids of its tails and *cache* the exists memo dict.");
+"*sids* the suffix ids of its tails and *cache* the exists memo Table.");
 
 static PyObject *
 py_exists(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -756,8 +1134,8 @@ py_exists(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "exists takes 6 arguments");
         return NULL;
     }
-    if (!PyDict_CheckExact(args[4])) {
-        PyErr_SetString(PyExc_TypeError, "exists memo must be a dict");
+    if (Py_TYPE(args[4]) != &TableType) {
+        PyErr_SetString(PyExc_TypeError, "exists memo must be a Table");
         return NULL;
     }
     if (arg_edge(args[1], &f) < 0)
@@ -788,7 +1166,7 @@ py_exists(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (kernel_open(&k, args[0], ct_max) < 0)
         goto out;
-    if (exists_walk(&k, f, levels, sids, n, args[4], &res) == 0)
+    if (exists_walk(&k, f, levels, sids, n, (Table *)args[4], &res) == 0)
         result = PyLong_FromUnsignedLongLong(res);
     result = kernel_close(&k, result);
 out:
@@ -807,7 +1185,8 @@ static PyMethodDef kernel_methods[] = {
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "C inner loops of the BDD kernel (see repro.bdd.native).", -1,
+    "C inner loops and tables of the BDD kernel (see repro.bdd.native).",
+    -1,
     kernel_methods, NULL, NULL, NULL, NULL,
 };
 
@@ -824,6 +1203,7 @@ PyInit__kernel(void)
         {&s_growth_countdown, "_growth_countdown"},
         {&s_growth_interval, "_growth_interval"},
     };
+    PyObject *module;
     size_t i;
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if (*names[i].slot == NULL) {
@@ -832,5 +1212,16 @@ PyInit__kernel(void)
                 return NULL;
         }
     }
-    return PyModule_Create(&kernel_module);
+    if (PyType_Ready(&TableType) < 0)
+        return NULL;
+    module = PyModule_Create(&kernel_module);
+    if (module == NULL)
+        return NULL;
+    Py_INCREF(&TableType);
+    if (PyModule_AddObject(module, "Table", (PyObject *)&TableType) < 0) {
+        Py_DECREF(&TableType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

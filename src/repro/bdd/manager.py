@@ -17,25 +17,29 @@ Storage layout:
   ``(lo << 32) | hi`` — per-level tables make adjacent-level swaps
   (sifting) local operations;
 * one computed table per operator (AND / XOR / ITE), keyed on the
-  packed operand edges and capped in size.  Both the unique and the
-  computed stores ride on the interpreter's dict — itself an
-  open-addressing hash table with a C probe loop.  Hand-rolled probe
-  tables were implemented and measured first: a Fibonacci-mixed probe
-  loop ran ~3.5x slower than the dict and a BuDDy-style direct-mapped
-  lossy table still lost end-to-end (its bignum key mixing plus
-  overwrite-on-collision recomputation cost more than exact dict hits
-  saved); DESIGN.md records the numbers.  Invalidation (reorder/GC)
-  drops the per-operator dicts wholesale.
+  packed operand edges and capped in size.  Invalidation (reorder/GC)
+  drops them wholesale.
+
+The unique tables and the AND / XOR computed tables are
+:data:`repro.bdd.native.Table` objects: with the C extension loaded,
+exact insertion-ordered maps with inline ``uint64`` keys and values
+that the C walks probe without boxing a key, and plain dicts on the
+Python fallback.  Both iterate in the same order, so node indices and
+counters do not depend on which one a manager holds.  The ITE table
+stays a dict: its keys pack three edges, more than 64 bits.  When the
+tables were probed from Python bytecode, hand-rolled probe tables lost
+to the dict (DESIGN.md §8 records the numbers); probed from C, the
+inline table wins (DESIGN.md §8, "Native inner loops").
 
 The operator walks are explicit-stack iterative loops, so deep cones
 pay no python recursion overhead and cannot hit the recursion limit.
 The hottest of them, the miss path of :meth:`BDD.and_` (which OR, DIFF,
 IMPLIES, NAND and NOR reach through De Morgan), runs in C when
 :mod:`repro.bdd.native` could build its extension: the C loop works on
-these same lists and dicts and repeats the Python loop below step for
+these same lists and tables and repeats the Python loop below step for
 step, so node indices and counters do not depend on which one ran.  The
 Python loop stays as the fallback and as the differential tests'
-reference.
+reference; it runs on either kind of table.
 
 The manager offers:
 
@@ -85,13 +89,13 @@ class BDD:
         self._level = [TERMINAL_LEVEL]
         self._lo = [FALSE]
         self._hi = [FALSE]
-        # Unique table: one dict per level, keyed (lo << 32) | hi.
+        # Unique table: one native.Table per level, keyed (lo << 32) | hi.
         self._unique = []
-        # Computed tables: one exact dict per operator, keyed on the
-        # packed operand edges (see the module docstring for why these
-        # are dicts and not hand-rolled probe arrays).
-        self._ct_and = {}
-        self._ct_xor = {}
+        # Computed tables: one exact table per operator, keyed on the
+        # packed operand edges.  AND and XOR keys fit 64 bits, so they
+        # are native.Tables the C walks probe inline; ITE keys do not.
+        self._ct_and = native.Table()
+        self._ct_xor = native.Table()
         self._ct_ite = {}
         # Hit-rate / peak-size counters (see cache_stats()).
         self._ct_lookups = 0
@@ -144,7 +148,7 @@ class BDD:
         self._name_to_var[name] = var
         self._var_to_level.append(len(self._level_to_var))
         self._level_to_var.append(var)
-        self._unique.append({})
+        self._unique.append(native.Table())
         return var
 
     @property
@@ -1097,15 +1101,17 @@ class BDD:
         """Invalidate all computed tables (required after in-place
         reordering).
 
-        Drops the per-operator computed tables and every dict-based
-        cache: ``_cache_support`` (keyed on packed edges whose levels
-        go stale on reordering) and the dynamic caches attached lazily
-        by the quantification / cube-count / simplify modules (any
-        attribute named ``_cache_*``).
+        Drops the per-operator computed tables and every dict or
+        :data:`native.Table` cache: ``_cache_support`` (keyed on packed
+        edges whose levels go stale on reordering) and the dynamic
+        caches attached lazily by the quantification / cube-count /
+        simplify modules (any attribute named ``_cache_*``, the exists
+        memo included).
         """
         self._ct_and.clear()
         self._ct_xor.clear()
         self._ct_ite.clear()
+        tables = (dict, native.Table)
         for name, value in vars(self).items():
-            if name.startswith("_cache_") and isinstance(value, dict):
+            if name.startswith("_cache_") and isinstance(value, tables):
                 value.clear()

@@ -1,8 +1,11 @@
-"""Loader for the BDD kernel's C inner loops (``_kernel.c``).
+"""Loader for the BDD kernel's C inner loops and tables (``_kernel.c``).
 
 ``BDD.and_``'s miss path and ``quantify._exists_iter`` run in C when
 this module could build and load ``_kernel.c``; otherwise they run as
-Python loops, which produce the same edges, arena and counters.
+Python loops, which produce the same edges, arena and counters.  The
+manager's unique tables, its AND / XOR computed tables and the exists
+memo are then :data:`Table` objects, which the C walks probe without
+boxing a key; on the fallback they are dicts.
 
 The first import compiles ``_kernel.c`` with ``sysconfig``'s compiler
 (``$CC`` when set) against the running interpreter's headers and stores
@@ -154,6 +157,10 @@ def _load():
 KERNEL, REASON = _load()
 #: True when the C inner loops are in use.
 ACTIVE = KERNEL is not None
+#: Type of the kernel's int -> int tables: the extension's exact,
+#: insertion-ordered ``Table`` when ACTIVE (the C walks accept nothing
+#: else), else ``dict``.
+Table = KERNEL.Table if ACTIVE else dict
 
 
 def _python_loops(mgr):

@@ -27,9 +27,13 @@ The exists walk runs in C when :mod:`repro.bdd.native` could build its
 extension (the fused ``and_exists`` walk stays in Python); the Python
 loop in :func:`_exists_iter` is the fallback and the differential
 tests' reference, and both leave the same memo entries and counters.
+Its memo ``_cache_exists`` is a :data:`repro.bdd.native.Table` (int
+keys, edge values), which the C walk probes without boxing; the fused
+walk's memo keeps a dict, because its keys outgrow 64 bits.
 """
 
 from repro.bdd import manager as _manager
+from repro.bdd import native
 from repro.bdd.node import FALSE, TRUE
 from repro.bdd.types import Edge, SuffixId
 
@@ -55,10 +59,10 @@ def _levels_token(mgr, variables):
     return token
 
 
-def _cache(mgr, name):
+def _cache(mgr, name, factory=dict):
     cache = getattr(mgr, name, None)
     if cache is None:
-        cache = {}
+        cache = factory()
         setattr(mgr, name, cache)
     return cache
 
@@ -94,7 +98,8 @@ def exists(mgr, variables, f: Edge) -> Edge:
     if not levels:
         return f
     mgr._q_exists_calls += 1
-    return _exists_iter(mgr, f, levels, _cache(mgr, "_cache_exists"))
+    return _exists_iter(mgr, f, levels,
+                        _cache(mgr, "_cache_exists", native.Table))
 
 
 def _exists_iter(mgr, f: Edge, levels, cache) -> Edge:
@@ -165,7 +170,7 @@ def forall(mgr, variables, f: Edge) -> Edge:
         return f
     mgr._q_exists_calls += 1
     return _exists_iter(mgr, f ^ 1, levels,
-                        _cache(mgr, "_cache_exists")) ^ 1
+                        _cache(mgr, "_cache_exists", native.Table)) ^ 1
 
 
 def and_exists(mgr, variables, f: Edge, g: Edge) -> Edge:

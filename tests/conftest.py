@@ -15,11 +15,11 @@ def make_mgr(n, prefix="x"):
 
 def kernel_state(mgr):
     """Everything the BDD kernel's C and Python loops must leave
-    identical: arena, free list, unique / AND / exists tables in
+    identical: arena, free list, unique / AND / XOR / exists tables in
     insertion order, ``cache_stats()`` and the growth-hook countdown."""
     return (mgr._level, mgr._lo, mgr._hi, mgr._free,
             [list(table.items()) for table in mgr._unique],
-            list(mgr._ct_and.items()),
+            list(mgr._ct_and.items()), list(mgr._ct_xor.items()),
             list(getattr(mgr, "_cache_exists", {}).items()),
             mgr.cache_stats(), mgr._growth_countdown)
 

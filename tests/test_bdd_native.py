@@ -1,14 +1,19 @@
-"""The BDD kernel's C inner loops: budget trips and the loader.
+"""The BDD kernel's C inner loops: budget trips, tables and the loader.
 
 :mod:`repro.bdd.native` runs ``BDD.and_``'s miss path and the exists
-walk in C when it can build ``_kernel.c``.  These tests check the two
-places where the C loops could drift from the Python ones without the
-differential harness in ``test_bdd_complement.py`` noticing — a growth
-hook that raises in the middle of a walk, and the computed-table cap —
-and that the loader falls back to the Python loops, never to a
-traceback, whenever the extension cannot be built or loaded.
+walk in C, on ``native.Table`` unique / computed / exists tables, when
+it can build ``_kernel.c``.  These tests check the places where the C
+loops could drift from the Python ones without the differential
+harness in ``test_bdd_complement.py`` noticing — a growth hook that
+raises in the middle of a walk, and the computed-table cap — against
+two references: the Python loops on the same tables, and the real
+fallback, the Python loops on plain dicts.  They also check that
+reorder and GC drop the exists memo, and that the loader falls back to
+the Python loops, never to a traceback, whenever the extension cannot
+be built or loaded.
 """
 
+import contextlib
 import json
 import os
 import shlex
@@ -21,6 +26,7 @@ import pytest
 
 from repro.bdd import BDD, exists, forall, native
 from repro.bdd import manager as manager_module
+from repro.bdd.reorder import swap_levels
 
 from conftest import kernel_state
 
@@ -29,6 +35,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 NUM_VARS = 12
 HALF = NUM_VARS // 2
+OPS = ["and_", "or_", "exists", "forall"]
+#: The C loops, the Python loops on the same tables, and the real
+#: fallback: the Python loops on plain dicts.
+SETUPS = ["c", "python", "fallback"]
 
 
 class Trip(Exception):
@@ -61,6 +71,15 @@ def _operands(python_loops):
     return mgr, f, g
 
 
+@contextlib.contextmanager
+def _setup(name, monkeypatch):
+    """Apply setup *name*; yields whether the Python loops run."""
+    with monkeypatch.context() as patch:
+        if name == "fallback":
+            patch.setattr(native, "Table", dict)
+        yield name != "c"
+
+
 def _assert_unique_tables_consistent(mgr):
     free = set(mgr._free)
     indexed = set()
@@ -84,50 +103,125 @@ def _run(op, mgr, f, g):
     return forall(mgr, [1, 3, 6, 8], mgr.xor(f, g))
 
 
-@pytest.mark.parametrize("op", ["and_", "or_", "exists", "forall"])
+@pytest.mark.parametrize("op", OPS)
+def test_fallback_setup_matches(op, monkeypatch):
+    """The C loops on Tables leave what the Python loops leave, on the
+    same tables and on the plain dicts of the real fallback."""
+    states = []
+    for setup in SETUPS:
+        with _setup(setup, monkeypatch) as python_loops:
+            mgr, f, g = _operands(python_loops)
+            result = _run(op, mgr, f, g)
+            states.append((result, kernel_state(mgr)))
+            if setup == "fallback":
+                assert type(mgr._ct_and) is type(mgr._ct_xor) is dict
+                assert all(type(t) is dict for t in mgr._unique)
+                if op in ("exists", "forall"):
+                    assert type(mgr._cache_exists) is dict
+    assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("op", OPS)
 @pytest.mark.parametrize("trip_at", [1, 3, 11, 24])
-def test_budget_trip_leaves_identical_managers(op, trip_at):
-    """A hook raising on the N-th fresh node inside the walk leaves the
-    C and the Python loops with the same exception, arena, counters and
-    ``_peak_live``, and a following ``collect()`` with consistent
-    unique tables."""
+def test_budget_trip_leaves_identical_managers(op, trip_at, monkeypatch):
+    """A hook raising on the N-th fresh node inside the walk leaves every
+    setup with the same exception, arena, counters and ``_peak_live``,
+    and a following ``collect()`` with consistent unique tables."""
     outcomes = []
-    for python_loops in (False, True):
-        mgr, f, g = _operands(python_loops)
-        if op in ("exists", "forall"):
-            mgr.xor(f, g)           # build the operand before the hook
-        mgr.set_growth_hook(_tripping_hook(trip_at), interval=1)
-        with pytest.raises(Trip) as info:
-            _run(op, mgr, f, g)
-        tripped = (str(info.value), mgr._peak_live, kernel_state(mgr))
-        mgr.set_growth_hook(None)
-        mgr.ref(f)
-        mgr.ref(g)
-        mgr.collect()
-        _assert_unique_tables_consistent(mgr)
-        outcomes.append((tripped, kernel_state(mgr)))
-    assert outcomes[0] == outcomes[1]
+    for setup in SETUPS:
+        with _setup(setup, monkeypatch) as python_loops:
+            mgr, f, g = _operands(python_loops)
+            if op in ("exists", "forall"):
+                mgr.xor(f, g)           # build the operand before the hook
+            mgr.set_growth_hook(_tripping_hook(trip_at), interval=1)
+            with pytest.raises(Trip) as info:
+                _run(op, mgr, f, g)
+            tripped = (str(info.value), mgr._peak_live, kernel_state(mgr))
+            mgr.set_growth_hook(None)
+            mgr.ref(f)
+            mgr.ref(g)
+            mgr.collect()
+            _assert_unique_tables_consistent(mgr)
+            outcomes.append((tripped, kernel_state(mgr)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-@pytest.mark.parametrize("op", ["and_", "or_", "exists", "forall"])
+@pytest.mark.parametrize("op", OPS)
 def test_computed_table_cap_matches(op, monkeypatch):
-    """A tiny ``_CT_MAX`` makes both loops drop ``_ct_and`` at the same
+    """A tiny ``_CT_MAX`` makes every setup drop ``_ct_and`` at the same
     points."""
     monkeypatch.setattr(manager_module, "_CT_MAX", 16)
     states = []
-    for python_loops in (False, True):
-        mgr, f, g = _operands(python_loops)
-        result = _run(op, mgr, f, g)
-        states.append((result, kernel_state(mgr)))
-    assert states[0] == states[1]
+    for setup in SETUPS:
+        with _setup(setup, monkeypatch) as python_loops:
+            mgr, f, g = _operands(python_loops)
+            result = _run(op, mgr, f, g)
+            states.append((result, kernel_state(mgr)))
+    assert states[0] == states[1] == states[2]
 
 
-def test_bad_edge_raises_like_python():
-    """An edge past the arena raises IndexError on both paths."""
-    for python_loops in (False, True):
-        mgr, f, _g = _operands(python_loops)
-        with pytest.raises(IndexError):
-            mgr.and_(f, (len(mgr._level) + 5) << 1)
+def test_bad_edge_raises_like_python(monkeypatch):
+    """An edge past the arena raises IndexError on every setup."""
+    for setup in SETUPS:
+        with _setup(setup, monkeypatch) as python_loops:
+            mgr, f, _g = _operands(python_loops)
+            with pytest.raises(IndexError):
+                mgr.and_(f, (len(mgr._level) + 5) << 1)
+
+
+@pytest.mark.skipif(not native.ACTIVE, reason="needs the C extension")
+def test_c_walks_accept_only_tables():
+    """The C walks have no dict path: a dict where a Table belongs
+    raises TypeError."""
+    mgr, f, g = _operands(False)
+    mgr._ct_and = {}
+    with pytest.raises(TypeError):
+        mgr.and_(f, g)
+    mgr, f, g = _operands(False)
+    mgr._unique = [{} for _table in mgr._unique]
+    with pytest.raises(TypeError):
+        mgr.and_(f, g)
+    mgr, f, g = _operands(False)
+    mgr._cache_exists = {}
+    with pytest.raises(TypeError):
+        exists(mgr, [0, 2], f)
+
+
+def _truth(mgr, edge):
+    return [mgr.eval(edge, {v: (row >> v) & 1 for v in range(NUM_VARS)})
+            for row in range(1 << NUM_VARS)]
+
+
+def _quantified_truth(truth, variables, combine):
+    """Truth table of *truth* with *variables* quantified by *combine*."""
+    mask = sum(1 << v for v in variables)
+    subs = [sub for sub in range(mask + 1) if sub & ~mask == 0]
+    return [combine(truth[(row & ~mask) | sub] for sub in subs)
+            for row in range(len(truth))]
+
+
+@pytest.mark.parametrize("invalidate", ["swap_levels", "collect"])
+def test_reorder_and_gc_drop_the_exists_memo(invalidate):
+    """``clear_caches()`` empties the exists memo whatever its type: a
+    memo kept across reorder or GC keys on stale levels and nodes."""
+    mgr, f, g = _operands(False)
+    h = mgr.xor(f, g)
+    variables = [0, 2, 7, 9]
+    exists(mgr, variables, h)
+    forall(mgr, variables, h)
+    assert len(mgr._cache_exists) > 0
+    if invalidate == "swap_levels":
+        for level in (1, 6, 8):
+            swap_levels(mgr, level)
+    else:
+        mgr.ref(h)
+        mgr.collect()
+    assert len(mgr._cache_exists) == 0
+    truth = _truth(mgr, h)
+    assert _truth(mgr, exists(mgr, variables, h)) \
+        == _quantified_truth(truth, variables, any)
+    assert _truth(mgr, forall(mgr, variables, h)) \
+        == _quantified_truth(truth, variables, all)
 
 
 def test_managers_use_the_loaded_kernel():
