@@ -1,0 +1,153 @@
+"""The paper's shape claims, asserted on the experiment harness's rows.
+
+``python -m repro.harness all`` prints the tables of EXPERIMENTS.md.
+This module calls the same ``run_*`` functions once each (every
+netlist is BDD-verified against its specification on the way) and
+asserts the qualitative findings the paper draws from them: who wins,
+where the EXOR gates appear, which theorems hold.  It times nothing;
+wall-clock measurements belong to ``perfbench/``.
+
+Run:  PYTHONPATH=src python -m pytest benchmarks/ -q
+"""
+
+import pytest
+
+from repro import harness
+from repro.bench import TABLE2, TABLE3
+
+#: EXOR-intensive benchmarks: the paper's headline wins concentrate here.
+EXOR_INTENSIVE = ("9sym", "16sym8")
+
+#: Structured control PLAs, where BI-DECOMP also wins area ("in almost
+#: all cases BI-DECOMP outperforms SIS").
+CONTROL_PLAS = ("misex1", "vg2", "duke2", "pdc", "spla", "cps")
+
+#: Table 3 rows where strong decomposition has structure to exploit.
+#: 9sym/16sym8 are left out on purpose: totally symmetric functions have
+#: tiny BDDs, so mux-style cuts are competitive there (the paper's own
+#: Table 3 credits BDS with 42 gates on 9sym).
+STRONG_BEATS_BDS = ("t481", "rd84", "5xp1", "alu2")
+
+THEOREM5 = ("rd53", "rd73", "rd84", "9sym", "t481", "misex1", "5xp1")
+CACHE_ABLATION = ("9sym", "rd84", "5xp1", "alu2", "misex1", "duke2")
+
+
+def by_name(rows):
+    return {row["name"]: row for row in rows}
+
+
+@pytest.fixture(scope="module")
+def table2():
+    return by_name(harness.run_table2(TABLE2))
+
+
+@pytest.fixture(scope="module")
+def table3():
+    return by_name(harness.run_table3(TABLE3))
+
+
+@pytest.fixture(scope="module")
+def testability():
+    return by_name(harness.run_testability(THEOREM5))
+
+
+@pytest.fixture(scope="module")
+def cache_ablation():
+    return by_name(harness.run_cache_ablation(CACHE_ABLATION))
+
+
+@pytest.fixture(scope="module")
+def strong_weak():
+    return by_name(harness.run_strong_weak_ablation())
+
+
+@pytest.fixture(scope="module")
+def tuning():
+    return by_name(harness.run_tuning_ablation())
+
+
+# -- Table 2: BI-DECOMP vs SIS ----------------------------------------
+@pytest.mark.parametrize("name", TABLE2)
+def test_table2_row(table2, name):
+    row = table2[name]
+    assert row["sis"]["exors"] == 0, "the SIS-like flow must not emit EXORs"
+    assert row["bidecomp"]["gates"] > 0
+    # The paper: a weak step always exists, so Shannon never fires.
+    assert row["decomp_stats"]["shannon"] == 0
+
+
+@pytest.mark.parametrize("name", EXOR_INTENSIVE)
+def test_table2_exors_on_exor_intensive(table2, name):
+    assert table2[name]["bidecomp"]["exors"] > 0
+
+
+@pytest.mark.parametrize("name", EXOR_INTENSIVE + CONTROL_PLAS)
+def test_table2_bidecomp_beats_sis(table2, name):
+    # Delay is not asserted: the SIS-like mapper builds perfectly
+    # balanced trees, an idealised SIS (see EXPERIMENTS.md).
+    sis, bidecomp = table2[name]["sis"], table2[name]["bidecomp"]
+    assert bidecomp["area"] < sis["area"]
+    assert bidecomp["gates"] < sis["gates"]
+
+
+# -- Table 3: BI-DECOMP vs BDS ----------------------------------------
+@pytest.mark.parametrize("name", TABLE3)
+def test_table3_row(table3, name):
+    assert table3[name]["bds"]["gates"] > 0
+    assert table3[name]["bidecomp"]["gates"] > 0
+
+
+@pytest.mark.parametrize("name", STRONG_BEATS_BDS)
+def test_table3_strong_beats_weak_cuts(table3, name):
+    assert table3[name]["bidecomp"]["gates"] <= table3[name]["bds"]["gates"]
+
+
+# -- Theorem 5: 100 % single-stuck-at testability ---------------------
+@pytest.mark.parametrize("name", THEOREM5)
+def test_theorem5_full_testability(testability, name):
+    row = testability[name]
+    assert row["fully_testable"], row
+    assert row["coverage"] == 1.0
+
+
+# -- Section 6: component reuse ---------------------------------------
+@pytest.mark.parametrize("name", CACHE_ABLATION)
+def test_cache_reuses_and_never_raises_gates(cache_ablation, name):
+    row = cache_ablation[name]
+    assert row["reuse_rate"] > 0
+    assert row["with"]["gates"] <= row["without"]["gates"]
+
+
+# -- Section 8: strong vs weak-only vs no-EXOR ------------------------
+@pytest.mark.parametrize("name", ("9sym", "rd84", "t481", "5xp1", "alu2"))
+def test_weak_only_and_no_exor(strong_weak, name):
+    row = strong_weak[name]
+    assert row["weak_only_strong_steps"] == 0
+    assert row["no_exor"]["exors"] == 0
+    # Weak-only is what BDS effectively does; it loses everywhere.
+    assert row["full"]["area"] <= row["weak_only"]["area"]
+
+
+@pytest.mark.parametrize("name", ("9sym", "t481"))
+def test_exor_gates_pay_for_themselves(strong_weak, name):
+    # EXOR costs 5 area units against 2, and still wins overall.
+    row = strong_weak[name]
+    assert row["full"]["area"] <= row["no_exor"]["area"]
+
+
+# -- Sections 5 and 7: tuning knobs -----------------------------------
+@pytest.mark.parametrize("name", ("9sym", "rd84", "misex1", "alu2"))
+def test_grouping_refinement_moves_area_little(tuning, name):
+    # Section 5: "<3 %" in the paper; within 10 % on our stand-ins.
+    base = tuning[name]["base"]["area"]
+    refined = tuning[name]["refined_grouping"]["area"]
+    assert abs(refined - base) <= 0.10 * base + 10
+
+
+@pytest.mark.parametrize("name", ("9sym", "rd84", "misex1", "alu2"))
+def test_single_variable_weak_xa_is_best(tuning, name):
+    # Section 7: wider weak XA sets improve neither area nor delay.
+    base = tuning[name]["base"]
+    for column in ("weak_xa2", "weak_xa3"):
+        assert tuning[name][column]["area"] >= base["area"]
+        assert tuning[name][column]["delay"] >= base["delay"]

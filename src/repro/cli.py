@@ -745,6 +745,14 @@ def main(argv=None, stdout=None):
         # Config validation (e.g. --time-limit 0) and spec errors.
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except OSError as exc:
+        # Missing, unreadable or directory input (and unwritable output).
+        if exc.filename is None:
+            sys.stderr.write("error: %s\n" % exc)
+        else:
+            sys.stderr.write("error: %s: %s\n"
+                             % (exc.filename, exc.strerror))
+        return 2
 
 
 if __name__ == "__main__":

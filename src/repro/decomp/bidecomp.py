@@ -85,6 +85,9 @@ class DecompositionConfig:
         self.use_inessential = use_inessential
         self.gate_preference = tuple(gate_preference)
         self.exhaustive_grouping = exhaustive_grouping
+        if weak_xa_size < 1:
+            raise ValueError("weak_xa_size must be >= 1, got %r"
+                             % (weak_xa_size,))
         self.weak_xa_size = weak_xa_size
         if objective not in ("area", "delay"):
             raise ValueError("objective must be 'area' or 'delay'")

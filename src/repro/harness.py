@@ -8,10 +8,13 @@ Usage (CLI)::
     python -m repro.harness testability        # Theorem 5 check
     python -m repro.harness ablation-cache     # Section 6 reuse claim
     python -m repro.harness ablation-strong    # strong-vs-weak claim
+    python -m repro.harness ablation-tuning    # Section 5/7 tuning knobs
+    python -m repro.harness atpg               # integrated ATPG
     python -m repro.harness all
 
-Each ``run_*`` function returns plain row dicts so the pytest
-benchmarks reuse the same code paths.
+This is the one runner for the paper's experiments: EXPERIMENTS.md is
+its output, and ``benchmarks/test_paper_claims.py`` asserts the paper's
+shape claims on the plain row dicts each ``run_*`` function returns.
 """
 
 import argparse
@@ -172,6 +175,7 @@ def run_strong_weak_ablation(names=("9sym", "rd84", "t481", "5xp1",
             "full": _stats_row(full.netlist_stats(), full.elapsed),
             "weak_only": _stats_row(weak.netlist_stats(), weak.elapsed),
             "no_exor": _stats_row(noex.netlist_stats(), noex.elapsed),
+            "weak_only_strong_steps": weak.stats.strong_steps(),
         })
     return rows
 
@@ -183,16 +187,18 @@ def run_tuning_ablation(names=("9sym", "rd84", "misex1", "alu2")):
         base = _synthesize(name).result
         refined = _synthesize(
             name, config=DecompositionConfig(exhaustive_grouping=True)).result
-        wide_weak = _synthesize(
-            name, config=DecompositionConfig(weak_xa_size=3)).result
-        rows.append({
+        row = {
             "name": name,
             "base": _stats_row(base.netlist_stats(), base.elapsed),
             "refined_grouping": _stats_row(refined.netlist_stats(),
                                            refined.elapsed),
-            "weak_xa3": _stats_row(wide_weak.netlist_stats(),
-                                   wide_weak.elapsed),
-        })
+        }
+        for size in (2, 3):
+            wide_weak = _synthesize(
+                name, config=DecompositionConfig(weak_xa_size=size)).result
+            row["weak_xa%d" % size] = _stats_row(wide_weak.netlist_stats(),
+                                                 wide_weak.elapsed)
+        rows.append(row)
     return rows
 
 
@@ -328,7 +334,7 @@ def main(argv=None):
     if args.experiment in ("ablation-tuning", "all"):
         print("== Ablation: Section 5/7 tuning knobs ==")
         print_generic(run_tuning_ablation(),
-                      ("base", "refined_grouping", "weak_xa3"))
+                      ("base", "refined_grouping", "weak_xa2", "weak_xa3"))
     if args.experiment in ("atpg", "all"):
         print("== Integrated ATPG (future-work claim) ==")
         print_generic(run_integrated_atpg(),

@@ -181,6 +181,40 @@ class TestSweepStore:
         assert doc["config"]["sweep_store"] is True
 
 
+class TestBadInputExitCode:
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "{missing}"],
+        ["decompose", "{missing}", "{pla}", "--output-dir", "{out}"],
+        ["decompose", "{dir}"],
+        ["stats", "{missing}"],
+        ["verify", "{pla}", "{missing}"],
+        ["lint", "{missing}"],
+        ["testability", "{missing}"],
+        ["map", "{missing}"],
+        ["fsm", "{missing}"],
+        ["baseline", "{missing}"],
+    ], ids=["decompose", "decompose-batch", "decompose-dir", "stats",
+            "verify", "lint", "testability", "map", "fsm", "baseline"])
+    def test_unreadable_input_is_one_error_line(self, argv, pla_path,
+                                                tmp_path, capsys):
+        paths = {"missing": str(tmp_path / "missing.pla"),
+                 "dir": str(tmp_path / "adir"), "pla": pla_path,
+                 "out": str(tmp_path / "out")}
+        os.mkdir(paths["dir"])
+        bad = paths["dir"] if "{dir}" in argv else paths["missing"]
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv, stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % bad), err
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("size", ("0", "-3"))
+    def test_weak_xa_size_below_one_rejected(self, pla_path, size, capsys):
+        argv = ["decompose", pla_path, "--weak-xa-size", size]
+        assert main(argv, stdout=io.StringIO()) == 2
+        assert "weak_xa_size" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_detects_wrong_netlist(self, pla_path, tmp_path):
         bad = tmp_path / "bad.blif"
