@@ -132,8 +132,8 @@ def _add_resource_flags(parser):
     parser.add_argument("--budget-scope", choices=("run", "batch"),
                         default="run",
                         help="what --time-limit spans: each input run "
-                             "(default) or the whole batch (per worker "
-                             "partition when --jobs > 1)")
+                             "(default) or the whole batch (one sweep-wide "
+                             "clock shared by every --jobs worker)")
     parser.add_argument("--max-nodes", type=int, default=None,
                         metavar="N",
                         help="live BDD node budget; exceeded -> exit 3")
@@ -147,7 +147,9 @@ def _add_resource_flags(parser):
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist the Theorem 6 component cache under "
                              "DIR (one versioned JSON store per input "
-                             "stem); later runs warm-start from it")
+                             "stem; a batch of several inputs shares "
+                             "batch.cache.json); later runs warm-start "
+                             "from it")
     parser.add_argument("--cache-readonly", action="store_true",
                         help="load the component-cache store but never "
                              "write it back")
@@ -168,7 +170,7 @@ def _emit_stats_json(args, session, run, stdout, extra=None):
     doc = run.stats_json(config=session.config)
     if run.netlist is not None:
         from repro.analysis import lint_netlist
-        report = lint_netlist(run.netlist, specs=run.spec_items())
+        report = lint_netlist(run.netlist, specs=run.specs)
         doc["lint"] = report.summary()
     if extra:
         doc.update(extra)
@@ -535,7 +537,7 @@ def cmd_testability(args, stdout):
     if run is None:
         return 3
     report = analyze_testability(run.netlist, run.mgr,
-                                 care_sets(run.spec_items()))
+                                 care_sets(run.specs))
     stdout.write("faults=%d testable=%d coverage=%.1f%%\n"
                  % (report.total, report.testable,
                     100.0 * report.coverage))

@@ -130,7 +130,8 @@ class DecompositionStats:
     @classmethod
     def from_dict(cls, data):
         """Rebuild counters from an :meth:`as_dict` dump (or a delta of
-        two dumps — how a shared batch session reports per-run stats)."""
+        two dumps — how ``Session.decompose_specs`` reports per-call
+        stats)."""
         stats = cls()
         stats.calls = data.get("calls", 0)
         stats.cache_hits = data.get("cache_hits", 0)

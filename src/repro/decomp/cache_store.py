@@ -422,8 +422,7 @@ class PersistentComponentCache(ComponentCache):
     def bind(self, mgr, netlist, var_nodes):
         """Attach the manager/netlist rehydrated hits emit into.
 
-        *var_nodes* is held by reference (the engine extends it when a
-        batch input adds manager variables).
+        *var_nodes* maps manager variable index to netlist input node.
         """
         self._mgr = mgr
         self._netlist = netlist

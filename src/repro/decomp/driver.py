@@ -5,11 +5,11 @@ does: one shared netlist, one shared component cache across all outputs
 ("the decomposed blocks are shared between outputs and internal
 subfunctions"), timing, and verification hooks.
 
-Since the session/pipeline refactor the real work lives in
-:meth:`repro.pipeline.Session.decompose_specs`; :func:`bi_decompose`
-validates the specification and runs it inside an ephemeral session, so
-every decomposition — hand-called or pipelined — flows through the same
-instrumented context (events, recursion guard, resource budgets).
+The real work lives in :meth:`repro.pipeline.Session.decompose_specs`;
+:func:`bi_decompose` validates the specification and runs it inside a
+fresh session, so every decomposition — hand-called or pipelined —
+flows through the same instrumented context (events, recursion guard,
+resource budgets).
 """
 
 from repro.boolfn.isf import ISF
@@ -28,19 +28,15 @@ class DecompositionResult:
         ``{output_name: Function}`` — the completely specified function
         implemented for each output (compatible with its ISF).
     stats:
-        :class:`DecompositionStats` counters for this call (a batch
-        session reports per-run deltas of its shared engine).
+        :class:`DecompositionStats` counters for this call.
     cache_stats:
         Component-cache counters (Theorem 6 reuse).
     elapsed:
         Wall-clock seconds spent decomposing.
-    output_names:
-        ``{spec_name: netlist_output_name}`` — identical unless a batch
-        session had to uniquify colliding output names.
     """
 
     def __init__(self, netlist, functions, stats, cache_stats, elapsed,
-                 provenance=None, output_names=None):
+                 provenance=None):
         self.netlist = netlist
         self.functions = functions
         self.stats = stats
@@ -49,15 +45,10 @@ class DecompositionResult:
         #: Per-node ISF provenance recorded by the engine; feeds the
         #: decomposition-integrated ATPG.
         self.provenance = provenance or {}
-        self.output_names = output_names or {name: name
-                                             for name in functions}
 
     def netlist_stats(self):
         """Cost metrics of the produced netlist (Table 2 columns)."""
-        outputs = list(self.output_names.values()) or None
-        if outputs is not None and len(outputs) == len(self.netlist.outputs):
-            outputs = None
-        return compute_stats(self.netlist, outputs=outputs)
+        return compute_stats(self.netlist)
 
     def __repr__(self):
         return ("DecompositionResult(outputs=%d, %r, elapsed=%.3fs)"
@@ -94,8 +85,7 @@ def validate_specs(specs):
     return mgr, specs
 
 
-def bi_decompose(specs, config=None, verify=False, session=None,
-                 check=False):
+def bi_decompose(specs, config=None, verify=False, check=False):
     """Decompose a multi-output specification into one netlist.
 
     Parameters
@@ -105,37 +95,28 @@ def bi_decompose(specs, config=None, verify=False, session=None,
         :class:`~repro.bdd.Function`, treated as completely specified).
         All specifications must share one BDD manager.
     config:
-        Optional :class:`DecompositionConfig` (ignored when *session*
-        is given — the session's config wins).
+        Optional :class:`DecompositionConfig`.
     verify:
         When True, run the BDD-based verifier on the result before
         returning (raises on any violation).
-    session:
-        Optional :class:`repro.pipeline.Session` to decompose in;
-        batch callers share one session so components are reused across
-        calls.  When omitted an ephemeral session is created.
     check:
-        When True (and *session* is omitted), run under the
+        When True, run under the
         theorem-contract sanitizer: every Theorem 1/2/3/4/6 certificate
         is re-verified at each recursion step, raising
         :class:`repro.analysis.ContractViolation` on the first break.
 
     Returns a :class:`DecompositionResult`.
     """
+    # Imported here: repro.pipeline depends on repro.decomp.
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.session import Session
     mgr, specs = validate_specs(specs)
-    if session is None:
-        # Imported here: repro.pipeline depends on repro.decomp.
-        from repro.pipeline.config import PipelineConfig
-        from repro.pipeline.session import Session
-        pipeline_config = PipelineConfig.coerce(config)
-        if check:
-            pipeline_config.check_contracts = True
-        session = Session(config=pipeline_config, mgr=mgr)
-    result, _name_map = session.decompose_specs(specs)
+    pipeline_config = PipelineConfig.coerce(config)
+    if check:
+        pipeline_config.check_contracts = True
+    result = Session(config=pipeline_config, mgr=mgr).decompose_specs(specs)
     if verify:
-        verify_against_isfs(result.netlist,
-                            {result.output_names[name]: isf
-                             for name, isf in specs.items()})
+        verify_against_isfs(result.netlist, specs)
     return result
 
 

@@ -19,8 +19,8 @@ certifier can rebuild functions in one forward pass.
 Cache hits are recorded as self-contained ``thm6-reuse`` leaves: the
 reused component's full cover is embedded (post-complement, when the
 hit was a complemented one), so a certificate never references steps
-outside its own run even when a serial batch session reuses blocks
-across inputs.
+outside its own run, even when the hit was rehydrated from a store
+another input filled.
 """
 
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
@@ -143,20 +143,18 @@ class CertificateTracer:
         frame["gate"] = "LEAF"
 
     # -- document assembly --------------------------------------------
-    def document(self, outputs, label=None, model=None):
-        """Assemble a certificate for the steps reachable from *outputs*.
+    def document(self, roots, label=None, model=None):
+        """Assemble a certificate for the steps reachable from *roots*.
 
         Parameters
         ----------
-        outputs:
-            ``{spec_name: (root_step_id, netlist_output_name)}`` — the
-            proof roots one pipeline run registered.
+        roots:
+            ``{output_name: root_step_id}`` — the proof roots one
+            pipeline run registered.
 
-        Steps are renumbered densely (a shared serial session's tracer
-        holds steps from every run; each certificate carries only its
-        own) while preserving the children-before-parent order, and the
-        ``inputs`` list is the sorted set of variable names the
-        reachable steps mention.
+        Reachable steps are renumbered densely in children-before-parent
+        order; ``inputs`` is the sorted set of variable names they
+        mention.
         """
         order = []
         seen = set()
@@ -169,8 +167,8 @@ class CertificateTracer:
                 visit(child)
             order.append(step_id)
 
-        for name in sorted(outputs):
-            visit(outputs[name][0])
+        for name in sorted(roots):
+            visit(roots[name])
         remap = {old: new for new, old in enumerate(order)}
         steps = []
         used_names = set()
@@ -190,8 +188,8 @@ class CertificateTracer:
             "format": CERT_FORMAT,
             "version": CERT_VERSION,
             "inputs": sorted(used_names),
-            "outputs": {name: {"step": remap[step_id], "output": out_name}
-                        for name, (step_id, out_name) in outputs.items()},
+            "outputs": {name: {"step": remap[step_id], "output": name}
+                        for name, step_id in roots.items()},
             "steps": steps,
         }
         if label is not None:

@@ -31,34 +31,18 @@ _COVERS = {
 }
 
 
-def write_blif(netlist, model="repro", path=None, outputs=None):
+def write_blif(netlist, model="repro", path=None):
     """Serialise *netlist* as BLIF text (optionally also to *path*).
 
-    *outputs* optionally restricts the file to a subset of declared
-    output names: only their fan-in cones (and the inputs those cones
-    use) are emitted.  A batch pipeline uses this to carve one input
-    file's outputs out of the session's shared netlist.
+    Every primary input is declared; only gates in some output's fan-in
+    cone are emitted.
     """
     names = _signal_names(netlist)
-    if outputs is None:
-        declared = list(netlist.outputs)
-        input_nodes = list(netlist.inputs)
-    else:
-        wanted = set(outputs)
-        declared = [(name, node) for name, node in netlist.outputs
-                    if name in wanted]
-        missing = wanted - {name for name, _node in declared}
-        if missing:
-            raise BLIFError("unknown output names: %s"
-                            % ", ".join(sorted(missing)))
-        cone = netlist.reachable_from_outputs(outputs=outputs)
-        input_nodes = [node for node in netlist.inputs if node in cone]
     lines = [".model %s" % model,
              ".inputs %s" % " ".join(netlist.names[n]
-                                     for n in input_nodes),
-             ".outputs %s" % " ".join(name for name, _n in declared)]
-    live = netlist.reachable_from_outputs(
-        outputs=None if outputs is None else list(outputs))
+                                     for n in netlist.inputs),
+             ".outputs %s" % " ".join(name for name, _n in netlist.outputs)]
+    live = netlist.reachable_from_outputs()
     for node in netlist.topological(live):
         gate_type = netlist.types[node]
         if gate_type == G.INPUT:
@@ -72,7 +56,7 @@ def write_blif(netlist, model="repro", path=None, outputs=None):
         else:
             lines.extend(_COVERS[gate_type])
     # Output aliases: tie each declared output name to its driver.
-    for out_name, node in declared:
+    for out_name, node in netlist.outputs:
         if names[node] != out_name:
             lines.append(".names %s %s" % (names[node], out_name))
             lines.append("1 1")

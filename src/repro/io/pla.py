@@ -34,10 +34,10 @@ class PLAData:
                  output_names=None, pla_type="fd", cubes=()):
         self.num_inputs = num_inputs
         self.num_outputs = num_outputs
-        self.input_names = list(input_names) if input_names else \
-            ["x%d" % i for i in range(num_inputs)]
-        self.output_names = list(output_names) if output_names else \
-            ["y%d" % i for i in range(num_outputs)]
+        self.input_names = _plane_names(".ilb", input_names, num_inputs,
+                                        "x")
+        self.output_names = _plane_names(".ob", output_names, num_outputs,
+                                         "y")
         if pla_type not in ("f", "fd", "fr"):
             raise PLAError("unsupported PLA type %r" % pla_type)
         self.pla_type = pla_type
@@ -154,10 +154,13 @@ def parse_pla(text):
         if line.startswith("."):
             parts = line.split()
             keyword = parts[0]
+            if keyword in (".i", ".o", ".type") and len(parts) != 2:
+                raise PLAError("%s takes one argument, got %r"
+                               % (keyword, line))
             if keyword == ".i":
-                num_inputs = int(parts[1])
+                num_inputs = _count_argument(parts)
             elif keyword == ".o":
-                num_outputs = int(parts[1])
+                num_outputs = _count_argument(parts)
             elif keyword == ".ilb":
                 input_names = parts[1:]
             elif keyword == ".ob":
@@ -183,6 +186,33 @@ def parse_pla(text):
     for input_plane, output_plane in rows:
         data.add_cube(input_plane, output_plane)
     return data
+
+
+def _count_argument(parts):
+    """The non-negative integer argument of a ``.i``/``.o`` line."""
+    if parts[1].isascii() and parts[1].isdigit():
+        return int(parts[1])
+    raise PLAError("%s takes a non-negative integer, got %r"
+                   % tuple(parts))
+
+
+def _plane_names(keyword, names, count, prefix):
+    """Validated ``.ilb``/``.ob`` names, or *prefix*-numbered defaults.
+
+    A name list must match its plane's width and must not repeat a
+    name: either would silently drop or corrupt a column.
+    """
+    if names is None:
+        return ["%s%d" % (prefix, i) for i in range(count)]
+    names = list(names)
+    if len(names) != count:
+        raise PLAError("%s declares %d name(s) for %d %s"
+                       % (keyword, len(names), count,
+                          "inputs" if keyword == ".ilb" else "outputs"))
+    if len(set(names)) != count:
+        repeated = next(n for i, n in enumerate(names) if n in names[:i])
+        raise PLAError("%s repeats the name %r" % (keyword, repeated))
+    return names
 
 
 def read_pla(path):

@@ -237,7 +237,7 @@ class Netlist:
         """Set of node ids in some output's transitive fan-in cone.
 
         *outputs* optionally restricts the roots to a subset of output
-        names (a batch pipeline's per-run view of a shared netlist).
+        names (the netlist lint walks one output's cone at a time).
         """
         seen = set()
         if outputs is None:

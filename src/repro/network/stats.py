@@ -46,18 +46,13 @@ class NetlistStats:
                    self.cascades, self.delay))
 
 
-def compute_stats(netlist, outputs=None, events=None):
+def compute_stats(netlist, events=None):
     """Compute :class:`NetlistStats` over the output cones of *netlist*.
 
-    *outputs* optionally restricts the computation to a subset of
-    output names (per-run stats over a batch session's shared netlist).
     *events* optionally takes a :class:`repro.pipeline.EventBus`; the
     computed costs are published as a ``netlist_stats`` event.
     """
-    live = netlist.reachable_from_outputs(outputs=outputs)
-    selected = (netlist.outputs if outputs is None else
-                [(n, node) for n, node in netlist.outputs
-                 if n in set(outputs)])
+    live = netlist.reachable_from_outputs()
     gates = 0
     exors = 0
     inverters = 0
@@ -85,12 +80,13 @@ def compute_stats(netlist, outputs=None, events=None):
         max_level = max(max_level, levels[node])
         max_delay = max(max_delay, arrival[node])
     # Only levels/delays observable at the outputs matter.
-    out_level = max((levels[node] for _n, node in selected), default=0)
-    out_delay = max((arrival[node] for _n, node in selected),
+    out_level = max((levels[node] for _n, node in netlist.outputs),
+                    default=0)
+    out_delay = max((arrival[node] for _n, node in netlist.outputs),
                     default=0.0)
     stats = NetlistStats(gates=gates, exors=exors, inverters=inverters,
                          area=area, cascades=out_level, delay=out_delay)
     if events is not None:
-        events.publish("netlist_stats", outputs=len(selected),
+        events.publish("netlist_stats", outputs=len(netlist.outputs),
                        **stats.as_dict())
     return stats

@@ -3,11 +3,11 @@ BLIF out.
 
 Public surface:
 
-* :class:`Session` — owns the BDD manager, config, event bus, shared
-  netlist + component cache, and enforces resource budgets;
+* :class:`Session` — serves one input: owns the BDD manager, config,
+  event bus, netlist + component cache, and enforces resource budgets;
 * :class:`Pipeline` / :class:`PipelineInput` / :class:`PipelineRun` —
   the named-stage pipeline (parse -> build_isfs -> preprocess ->
-  decompose -> verify -> map -> emit) with batch execution;
+  decompose -> verify -> map -> emit) for one input;
 * :class:`PipelineConfig` — validated run-level configuration;
 * :func:`run_batch_parallel` / :class:`ParallelBatchResult` /
   :class:`ParallelPipelineRun` — the multi-process batch executor

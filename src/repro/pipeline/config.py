@@ -55,24 +55,21 @@ class PipelineConfig:
         Wall-clock budget in seconds, or None.
         Exceeding it raises :class:`~repro.pipeline.PipelineTimeout`.
     budget_scope:
-        What ``time_limit`` spans.  ``"run"`` (the default, and the
-        historical behaviour) restarts the clock for every pipeline
-        run, so a batch of N inputs may spend up to N x ``time_limit``.
-        ``"batch"`` starts the clock once and lets it span every
-        subsequent run of the session — the whole batch shares one
-        budget.  In the parallel executor (``jobs > 1``) the parent
-        arms a *single* sweep-wide :class:`~repro.pipeline.limits.Deadline`
-        and every worker session adopts it, so the whole sweep — not
-        each worker's share of it — finishes within one ``time_limit``
-        of wall clock.
+        What ``time_limit`` spans in
+        :func:`repro.pipeline.parallel.run_batch_parallel`.  ``"run"``
+        (the default) gives every input's session its own clock, so a
+        batch of N inputs may spend up to N x ``time_limit``.
+        ``"batch"`` makes the parent arm a *single* sweep-wide
+        :class:`~repro.pipeline.limits.Deadline` that every input's
+        session adopts, so the whole sweep — for any ``jobs`` — finishes
+        within one ``time_limit`` of wall clock.
     jobs:
         Worker processes for batch execution
-        (:meth:`~repro.pipeline.Pipeline.run_batch` /
-        :func:`repro.pipeline.parallel.run_batch_parallel`).  ``1``
-        (default) keeps the serial in-process path; ``0`` means
-        auto-detect (``os.cpu_count()``).  Values above 1 partition
-        batch inputs across that many processes, each with its own
-        session and BDD manager.
+        (:func:`repro.pipeline.parallel.run_batch_parallel`).  ``1``
+        (default) runs the inputs one after another in-process; ``0``
+        means auto-detect (``os.cpu_count()``).  Values above 1 spread
+        the inputs across that many processes.  Either way each input
+        gets its own session and BDD manager.
     max_nodes:
         Budget of live BDD nodes in the session manager, or None.
         Exceeding it raises

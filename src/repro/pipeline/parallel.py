@@ -2,11 +2,10 @@
 
 The paper reports CPU time over whole MCNC benchmark sweeps (Tables
 2-3); each PLA is an independent unit of work, so a sweep is
-embarrassingly parallel — except for the Section 6 component cache,
-which a shared serial session exploits across inputs.  This module
-parallelises the sweep while keeping that reuse, exchanged through the
-manager-independent store format of :mod:`repro.decomp.cache_store`
-instead of a live session:
+embarrassingly parallel.  This module is the one way to run many
+inputs, with any number of jobs.  It reuses Section 6 components across
+inputs through the manager-independent store format of
+:mod:`repro.decomp.cache_store`, never through a live session:
 
 * **Scheduling.**  The parent holds a *pull-based work queue*: a task
   deque sorted by descending PLA cube count (the wall-clock hogs —
@@ -17,9 +16,9 @@ instead of a live session:
   order regardless of the dispatch order.
 * **Isolation.**  Every input runs in a *fresh* :class:`Session` (one
   BDD manager per input — the manager is not thread-safe and never
-  crosses a process boundary).  Intra-sweep cache sharing is replaced
-  by *snapshot* sharing: each session warm-starts from the on-disk
-  store as it was when the sweep began.  That snapshot isolation —
+  crosses a process boundary).  Sharing within a sweep is *snapshot*
+  sharing: each session warm-starts from the on-disk store as it was
+  when the sweep began.  That snapshot isolation —
   not any scheduling order — is the determinism contract: the BLIF
   (and certificate trace) emitted for every input is independent of
   which worker ran it and when, so ``jobs=1`` and ``jobs=N`` produce
@@ -49,6 +48,7 @@ their managers through the usual seam (``stage_build_isfs`` ->
 ``pla.make_manager`` -> ``Session.adopt_manager``).
 """
 
+import inspect
 import multiprocessing
 import os
 import queue as queue_module
@@ -89,7 +89,7 @@ def _describe(source, position):
         raise ValueError(
             "parallel batch input #%d (%r) carries live BDD/PLA objects; "
             "only path- or text-based inputs can cross the process "
-            "boundary (use jobs=1 for prebuilt specs)"
+            "boundary (run prebuilt specs through Pipeline.run)"
             % (position, source.label))
     text = source.text
     if text is None:
@@ -176,7 +176,6 @@ def _run_payload(run):
         "blif": run.blif,
         "elapsed": run.elapsed,
         "stages": _sanitize(run.stages),
-        "output_names": dict(run.output_names),
         "certificate": run.certificate_path,
         "error": None,
     }
@@ -192,7 +191,6 @@ def _failure_payload(desc, exc, elapsed, stages):
         "blif": None,
         "elapsed": elapsed,
         "stages": _sanitize(stages),
-        "output_names": {},
         "certificate": None,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
@@ -216,7 +214,6 @@ class ParallelPipelineRun(PipelineRun):
         self.blif = payload.get("blif")
         self.stages = list(payload.get("stages") or [])
         self.elapsed = payload.get("elapsed", 0.0)
-        self.output_names = dict(payload.get("output_names") or {})
         self.certificate_path = payload.get("certificate")
         self._netlist_stats = payload.get("netlist")
 
@@ -247,8 +244,8 @@ class ParallelPipelineRun(PipelineRun):
 class ParallelBatchResult(list):
     """Ordered run list plus sweep-level metadata.
 
-    Behaves as the plain ``[PipelineRun, ...]`` that
-    :meth:`Pipeline.run_batch` promises, with extras: ``jobs`` (worker
+    Behaves as a plain ``[ParallelPipelineRun, ...]`` list, with
+    extras: ``jobs`` (worker
     count used), ``elapsed`` (sweep wall clock), ``merged_store`` /
     ``merged_entries`` (the unioned component store, when a
     ``cache_path`` was configured), and :meth:`report` for the batch
@@ -294,25 +291,13 @@ class ParallelBatchResult(list):
 # Worker side
 # ---------------------------------------------------------------------
 def _clone_config(config, **overrides):
-    """A fresh validated :class:`PipelineConfig` with fields replaced."""
-    fields = {
-        "decomposition": config.decomposition,
-        "flow": config.flow,
-        "verify": config.verify,
-        "check_contracts": config.check_contracts,
-        "time_limit": config.time_limit,
-        "max_nodes": config.max_nodes,
-        "recursion_limit": config.recursion_limit,
-        "model": config.model,
-        "progress_interval": config.progress_interval,
-        "flow_options": config.flow_options,
-        "cache_path": config.cache_path,
-        "cache_readonly": config.cache_readonly,
-        "sweep_store": config.sweep_store,
-        "budget_scope": config.budget_scope,
-        "jobs": config.jobs,
-        "emit_certificates": config.emit_certificates,
-    }
+    """A fresh validated :class:`PipelineConfig` with fields replaced.
+
+    Every constructor parameter is stored under its own name, so the
+    signature lists the fields to copy.
+    """
+    fields = {name: getattr(config, name)
+              for name in inspect.signature(PipelineConfig).parameters}
     fields.update(overrides)
     return PipelineConfig(**fields)
 

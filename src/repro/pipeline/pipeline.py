@@ -14,13 +14,12 @@ time / node budgets.  A stage whose inputs are already present (e.g.
 emits its events with ``skipped=True``, keeping the event stream's
 shape deterministic.
 
-Batch execution (:meth:`Pipeline.run_batch`) feeds many inputs through
-one session: all of them share the session's BDD manager, netlist and
-component cache, so blocks decomposed for one file are reused by the
-next (Section 6 scaled up from outputs to whole files).  With
-``jobs > 1`` the batch is instead partitioned across worker processes
-(:mod:`repro.pipeline.parallel`), where sharing happens through the
-persistent component store rather than a live session.
+A session serves one input: :meth:`Pipeline.run` raises on a session
+that already ran one.  Many inputs go through
+:func:`repro.pipeline.run_batch_parallel`, which gives each its own
+fresh session (in-process for ``jobs=1``, across worker processes
+otherwise) and shares Theorem 6 components between them through the
+persistent component store.
 """
 
 import time
@@ -66,24 +65,17 @@ class PipelineRun:
         self.specs = source.specs
         self.result = None          # DecompositionResult / BaselineResult
         self.netlist = None
-        self.output_names = {}      # spec name -> netlist output name
         self.mapping = None
         self.blif = None
-        self.certificate_roots = {}  # spec name -> tracer step id
+        self.certificate_roots = {}  # output name -> tracer step id
         self.certificate_path = None
         self.stages = []            # stage_finished payloads, in order
         self.elapsed = 0.0
 
     # -- derived views --------------------------------------------------
-    def spec_items(self):
-        """Spec items keyed by their *netlist* output names."""
-        return {self.output_names.get(name, name): isf
-                for name, isf in self.specs.items()}
-
     def netlist_stats(self):
-        """Cost metrics restricted to this run's own output cones."""
-        outputs = list(self.output_names.values()) or None
-        return compute_stats(self.netlist, outputs=outputs)
+        """Cost metrics of this run's netlist."""
+        return compute_stats(self.netlist)
 
     def stage_record(self, stage):
         """The ``stage_finished`` payload of *stage* (or None)."""
@@ -151,19 +143,12 @@ def stage_parse(session, run, record):
 
 
 def stage_build_isfs(session, run, record):
-    """PLAData -> per-output ISFs on the session's shared manager."""
+    """PLAData -> per-output ISFs on a fresh manager the session adopts."""
     if run.specs is not None:
         session.adopt_manager(run.mgr)
         record["skipped"] = True
         return
-    mgr = session.mgr
-    if mgr is None:
-        mgr = session.adopt_manager(run.pla.make_manager())
-    else:
-        known = set(mgr.var_names)
-        for name in run.pla.input_names:
-            if name not in known:
-                mgr.add_var(name)
+    mgr = session.adopt_manager(run.pla.make_manager())
     _mgr, run.specs = run.pla.to_isfs(mgr=mgr)
     run.mgr = mgr
     record["isf_nodes"] = sum(
@@ -185,8 +170,7 @@ def stage_decompose(session, run, record):
     """Dispatch to the configured synthesis flow."""
     flow = session.config.flow
     if flow == "bidecomp":
-        run.result, run.output_names = session.decompose_specs(
-            run.specs, label=run.label, record=record)
+        run.result = session.decompose_specs(run.specs, record=record)
         run.netlist = run.result.netlist
         run.certificate_roots = dict(record.get("certificate_roots") or {})
     else:
@@ -200,7 +184,6 @@ def stage_decompose(session, run, record):
             run.result = bds_like_synthesize(run.specs, session=session,
                                              **options)
         run.netlist = run.result.netlist
-        run.output_names = {name: name for name in run.specs}
     stats = run.netlist_stats()
     record["flow"] = flow
     record["gates"] = stats.gates
@@ -214,7 +197,7 @@ def stage_verify(session, run, record):
         record["skipped"] = True
         return
     from repro.network.verify import verify_against_isfs
-    verify_against_isfs(run.netlist, run.spec_items())
+    verify_against_isfs(run.netlist, run.specs)
     record["verified_outputs"] = len(run.specs)
 
 
@@ -229,13 +212,9 @@ def stage_map(session, run, record):
 
 
 def stage_emit(session, run, record):
-    """Serialise this run's output cones as BLIF."""
-    outputs = None
-    if len(run.output_names) != len(run.netlist.outputs):
-        # Shared batch netlist: restrict to this run's outputs.
-        outputs = list(run.output_names.values())
+    """Serialise this run's netlist as BLIF."""
     run.blif = write_blif(run.netlist, model=session.config.model,
-                          path=run.source.emit_path, outputs=outputs)
+                          path=run.source.emit_path)
     record["bytes"] = len(run.blif)
     if (session.config.emit_certificates
             and run.source.emit_path is not None
@@ -279,10 +258,11 @@ class Pipeline:
     def run(self, session, source):
         """Run one input through every stage; returns a PipelineRun.
 
-        The session's wall-clock budget applies to this run: the clock
-        (re)starts here — fresh per run, or carried across runs under
-        ``budget_scope="batch"`` — and every stage (and BDD growth
-        inside it) is checked against it.
+        *session* must be fresh: a session serves one input, and a
+        second run on it raises :class:`ValueError`.  The session's
+        wall-clock budget starts here (or is the sweep-wide deadline it
+        adopted) and every stage, and BDD growth inside it, is checked
+        against it.
         """
         if not isinstance(source, PipelineInput):
             source = PipelineInput(**source) if isinstance(source, dict) \
@@ -301,44 +281,6 @@ class Pipeline:
             run.elapsed = time.perf_counter() - started
             session.events.unsubscribe(collect)
         return run
-
-    def run_batch(self, session, sources, jobs=None):
-        """Run many inputs through the pipeline, serially or in parallel.
-
-        With ``jobs <= 1`` (the default unless the session's config
-        says otherwise) every input runs through *session* in order:
-        all runs share the session's manager, netlist and component
-        cache, so later inputs reuse blocks decomposed for earlier
-        ones.  Under ``budget_scope="batch"`` the first run starts the
-        shared wall clock and later runs inherit its remainder.
-
-        With ``jobs > 1`` (or ``jobs=0`` for auto) the batch is handed
-        to :func:`repro.pipeline.parallel.run_batch_parallel`: inputs
-        are partitioned across worker processes, each input gets its
-        own fresh session (snapshot-isolated — intra-batch sharing
-        happens only through the persistent component store configured
-        by ``cache_path``), worker events are forwarded to *session*'s
-        bus tagged with a ``worker`` field, and the per-worker store
-        flushes are merged back into ``cache_path``.  *session*'s own
-        manager/netlist are not used on this path; inputs must be
-        path- or text-based (live BDD objects cannot cross the process
-        boundary).
-
-        Returns the list of :class:`PipelineRun` results in input
-        order either way.
-        """
-        if jobs is None:
-            jobs = session.config.jobs
-        jobs = int(jobs)
-        if jobs == 0:
-            import os
-            jobs = os.cpu_count() or 1
-        if jobs > 1:
-            from repro.pipeline.parallel import run_batch_parallel
-            return run_batch_parallel(sources, config=session.config,
-                                      jobs=jobs, events=session.events,
-                                      pipeline=self)
-        return [self.run(session, source) for source in sources]
 
 
 def _stem(path):

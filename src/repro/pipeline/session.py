@@ -10,12 +10,14 @@ separately:
 * the :class:`~repro.pipeline.EventBus` carrying structured
   ``stage_started`` / ``stage_finished`` / ``decompose_progress``
   events;
-* one shared netlist, component cache and
-  :class:`~repro.decomp.DecompositionEngine`, so batch runs over many
-  inputs reuse decomposed blocks exactly the way the paper shares them
-  between outputs (Section 6).
+* one netlist, component cache and
+  :class:`~repro.decomp.DecompositionEngine`, shared between the
+  outputs of its one input the way the paper shares decomposed blocks
+  (Section 6).  Sweeps give each input a fresh session
+  (:func:`repro.pipeline.run_batch_parallel`) and share components
+  through the persistent store.
 
-The multi-output driver (``repro.decomp.bi_decompose``) is now a thin
+The multi-output driver (``repro.decomp.bi_decompose``) is a thin
 wrapper over :meth:`Session.decompose_specs`.
 """
 
@@ -56,14 +58,10 @@ class Session:
         self.mgr = None
         self.netlist = None
         self.engine = None
-        self._var_nodes = None
         self._deadline = None
+        self._clock_started = False
         self._stage = None
-        self._used_output_names = set()
-        self._cache_resets = 0
         self._progress_countdown = self.config.progress_interval
-        self._stored_components = None
-        self._cache_store_skipped = 0
         if mgr is not None:
             self.adopt_manager(mgr)
 
@@ -83,60 +81,37 @@ class Session:
         self.flush_component_cache()
         if self.mgr is not None:
             self.mgr.set_growth_hook(None)
-        self.events.publish("session_closed",
-                            cache_resets=self._cache_resets)
+        self.events.publish("session_closed")
 
     # ------------------------------------------------------------------
     # Component-cache persistence (Theorem 6, cross-run)
     # ------------------------------------------------------------------
-    def adopt_cache_path(self, path, readonly=False):
-        """Point the session at a component-cache store file.
-
-        Must be called before the first decomposition for the store to
-        seed the engine's cache; either way, :meth:`flush_component_cache`
-        writes to the adopted path (unless *readonly*).
-        """
-        self.config.cache_path = path
-        self.config.cache_readonly = bool(readonly)
-        self._stored_components = None
-        return path
-
-    def _load_cache_store(self):
-        """Load the configured store once; never raises.
+    def _build_component_cache(self):
+        """Persistent cache seeded from the store, or None (engine
+        default) when no ``cache_path`` is configured; never raises.
 
         A missing file is a normal cold start (no event).  An unusable
         file — corrupt JSON, wrong magic, unsupported version — is
         skipped with a ``component_cache_load_failed`` warning event.
         """
-        from repro.decomp.cache_store import CacheStoreError, load_store
-        if self._stored_components is not None:
-            return self._stored_components
+        from repro.decomp.cache_store import (CacheStoreError,
+                                              PersistentComponentCache,
+                                              load_store)
         path = self.config.cache_path
+        if path is None or not self.config.decomposition.use_cache:
+            return None
         entries = []
-        self._cache_store_skipped = 0
-        if path is not None and os.path.exists(path):
+        if os.path.exists(path):
             try:
                 entries, skipped = load_store(path)
             except CacheStoreError as exc:
                 self.events.publish("component_cache_load_failed",
                                     path=path, error=str(exc))
             else:
-                self._cache_store_skipped = skipped
                 self.events.publish("component_cache_loaded",
                                     path=path, entries=len(entries),
                                     skipped=skipped)
-        self._stored_components = entries
-        return entries
-
-    def _build_component_cache(self):
-        """Persistent cache seeded from the store, or None (engine
-        default) when no ``cache_path`` is configured."""
-        from repro.decomp.cache_store import PersistentComponentCache
-        if self.config.cache_path is None:
-            return None
-        if not self.config.decomposition.use_cache:
-            return None
-        return PersistentComponentCache(self._load_cache_store())
+        return PersistentComponentCache(entries)
 
     def flush_component_cache(self):
         """Write the engine's component cache back to the store.
@@ -159,24 +134,16 @@ class Session:
     def adopt_manager(self, mgr):
         """Attach *mgr* to the session and install the limit hook.
 
-        Adopting a different manager than the current one resets the
-        shared netlist / engine / component cache (cached netlist nodes
-        are meaningless across managers); a ``component_cache_reset``
-        event records the discontinuity.
+        Re-adopting the session's own manager is a no-op; a session
+        serves one input, so a second, different manager raises
+        :class:`ValueError`.
         """
         if mgr is self.mgr:
             return mgr
         if self.mgr is not None:
-            self.mgr.set_growth_hook(None)
-            if self.engine is not None:
-                self._cache_resets += 1
-                self.events.publish("component_cache_reset",
-                                    dropped=self.engine.cache.size())
+            raise ValueError("session already owns a different BDD "
+                             "manager; a Session serves one input")
         self.mgr = mgr
-        self.netlist = None
-        self.engine = None
-        self._var_nodes = None
-        self._used_output_names = set()
         mgr.set_growth_hook(self._on_manager_growth,
                             interval=GROWTH_CHECK_INTERVAL)
         return mgr
@@ -184,23 +151,20 @@ class Session:
     # ------------------------------------------------------------------
     # Limits
     # ------------------------------------------------------------------
-    def start_clock(self, restart=False):
-        """(Re)start the wall-clock budget for one pipeline run.
+    def start_clock(self):
+        """Start the wall-clock budget of the session's one pipeline run.
 
-        Under ``budget_scope="run"`` (the default) every call arms a
-        fresh :class:`Deadline`, so each pipeline run gets the full
-        ``time_limit``.  Under ``budget_scope="batch"`` an already
-        running clock is kept — the first run of a batch starts it and
-        every later run inherits the remaining budget; pass
-        ``restart=True`` to force a fresh clock anyway.
+        Keeps a deadline adopted through :meth:`adopt_deadline`;
+        otherwise arms a fresh :class:`Deadline` of ``time_limit``.  A
+        session serves one input, so a second call raises
+        :class:`ValueError`.
         """
-        if self.config.time_limit is None:
-            self._deadline = None
-            return
-        if (not restart and self.config.budget_scope == "batch"
-                and self._deadline is not None):
-            return
-        self._deadline = Deadline(self.config.time_limit)
+        if self._clock_started:
+            raise ValueError("session already ran an input; a Session "
+                             "serves one input")
+        self._clock_started = True
+        if self._deadline is None and self.config.time_limit is not None:
+            self._deadline = Deadline(self.config.time_limit)
 
     def adopt_deadline(self, deadline):
         """Share an externally owned :class:`Deadline` with this session.
@@ -208,7 +172,7 @@ class Session:
         The parallel batch executor uses this to stretch one
         sweep-wide clock across every session of the batch: under
         ``budget_scope="batch"`` the parent arms a single Deadline
-        when the sweep starts, every worker session adopts it (the
+        when the sweep starts, every input's session adopts it (the
         Deadline survives fork/pickle — see its docstring), and
         :meth:`start_clock` keeps the adopted deadline instead of
         arming a fresh one.
@@ -308,91 +272,65 @@ class Session:
     # Decomposition (the engine runs in here)
     # ------------------------------------------------------------------
     def _ensure_engine(self):
-        """Build or extend the shared netlist/engine for self.mgr."""
+        """Build the netlist/engine for self.mgr on first use."""
         from repro.decomp.bidecomp import DecompositionEngine
         from repro.network.netlist import Netlist
         if self.mgr is None:
             raise ValueError("session has no BDD manager; adopt one first")
-        if self.engine is None:
-            self.netlist = Netlist(self.mgr.var_names)
-            self._var_nodes = {
-                var: self.netlist.input_node(self.mgr.var_name(var))
-                for var in range(self.mgr.num_vars)}
-            cache = self._build_component_cache()
-            if self.config.check_contracts:
-                from repro.analysis.contracts import \
-                    CheckedDecompositionEngine
-                self.engine = CheckedDecompositionEngine(
-                    self.mgr, self.netlist, self._var_nodes,
-                    config=self.config.decomposition, cache=cache,
-                    observer=self._on_engine_call,
-                    on_violation=self._on_contract_violation)
-            else:
-                self.engine = DecompositionEngine(
-                    self.mgr, self.netlist, self._var_nodes,
-                    config=self.config.decomposition, cache=cache,
-                    observer=self._on_engine_call)
-            if cache is not None:
-                # Bind to the engine's own var-node map (the engine
-                # copies ours and extends its copy on batch growth).
-                cache.bind(self.mgr, self.netlist, self.engine.var_nodes)
-            if self.config.emit_certificates:
-                from repro.decomp.trace import CertificateTracer
-                self.engine.tracer = CertificateTracer(self.mgr)
+        if self.engine is not None:
+            return self.engine
+        self.netlist = Netlist(self.mgr.var_names)
+        var_nodes = {var: self.netlist.input_node(self.mgr.var_name(var))
+                     for var in range(self.mgr.num_vars)}
+        cache = self._build_component_cache()
+        if self.config.check_contracts:
+            from repro.analysis.contracts import CheckedDecompositionEngine
+            self.engine = CheckedDecompositionEngine(
+                self.mgr, self.netlist, var_nodes,
+                config=self.config.decomposition, cache=cache,
+                observer=self._on_engine_call,
+                on_violation=self._on_contract_violation)
         else:
-            # The manager may have gained variables since the engine
-            # was built (batch inputs with new input names).
-            for var in range(self.mgr.num_vars):
-                if var not in self.engine.var_nodes:
-                    node = self.netlist.add_input(self.mgr.var_name(var))
-                    self.engine.var_nodes[var] = node
+            self.engine = DecompositionEngine(
+                self.mgr, self.netlist, var_nodes,
+                config=self.config.decomposition, cache=cache,
+                observer=self._on_engine_call)
+        if cache is not None:
+            cache.bind(self.mgr, self.netlist, self.engine.var_nodes)
+        if self.config.emit_certificates:
+            from repro.decomp.trace import CertificateTracer
+            self.engine.tracer = CertificateTracer(self.mgr)
         return self.engine
 
-    def claim_output_name(self, name, label=None):
-        """Reserve a unique netlist output name for *name*.
+    def decompose_specs(self, specs, record=None):
+        """Bi-decompose ``{output_name: ISF}`` into the session's netlist.
 
-        Within one shared netlist, a second input file declaring the
-        same output name gets it prefixed with its run label.
-        """
-        candidate = name
-        if candidate in self._used_output_names and label:
-            candidate = "%s.%s" % (label, name)
-        base = candidate
-        suffix = 0
-        while candidate in self._used_output_names:
-            suffix += 1
-            candidate = "%s_%d" % (base, suffix)
-        self._used_output_names.add(candidate)
-        return candidate
-
-    def decompose_specs(self, specs, label=None, record=None):
-        """Bi-decompose ``{output_name: ISF}`` in the shared netlist.
-
-        Returns ``(DecompositionResult, {spec_name: netlist_output_name})``.
-        The result's counters are the *delta* contributed by this call,
-        so batch runs report per-input stats even though the engine (and
-        its component cache) is shared across the whole session.
+        Returns a :class:`~repro.decomp.DecompositionResult` whose
+        counters are the *delta* contributed by this call.  Raises
+        :class:`ValueError` when the netlist already declares one of
+        the output names.
         """
         from repro.decomp.bidecomp import DecompositionStats
         from repro.decomp.driver import DecompositionResult, validate_specs
         mgr, specs = validate_specs(specs)
         self.adopt_manager(mgr)  # no-op when the session already owns it
         engine = self._ensure_engine()
+        clash = sorted(set(specs) & {n for n, _ in self.netlist.outputs})
+        if clash:
+            raise ValueError("the session's netlist already declares "
+                             "output(s) %s" % ", ".join(clash))
 
         stats_before = engine.stats.as_dict()
         cache_before = engine.cache.stats()
         functions = {}
-        name_map = {}
         started = time.perf_counter()
         roots = {}
         tracer = getattr(engine, "tracer", None)
         with recursion_guard(self.config.recursion_limit):
             for name, isf in specs.items():
                 csf, node = engine.decompose(isf)
-                out_name = self.claim_output_name(name, label=label)
-                self.netlist.set_output(out_name, node)
+                self.netlist.set_output(name, node)
                 functions[name] = csf
-                name_map[name] = out_name
                 if tracer is not None:
                     roots[name] = tracer.last_root
         elapsed = time.perf_counter() - started
@@ -403,8 +341,7 @@ class Session:
                                      absolute=("size", "dormant"))
         result = DecompositionResult(self.netlist, functions, stats,
                                      cache_stats, elapsed,
-                                     provenance=engine.provenance,
-                                     output_names=name_map)
+                                     provenance=engine.provenance)
         if record is not None:
             record["decomposition"] = stats.as_dict()
             record["cache"] = dict(cache_stats)
@@ -415,28 +352,25 @@ class Session:
                 record["contracts"] = contract_stats.as_dict()
             if tracer is not None:
                 record["certificate_roots"] = dict(roots)
-        return result, name_map
+        return result
 
     def build_certificate(self, run):
         """Assemble the certificate document for one pipeline run.
 
         Uses the proof roots the decompose stage recorded on *run*
-        (``run.certificate_roots``: ``{spec_name: tracer step id}``);
+        (``run.certificate_roots``: ``{output_name: tracer step id}``);
         returns the document, or None when the run was not traced
         (certificates disabled, or a non-bidecomp flow).
         """
         tracer = getattr(self.engine, "tracer", None)
         if tracer is None or not run.certificate_roots:
             return None
-        outputs = {name: (step, run.output_names.get(name, name))
-                   for name, step in run.certificate_roots.items()}
-        return tracer.document(outputs, label=run.label,
+        return tracer.document(run.certificate_roots, label=run.label,
                                model=self.config.model)
 
     def stats_snapshot(self):
         """Session-level counters for reports."""
-        snap = {"bdd_nodes": self.mgr.live_count() if self.mgr else 0,
-                "cache_resets": self._cache_resets}
+        snap = {"bdd_nodes": self.mgr.live_count() if self.mgr else 0}
         if self.mgr is not None:
             snap["bdd_cache"] = self.mgr.cache_stats()
         if self.engine is not None:

@@ -32,8 +32,7 @@ class TestCheckedCleanRuns:
         assert isinstance(session._ensure_engine(),
                           CheckedDecompositionEngine)
         record = {}
-        result, _names = session.decompose_specs(_specs(mgr),
-                                                 record=record)
+        result = session.decompose_specs(_specs(mgr), record=record)
         assert result.netlist.outputs
         contracts = record["contracts"]
         assert contracts["total_checks"] > 0

@@ -35,9 +35,7 @@ class TestCleanNetlists:
         from repro.bench.registry import get
         mgr, specs = get("9sym").build()
         result = bi_decompose(specs, verify=True)
-        report = lint_netlist(result.netlist,
-                              specs={result.output_names[n]: isf
-                                     for n, isf in specs.items()})
+        report = lint_netlist(result.netlist, specs=specs)
         assert not report.errors(), [str(f) for f in report.errors()]
 
     def test_blif_round_trip_stays_clean(self):

@@ -397,7 +397,7 @@ class TestSessionPersistence:
         run_with_cache(tmp_path)
         _session, warm, _path = run_with_cache(tmp_path)
         assert warm.stats_json()["rehydrated_hits"] > 0
-        report = lint_netlist(warm.netlist, specs=warm.spec_items())
+        report = lint_netlist(warm.netlist, specs=warm.specs)
         assert not report.has_errors()
 
     def test_readonly_never_writes(self, tmp_path):
@@ -434,16 +434,6 @@ class TestSessionPersistence:
                 session, PipelineInput(text=PLA, label="t"))
         assert os.path.exists(path)
         assert session.events.named("component_cache_flushed")
-
-    def test_adopt_cache_path(self, tmp_path):
-        path = os.path.join(str(tmp_path), "late.cache.json")
-        session = Session()
-        assert session.flush_component_cache() is None
-        session.adopt_cache_path(path)
-        Pipeline.standard(emit=False).run(
-            session, PipelineInput(text=PLA, label="t"))
-        assert session.flush_component_cache() == path
-        assert os.path.exists(path)
 
     def test_flush_skipped_when_cache_disabled(self, tmp_path):
         from repro.decomp import DecompositionConfig

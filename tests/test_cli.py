@@ -208,6 +208,25 @@ class TestBadInputExitCode:
         assert err.startswith("error: %s: " % bad), err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text", [
+        ".i 2\n.o 2\n.ob f f\n11 11\n.e\n",
+        ".i 2\n.o 2\n.ob f\n11 11\n.e\n",
+        ".i 2\n.o 1\n.ilb a\n11 1\n.e\n",
+        ".i 2\n.o 1\n.ilb a a\n11 1\n.e\n",
+        ".i\n.o 1\n11 1\n.e\n",
+    ], ids=["ob-duplicate", "ob-short", "ilb-short", "ilb-duplicate",
+            "bare-i"])
+    def test_malformed_pla_header_is_one_error_line(self, text, tmp_path,
+                                                    capsys):
+        path = tmp_path / "bad.pla"
+        path.write_text(text)
+        out = io.StringIO()
+        assert main(["decompose", str(path)], stdout=out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
+        assert err.count("\n") == 1, err
+        assert out.getvalue() == ""
+
     @pytest.mark.parametrize("size", ("0", "-3"))
     def test_weak_xa_size_below_one_rejected(self, pla_path, size, capsys):
         argv = ["decompose", pla_path, "--weak-xa-size", size]

@@ -1,5 +1,7 @@
 """Tests for the espresso PLA reader/writer."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -63,6 +65,35 @@ class TestParsing:
     def test_unsupported_type_rejected(self):
         with pytest.raises(PLAError):
             parse_pla(".i 1\n.o 1\n.type fdr\n1 1\n.e\n")
+
+    @pytest.mark.parametrize("text, message", [
+        (".i 2\n.o 2\n.ob f f\n11 11\n.e\n", "repeats the name 'f'"),
+        (".i 2\n.o 2\n.ob f\n11 11\n.e\n", "1 name(s) for 2 outputs"),
+        (".i 2\n.o 1\n.ilb a\n11 1\n.e\n", "1 name(s) for 2 inputs"),
+        (".i 2\n.o 1\n.ilb a b c\n11 1\n.e\n",
+         "3 name(s) for 2 inputs"),
+        (".i 2\n.o 1\n.ilb\n11 1\n.e\n", "0 name(s) for 2 inputs"),
+        (".i 2\n.o 1\n.ilb a a\n11 1\n.e\n", "repeats the name 'a'"),
+    ], ids=["ob-duplicate", "ob-short", "ilb-short", "ilb-long",
+            "ilb-empty", "ilb-duplicate"])
+    def test_bad_name_lists_rejected(self, text, message):
+        # Each of these used to drop or merge a column silently (or
+        # escape as a raw BDD error for a duplicate input).
+        with pytest.raises(PLAError, match=re.escape(message)):
+            parse_pla(text)
+
+    @pytest.mark.parametrize("line", [
+        ".i", ".o", ".i x", ".o 1.5", ".i -1", ".i 2 3", ".type"])
+    def test_bad_directive_arguments_rejected(self, line):
+        text = ".i 2\n.o 1\n%s\n11 1\n.e\n" % line
+        with pytest.raises(PLAError, match=line.split()[0]):
+            parse_pla(text)
+
+    def test_pladata_validates_names(self):
+        with pytest.raises(PLAError, match="repeats"):
+            PLAData(2, 1, input_names=["p", "p"])
+        with pytest.raises(PLAError, match="for 1 outputs"):
+            PLAData(2, 1, output_names=["f", "g"])
 
 
 class TestSemantics:

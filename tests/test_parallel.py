@@ -10,11 +10,12 @@ payloads that must not crash the parent pump), failure isolation (a
 failing input reports an error without killing the sweep; a crashed
 worker's buffered payloads are drained, not lost), component-store
 sharing (worker-store merge, corrupt-store preservation, warm-rerun
-rehydrated hits), the ``Pipeline.run_batch`` /
-``PipelineConfig(jobs=...)`` wiring, and the sweep-wide batch-scope
-wall-clock budget.
+rehydrated hits), the ``PipelineConfig(jobs=...)`` wiring and the
+worker config clone, and the per-input vs sweep-wide wall-clock
+budget.
 """
 
+import inspect
 import json
 import os
 import sys
@@ -22,12 +23,13 @@ import time
 
 import pytest
 
+import repro.pipeline.parallel as parallel_module
+from repro.decomp import DecompositionConfig
 from repro.pipeline import (Deadline, EventBus, Pipeline, PipelineConfig,
                             PipelineInput, Session)
 from repro.pipeline.events import Event
-from repro.pipeline.parallel import (ParallelBatchResult,
-                                     ParallelPipelineRun, _WorkQueue,
-                                     run_batch_parallel,
+from repro.pipeline.parallel import (ParallelPipelineRun, _WorkQueue,
+                                     _clone_config, run_batch_parallel,
                                      worker_store_path)
 from repro.pipeline.pipeline import (stage_build_isfs, stage_decompose,
                                      stage_emit, stage_parse,
@@ -535,29 +537,9 @@ class TestMixedWorkloadStress:
 
 
 # ---------------------------------------------------------------------
-# run_batch / config wiring
+# Config wiring
 # ---------------------------------------------------------------------
 class TestRunBatchWiring:
-    def test_run_batch_jobs_dispatches_to_parallel(self):
-        session = Session()
-        result = Pipeline.standard().run_batch(session, make_inputs(),
-                                               jobs=2)
-        assert isinstance(result, ParallelBatchResult)
-        assert result.jobs == 2
-        # Worker events land on the session's own bus.
-        assert session.events.named("batch_finished")
-
-    def test_config_jobs_is_the_default(self):
-        session = Session(PipelineConfig(jobs=2))
-        result = Pipeline.standard().run_batch(session, make_inputs())
-        assert isinstance(result, ParallelBatchResult)
-
-    def test_serial_run_batch_unchanged(self):
-        session = Session()
-        runs = Pipeline.standard().run_batch(session, make_inputs())
-        assert not isinstance(runs, ParallelBatchResult)
-        assert len(runs) == 4
-
     def test_live_inputs_are_rejected(self):
         from repro.io import parse_pla
         pla = parse_pla(PLA_A)
@@ -580,6 +562,27 @@ class TestRunBatchWiring:
         assert {run["worker"] for run in doc["runs"]} == {0, 1}
         json.dumps(doc)
 
+    def test_clone_config_round_trips_every_field(self, tmp_path):
+        # Every field differs from its default, so a field the clone
+        # forgot would come back with the default value.
+        values = dict(
+            decomposition=DecompositionConfig(use_exor=False),
+            flow="sis", verify=False, check_contracts=True,
+            time_limit=12.5, max_nodes=12345, recursion_limit=4321,
+            model="m", progress_interval=7,
+            flow_options={"factor": True},
+            cache_path=str(tmp_path / "s.cache.json"),
+            cache_readonly=False, sweep_store=True,
+            budget_scope="batch", jobs=3, emit_certificates=True)
+        fields = inspect.signature(PipelineConfig).parameters
+        assert set(values) == set(fields) and len(fields) == 16
+        config = PipelineConfig(**values)
+        clone = _clone_config(config, cache_readonly=True)
+        assert clone is not config
+        for name, value in values.items():
+            expected = True if name == "cache_readonly" else value
+            assert getattr(clone, name) == expected, name
+
 
 # ---------------------------------------------------------------------
 # Batch-scope wall clock
@@ -589,22 +592,46 @@ class TestBudgetScope:
         with pytest.raises(ValueError, match="budget_scope"):
             PipelineConfig(budget_scope="sweep")
 
-    def test_run_scope_restarts_clock_each_run(self):
-        session = Session(PipelineConfig(time_limit=60.0))
-        session.start_clock()
-        first = session._deadline
-        session.start_clock()
-        assert session._deadline is not first
+    @pytest.fixture
+    def sessions(self, monkeypatch):
+        """Every session whose clock starts, in start order."""
+        started = []
+        start_clock = Session.start_clock
 
-    def test_batch_scope_keeps_running_clock(self):
-        session = Session(PipelineConfig(time_limit=60.0,
-                                         budget_scope="batch"))
-        session.start_clock()
-        first = session._deadline
-        session.start_clock()
-        assert session._deadline is first
-        session.start_clock(restart=True)
-        assert session._deadline is not first
+        def recording(session):
+            start_clock(session)
+            started.append(session)
+        monkeypatch.setattr(Session, "start_clock", recording)
+        return started
+
+    def test_run_scope_arms_a_clock_per_input(self, sessions):
+        config = PipelineConfig(time_limit=600.0)
+        result = run_batch_parallel(make_inputs(), config=config, jobs=1)
+        assert not result.failures
+        assert len(sessions) == len(result) == 4
+        deadlines = [session._deadline for session in sessions]
+        assert all(isinstance(d, Deadline) for d in deadlines)
+        assert len({id(d) for d in deadlines}) == len(deadlines)
+        # Each worker session runs on the clone of the sweep config.
+        assert all(session.config.time_limit == 600.0
+                   and session.config.cache_readonly
+                   for session in sessions)
+
+    def test_batch_scope_sessions_hold_the_parent_clock(
+            self, sessions, monkeypatch):
+        armed = []
+
+        class RecordingDeadline(Deadline):
+            def __init__(self, seconds):
+                super().__init__(seconds)
+                armed.append(self)
+        monkeypatch.setattr(parallel_module, "Deadline", RecordingDeadline)
+        config = PipelineConfig(time_limit=600.0, budget_scope="batch")
+        result = run_batch_parallel(make_inputs(), config=config, jobs=1)
+        assert not result.failures
+        assert len(armed) == 1
+        assert len(sessions) == 4
+        assert all(session._deadline is armed[0] for session in sessions)
 
     def test_adopted_deadline_survives_batch_scope_runs(self):
         session = Session(PipelineConfig(time_limit=60.0,

@@ -1,10 +1,10 @@
 """Tests for the session/pipeline layer.
 
 Covers the event stream (ordering, timing fields), resource budgets
-(wall-clock and BDD-node limits trip cleanly), batch execution over a
-shared session (component cache reuse, output-name collisions, per-run
-BLIF subsets), configuration validation, and driver ergonomics
-(error messages, recursion-limit restoration).
+(wall-clock and BDD-node limits trip cleanly), the one-input-per-session
+guards (a second run, a second manager or a redeclared output name
+raise), configuration validation, and driver ergonomics (error
+messages, recursion-limit restoration).
 """
 
 import io
@@ -19,7 +19,7 @@ from repro.bench import get
 from repro.boolfn import ISF, parse
 from repro.decomp import bi_decompose
 from repro.decomp.bidecomp import DecompositionEngine
-from repro.io import parse_blif, write_blif
+from repro.io import write_blif
 from repro.pipeline import (DEFAULT_RECURSION_LIMIT, Deadline, EventBus,
                             NodeLimitExceeded, Pipeline, PipelineConfig,
                             PipelineError, PipelineInput, PipelineTimeout,
@@ -39,20 +39,6 @@ PLA = """\
 0-0- 01
 .e
 """
-
-PLA2 = """\
-.i 4
-.o 1
-.ilb a b x y
-.ob f
-.type fd
-.p 3
-11-- 1
---11 1
-0-0- 0
-.e
-"""
-
 
 def run_standard(text=PLA, config=None, **kwargs):
     session = Session(config or PipelineConfig())
@@ -210,65 +196,48 @@ class TestLimits:
 
 
 # ---------------------------------------------------------------------
-# Batch execution over one shared session
+# One input per session
 # ---------------------------------------------------------------------
-class TestBatch:
-    def test_batch_shares_cache_and_prefixes_collisions(self):
-        session = Session()
-        runs = Pipeline.standard().run_batch(
-            session, [PipelineInput(text=PLA, label="first"),
-                      PipelineInput(text=PLA2, label="second")])
-        assert len(runs) == 2
-        # Same manager and netlist throughout.
-        assert runs[0].mgr is runs[1].mgr
-        assert runs[0].netlist is runs[1].netlist
-        # Both files declare an output "f": the second gets prefixed.
-        assert runs[0].output_names["f"] == "f"
-        assert runs[1].output_names["f"] == "second.f"
-        # New input variables were added to the shared manager.
-        assert {"x", "y"} <= set(runs[1].mgr.var_names)
-
-    def test_batch_blifs_are_per_run_and_verify(self):
-        session = Session()
-        runs = Pipeline.standard().run_batch(
-            session, [PipelineInput(text=PLA, label="first"),
-                      PipelineInput(text=PLA2, label="second")])
-        for run in runs:
-            mgr, outputs = parse_blif(run.blif, mgr=run.mgr)
-            for spec_name, out_name in run.output_names.items():
-                assert out_name in outputs
-                assert run.specs[spec_name].is_compatible(outputs[out_name])
-        # The second BLIF contains only its own cones.
-        assert "second.f" in runs[1].blif
-        assert " g" not in runs[1].blif.splitlines()[2]
-
-    def test_batch_stats_are_per_run_deltas(self):
+class TestOneInputPerSession:
+    @pytest.mark.parametrize("prebuilt", (False, True))
+    def test_second_run_raises(self, prebuilt):
         mgr, specs = get("rd53").build()
-        session = Session(mgr=mgr)
-        pipeline = Pipeline.standard(emit=False)
-        first = pipeline.run(session,
-                             PipelineInput(mgr=mgr, specs=specs, label="a"))
-        second = pipeline.run(session,
-                              PipelineInput(mgr=mgr, specs=specs, label="b"))
-        # The repeat run hits the shared component cache: every output
-        # function was already decomposed, so it does no new work.
-        assert first.result.stats.calls > 0
-        assert second.result.stats.cache_hits >= len(specs)
-        assert sum(second.result.stats.strong.values()) == 0
-        assert second.result.netlist_stats().gates == \
-            first.result.netlist_stats().gates
+        source = (PipelineInput(mgr=mgr, specs=specs) if prebuilt
+                  else PipelineInput(text=PLA))
+        session = Session()
+        Pipeline.standard().run(session, source)
+        with pytest.raises(ValueError, match="already ran an input"):
+            Pipeline.standard().run(session, source)
 
-    def test_adopting_new_manager_resets_cache(self):
-        mgr1, specs1 = get("rd53").build()
+    def test_second_manager_raises(self):
+        mgr1, _specs1 = get("rd53").build()
         mgr2, specs2 = get("rd53").build()
         session = Session(mgr=mgr1)
-        pipeline = Pipeline.standard(emit=False)
-        pipeline.run(session, PipelineInput(mgr=mgr1, specs=specs1))
-        pipeline.run(session, PipelineInput(mgr=mgr2, specs=specs2))
-        resets = [e for e in session.events.history
-                  if e.name == "component_cache_reset"]
-        assert len(resets) == 1
-        assert resets[0]["dropped"] > 0
+        assert session.adopt_manager(mgr1) is mgr1
+        with pytest.raises(ValueError, match="different BDD manager"):
+            session.adopt_manager(mgr2)
+        with pytest.raises(ValueError, match="different BDD manager"):
+            session.decompose_specs(specs2)
+        assert session.mgr is mgr1
+
+    def test_text_input_needs_a_session_without_manager(self):
+        # build_isfs builds a fresh manager for a PLA; it never extends
+        # a manager the session already owns.
+        mgr = BDD(["a", "b"])
+        session = Session(mgr=mgr)
+        with pytest.raises(ValueError, match="different BDD manager"):
+            Pipeline.standard().run(session, PipelineInput(text=PLA))
+        assert mgr.num_vars == 2
+
+    def test_redeclared_output_name_raises(self):
+        mgr = BDD(["a", "b", "c"])
+        session = Session(mgr=mgr)
+        session.decompose_specs({"f": ISF.from_csf(parse(mgr, "a & b"))})
+        with pytest.raises(ValueError, match="already declares"):
+            session.decompose_specs(
+                {"g": ISF.from_csf(parse(mgr, "b | c")),
+                 "f": ISF.from_csf(parse(mgr, "a ^ c"))})
+        assert [name for name, _node in session.netlist.outputs] == ["f"]
 
 
 # ---------------------------------------------------------------------
@@ -295,32 +264,25 @@ class TestSessionLifecycle:
         assert session.events.named("contract_violated")[-1]["stage"] \
             is None
 
-    def test_claim_output_name_keeps_label_on_double_collision(self):
-        session = Session()
-        assert session.claim_output_name("f") == "f"
-        assert session.claim_output_name("f", label="runB") == "runB.f"
-        # A third claim extends the *label-prefixed* candidate instead
-        # of falling back to the bare name.
-        assert session.claim_output_name("f", label="runB") == "runB.f_1"
-        assert session.claim_output_name("f", label="runC") == "runC.f"
-
-    def test_claim_output_name_without_label_still_suffixes(self):
-        session = Session()
-        assert session.claim_output_name("f") == "f"
-        assert session.claim_output_name("f") == "f_1"
-        assert session.claim_output_name("f") == "f_2"
-
     def test_same_manager_twice_keeps_cache(self):
         # decompose_specs re-adopts the specs' manager every call;
         # adopting the manager the session already owns must be a
-        # no-op, not a cache reset.
+        # no-op that keeps the engine and its component cache.  Each
+        # call reports the counters it added, not the engine totals.
         mgr, specs = get("rd53").build()
+        first_name, *rest = sorted(specs)
         session = Session()
-        session.decompose_specs(specs, label="a")
-        size_before = session.engine.cache.size()
-        session.decompose_specs(specs, label="b")
-        assert not session.events.named("component_cache_reset")
-        assert session.engine.cache.size() >= size_before
+        first = session.decompose_specs({first_name: specs[first_name]})
+        engine = session.engine
+        size_before = engine.cache.size()
+        second = session.decompose_specs({name: specs[name]
+                                          for name in rest})
+        assert session.engine is engine and session.mgr is mgr
+        assert engine.cache.size() >= size_before
+        assert first.stats.calls > 0 and second.stats.calls > 0
+        assert (first.stats.calls + second.stats.calls
+                == engine.stats.calls)
+        assert len(session.netlist.outputs) == len(specs)
 
     def test_stage_failed_carries_record_and_nodes(self):
         # Partial counters recorded before the failure must survive
