@@ -18,7 +18,8 @@ from repro.bdd.manager import BDD, BDDError
 from repro.bdd.function import Function, fn_vars
 from repro.bdd.node import FALSE, TRUE, TERMINAL_LEVEL, is_terminal
 from repro.bdd.types import Edge, Level, NodeId, SuffixId, VarId
-from repro.bdd.quantify import exists, forall, and_exists, or_forall
+from repro.bdd.quantify import (exists, forall, and_exists, or_forall,
+                                 exor_propagation)
 from repro.bdd.cubes import (sat_count, pick_cube, pick_minterm,
                              cube_to_bdd, iter_cubes, iter_minterms)
 from repro.bdd.isop import Cube, isop, cover_to_bdd, cover_literal_count
@@ -31,7 +32,7 @@ __all__ = [
     "BDD", "BDDError", "Function", "fn_vars",
     "FALSE", "TRUE", "TERMINAL_LEVEL", "is_terminal",
     "Edge", "NodeId", "Level", "VarId", "SuffixId",
-    "exists", "forall", "and_exists", "or_forall",
+    "exists", "forall", "and_exists", "or_forall", "exor_propagation",
     "sat_count", "pick_cube", "pick_minterm", "cube_to_bdd",
     "iter_cubes", "iter_minterms",
     "Cube", "isop", "cover_to_bdd", "cover_literal_count",

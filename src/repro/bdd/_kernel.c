@@ -3,8 +3,14 @@
  * Two walks of the pure-Python kernel run here: the miss path of
  * ``BDD.and_`` (which OR, DIFF, IMPLIES, NAND and NOR reach through
  * De Morgan) and ``quantify._exists_iter`` (which ``forall`` shares
- * through complement edges).  Both work through the CPython C API on
- * the manager's own structures -- the ``_level`` / ``_lo`` / ``_hi``
+ * through complement edges).  A third entry runs the whole loop of
+ * ``repro.decomp.exor.propagate_exor`` (Fig. 4's EXOR propagation:
+ * seed cube, forced projections, overlap tests and accumulators) from
+ * those two walks under one kernel open and close.  It makes the
+ * Python loop's AND and exists calls in the same order, top-level AND
+ * fast paths and ``_q_exists_calls`` included, and interns each
+ * variable set at its first projection.  All three work through the
+ * CPython C API on the manager's own structures -- the ``_level`` / ``_lo`` / ``_hi``
  * lists, the per-level ``_unique`` tables, the ``_free`` list, the
  * ``_ct_and`` table and the caller's exists memo -- and repeat the Python
  * loops step for step: the same probe order, node-creation order,
@@ -45,8 +51,8 @@ typedef uint64_t edge_t;
 
 static PyObject *s_level, *s_lo, *s_hi, *s_unique, *s_free, *s_ct_and,
     *s_ct_lookups, *s_ct_hits, *s_uniq_lookups, *s_uniq_hits,
-    *s_peak_live, *s_q_steps, *s_growth_hook, *s_growth_countdown,
-    *s_growth_interval;
+    *s_peak_live, *s_q_steps, *s_q_calls, *s_growth_hook,
+    *s_growth_countdown, *s_growth_interval;
 
 /* ------------------------------------------------------------------ */
 /* Growable stacks with inline storage                                 */
@@ -497,8 +503,12 @@ static PyTypeObject TableType = {
 /* Manager state                                                       */
 /* ------------------------------------------------------------------ */
 
+/* The AND and exists entries keep the first N_WALK counters; only the
+ * EXOR propagation counts quantifier calls, which Python counts around
+ * the other two. */
 enum { C_CT_LOOKUPS, C_CT_HITS, C_UNIQ_LOOKUPS, C_UNIQ_HITS, C_PEAK_LIVE,
-       C_Q_STEPS, C_COUNTDOWN, N_COUNTERS };
+       C_Q_STEPS, C_COUNTDOWN, C_Q_CALLS, N_COUNTERS };
+#define N_WALK C_Q_CALLS
 
 typedef struct {
     PyObject *mgr;                      /* borrowed from the caller */
@@ -507,13 +517,14 @@ typedef struct {
     Py_ssize_t ct_max;
     PyObject *hook;                     /* new ref, NULL for None */
     long long interval;
+    int ncounters;                      /* N_WALK or N_COUNTERS */
     long long val[N_COUNTERS];          /* working copies */
     long long synced[N_COUNTERS];       /* as last read or written */
 } Kernel;
 
 static PyObject **const counter_names[N_COUNTERS] = {
     &s_ct_lookups, &s_ct_hits, &s_uniq_lookups, &s_uniq_hits,
-    &s_peak_live, &s_q_steps, &s_growth_countdown,
+    &s_peak_live, &s_q_steps, &s_growth_countdown, &s_q_calls,
 };
 
 static int
@@ -533,7 +544,7 @@ sync_in(Kernel *k)
 {
     PyObject *hook;
     int i;
-    for (i = 0; i < N_COUNTERS; i++) {
+    for (i = 0; i < k->ncounters; i++) {
         if (get_ll(k->mgr, *counter_names[i], &k->val[i]) < 0)
             return -1;
         k->synced[i] = k->val[i];
@@ -554,7 +565,7 @@ static int
 sync_out(Kernel *k)
 {
     int i;
-    for (i = 0; i < N_COUNTERS; i++) {
+    for (i = 0; i < k->ncounters; i++) {
         PyObject *v;
         int rc;
         if (k->val[i] == k->synced[i])
@@ -596,11 +607,12 @@ kernel_release(Kernel *k)
 }
 
 static int
-kernel_open(Kernel *k, PyObject *mgr, Py_ssize_t ct_max)
+kernel_open(Kernel *k, PyObject *mgr, Py_ssize_t ct_max, int ncounters)
 {
     memset(k, 0, sizeof(*k));
     k->mgr = mgr;
     k->ct_max = ct_max;
+    k->ncounters = ncounters;
     if ((k->level = get_typed(mgr, s_level, &PyList_Type)) == NULL
         || (k->lo = get_typed(mgr, s_lo, &PyList_Type)) == NULL
         || (k->hi = get_typed(mgr, s_hi, &PyList_Type)) == NULL
@@ -991,6 +1003,43 @@ typedef struct { edge_t x; long long lvl; Py_ssize_t i; int tag, q; } QFrame;
 #define RPUSH(v_) \
     do { if (STACK_PUSH(results, (edge_t)(v_)) < 0) goto error; } while (0)
 
+/* A quantified level set from Python: one PyMem block *out holding the
+ * n levels followed by their n suffix ids (the caller frees it). */
+static int
+read_levels(PyObject *levels_obj, PyObject *sids_obj, long long **out,
+            Py_ssize_t *n)
+{
+    PyObject *lv = PySequence_Fast(levels_obj, "levels must be a sequence");
+    PyObject *sd = PySequence_Fast(sids_obj, "sids must be a sequence");
+    long long *levels;
+    Py_ssize_t i;
+    int rc = -1;
+
+    if (lv == NULL || sd == NULL)
+        goto out;
+    *n = PySequence_Fast_GET_SIZE(lv);
+    if (PySequence_Fast_GET_SIZE(sd) < *n) {
+        PyErr_SetString(PyExc_ValueError, "one suffix id per level needed");
+        goto out;
+    }
+    levels = *out = PyMem_Malloc(sizeof(long long) * (size_t)(2 * *n + 1));
+    if (levels == NULL) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    for (i = 0; i < *n; i++) {
+        levels[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(lv, i));
+        levels[*n + i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(sd, i));
+        if (PyErr_Occurred())
+            goto out;
+    }
+    rc = 0;
+out:
+    Py_XDECREF(lv);
+    Py_XDECREF(sd);
+    return rc;
+}
+
 static int
 exists_walk(Kernel *k, edge_t f, const long long *levels,
             const long long *sids, Py_ssize_t n, Table *cache,
@@ -1072,6 +1121,187 @@ error:
 #undef RPUSH
 
 /* ------------------------------------------------------------------ */
+/* Fig. 4's EXOR propagation                                           */
+/* ------------------------------------------------------------------ */
+
+/* One side's quantified variable set.  It is interned through the
+ * caller's callback at its first projection, where quantify.exists
+ * would intern it, so suffix ids come out in the Python loop's order. */
+typedef struct {
+    PyObject *vars;                 /* borrowed: the variable list */
+    long long *levels, *sids;       /* PyMem, one block; NULL until then */
+    Py_ssize_t n;                   /* -1 until interned */
+} VarSet;
+
+/* intern(vars) -> (levels, suffix ids), as the quantify helpers give. */
+static int
+varset_intern(VarSet *s, PyObject *intern)
+{
+    PyObject *res = PyObject_CallOneArg(intern, s->vars);
+    Py_ssize_t n;
+    int rc = -1;
+
+    if (res == NULL)
+        return -1;
+    if (!PyTuple_Check(res) || PyTuple_GET_SIZE(res) != 2)
+        PyErr_SetString(PyExc_TypeError, "intern must return (levels, sids)");
+    else if (read_levels(PyTuple_GET_ITEM(res, 0), PyTuple_GET_ITEM(res, 1),
+                         &s->levels, &n) == 0) {
+        s->sids = s->levels + n;
+        s->n = n;
+        rc = 0;
+    }
+    Py_DECREF(res);
+    return rc;
+}
+
+/* The state of one propagation: the kernel plus what quantify.exists
+ * reads on each call. */
+typedef struct {
+    Kernel k;
+    VarSet a, b;
+    PyObject *intern;               /* borrowed */
+    Table *cache;                   /* borrowed: the exists memo */
+    char *drop;                     /* PyMem: 1 at the levels of XB */
+    Py_ssize_t ndrop;               /* levels known at entry */
+} Exor;
+
+/* propagate_exor's _forced: exists(vars, (u & pu) | (v & pv)), built
+ * in the Python expression's order; the exists call is quantify.exists,
+ * which interns the set and counts the call before its walk. */
+static int
+forced(Exor *x, VarSet *s, edge_t u, edge_t pu, edge_t v, edge_t pv,
+       edge_t *out)
+{
+    edge_t up, vp, either;
+    if (and_top(&x->k, u, pu, &up) < 0 || and_top(&x->k, v, pv, &vp) < 0
+        || and_top(&x->k, up ^ 1, vp ^ 1, &either) < 0
+        || (s->n < 0 && varset_intern(s, x->intern) < 0))
+        return -1;
+    if (s->n == 0) {
+        *out = either ^ 1;
+        return 0;
+    }
+    x->k.val[C_Q_CALLS]++;
+    return exists_walk(&x->k, either ^ 1, s->levels, s->sids, s->n,
+                       x->cache, out);
+}
+
+/* The seed of component A: cube_to_bdd of pick_cube(q) without the
+ * levels of XB.  pick_cube takes the 1-branch unless it is FALSE;
+ * cube_to_bdd ANDs the literals in from the deepest level up, making
+ * each literal node (BDD.var / BDD.nvar) just before its AND. */
+static int
+seed_cube(Exor *x, edge_t q, edge_t *out)
+{
+    STACK(edge_t, 64) path;             /* level << 1 | value, top first */
+    Kernel *k = &x->k;
+    edge_t e = q, lv, lo, hi, lit, acc = 1, item;
+    Py_ssize_t nlevels = PyList_GET_SIZE(k->unique);
+
+    STACK_INIT(path);
+    while (e != 1) {
+        if (list_item(k->level, e >> 1, &lv) < 0)
+            goto error;
+        if (lv >= (edge_t)nlevels) {
+            PyErr_SetString(PyExc_ValueError, "pick_cube reached FALSE");
+            goto error;
+        }
+        if (branches(k, e, lv, lv, &lo, &hi) < 0)
+            goto error;
+        if (!((Py_ssize_t)lv < x->ndrop && x->drop[lv])
+            && STACK_PUSH(path, (lv << 1) | (hi != 0)) < 0)
+            goto error;
+        e = hi != 0 ? hi : lo;
+    }
+    while (path.len) {
+        item = path.items[--path.len];
+        if (make_node(k, (long long)(item >> 1), (item & 1) ^ 1, item & 1,
+                      &k->val[C_UNIQ_LOOKUPS], &k->val[C_UNIQ_HITS],
+                      &lit) < 0
+            || and_top(k, lit, acc, &acc) < 0)
+            goto error;
+    }
+    *out = acc;
+    STACK_FREE(path);
+    return 0;
+error:
+    STACK_FREE(path);
+    return -1;
+}
+
+#define AND(f_, g_, out_) \
+    do { if (and_top(&x->k, (f_), (g_), &(out_)) < 0) goto error; } while (0)
+#define OR(f_, g_, out_) \
+    do { AND((f_) ^ 1, (g_) ^ 1, out_); (out_) ^= 1; } while (0)
+#define DIFF(f_, g_, out_) AND((f_), (g_) ^ 1, out_)
+#define FORCED(s_, u_, pu_, v_, pv_, out_) \
+    do { if (forced(x, (s_), (u_), (pu_), (v_), (pv_), &(out_)) < 0) \
+             goto error; } while (0)
+#define REFUTE_IF_OVERLAP(f_, g_) \
+    do { AND((f_), (g_), t); if (t != 0) goto refuted; } while (0)
+
+/* repro.decomp.exor.propagate_exor's loop, call for call.  On success
+ * out[] holds (r, acc_qa, acc_ra, acc_qb, acc_rb) and 1 is returned;
+ * 0 means an overlap refuted the decomposition, -1 an error. */
+static int
+exor_loop(Exor *x, edge_t q, edge_t r, edge_t out[5])
+{
+    edge_t acc_qa = 0, acc_ra = 0, acc_qb = 0, acc_rb = 0;
+    edge_t q_a, r_a, q_b, r_b, q_b_new, r_b_new, covered, t, t2;
+
+    while (q != 0) {
+        if (seed_cube(x, q, &q_a) < 0)
+            goto error;
+        r_a = 0;
+        while (q_a != 0 || r_a != 0) {
+            /* Forced values of B given the new forced values of A. */
+            FORCED(&x->a, q, r_a, r, q_a, q_b);
+            FORCED(&x->a, q, q_a, r, r_a, r_b);
+            REFUTE_IF_OVERLAP(q_b, r_b);
+            OR(q_a, r_a, covered);
+            DIFF(q, covered, q);
+            DIFF(r, covered, r);
+            OR(acc_qa, q_a, acc_qa);
+            OR(acc_ra, r_a, acc_ra);
+            DIFF(q_b, acc_qb, q_b_new);
+            DIFF(r_b, acc_rb, r_b_new);
+            OR(acc_qb, q_b, acc_qb);
+            OR(acc_rb, r_b, acc_rb);
+            REFUTE_IF_OVERLAP(acc_qb, acc_rb);
+            /* Forced values of A given the new forced values of B. */
+            FORCED(&x->b, q, r_b_new, r, q_b_new, q_a);
+            FORCED(&x->b, q, q_b_new, r, r_b_new, r_a);
+            REFUTE_IF_OVERLAP(q_a, r_a);
+            OR(q_b_new, r_b_new, covered);
+            DIFF(q, covered, q);
+            DIFF(r, covered, r);
+            DIFF(q_a, acc_qa, q_a);
+            DIFF(r_a, acc_ra, r_a);
+            OR(acc_qa, q_a, t);
+            OR(acc_ra, r_a, t2);
+            REFUTE_IF_OVERLAP(t, t2);
+        }
+    }
+    out[0] = r;
+    out[1] = acc_qa;
+    out[2] = acc_ra;
+    out[3] = acc_qb;
+    out[4] = acc_rb;
+    return 1;
+refuted:
+    return 0;
+error:
+    return -1;
+}
+
+#undef AND
+#undef OR
+#undef DIFF
+#undef FORCED
+#undef REFUTE_IF_OVERLAP
+
+/* ------------------------------------------------------------------ */
 /* Module functions                                                    */
 /* ------------------------------------------------------------------ */
 
@@ -1108,7 +1338,7 @@ py_and(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     ct_max = PyLong_AsSsize_t(args[3]);
     if (ct_max == -1 && PyErr_Occurred())
         return NULL;
-    if (kernel_open(&k, args[0], ct_max) < 0)
+    if (kernel_open(&k, args[0], ct_max, N_WALK) < 0)
         return NULL;
     if (and_walk(&k, f, g, &res) == 0)
         result = PyLong_FromUnsignedLongLong(res);
@@ -1125,9 +1355,9 @@ py_exists(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Kernel k;
     edge_t f, res;
-    Py_ssize_t n, i, ct_max;
-    long long *levels = NULL, *sids;
-    PyObject *levels_seq = NULL, *sids_seq = NULL, *result = NULL;
+    Py_ssize_t n, ct_max;
+    long long *levels = NULL;
+    PyObject *result = NULL;
 
     (void)self;
     if (nargs != 6) {
@@ -1143,36 +1373,92 @@ py_exists(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     ct_max = PyLong_AsSsize_t(args[5]);
     if (ct_max == -1 && PyErr_Occurred())
         return NULL;
-    levels_seq = PySequence_Fast(args[2], "levels must be a sequence");
-    sids_seq = PySequence_Fast(args[3], "sids must be a sequence");
-    if (levels_seq == NULL || sids_seq == NULL)
+    if (read_levels(args[2], args[3], &levels, &n) < 0
+        || kernel_open(&k, args[0], ct_max, N_WALK) < 0)
         goto out;
-    n = PySequence_Fast_GET_SIZE(levels_seq);
-    if (PySequence_Fast_GET_SIZE(sids_seq) < n) {
-        PyErr_SetString(PyExc_ValueError, "one suffix id per level needed");
-        goto out;
-    }
-    levels = PyMem_Malloc(sizeof(long long) * (size_t)(2 * n + 1));
-    if (levels == NULL) {
-        PyErr_NoMemory();
-        goto out;
-    }
-    sids = levels + n;
-    for (i = 0; i < n; i++) {
-        levels[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(levels_seq, i));
-        sids[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(sids_seq, i));
-        if (PyErr_Occurred())
-            goto out;
-    }
-    if (kernel_open(&k, args[0], ct_max) < 0)
-        goto out;
-    if (exists_walk(&k, f, levels, sids, n, (Table *)args[4], &res) == 0)
+    if (exists_walk(&k, f, levels, levels + n, n, (Table *)args[4],
+                    &res) == 0)
         result = PyLong_FromUnsignedLongLong(res);
     result = kernel_close(&k, result);
 out:
     PyMem_Free(levels);
-    Py_XDECREF(levels_seq);
-    Py_XDECREF(sids_seq);
+    return result;
+}
+
+PyDoc_STRVAR(exor_doc,
+"propagate_exor(mgr, q, r, xa, xb, drop, intern, cache, ct_max)\n\n"
+"The loop of repro.decomp.exor.propagate_exor for on-set q != FALSE and\n"
+"off-set r: returns (r, acc_qa, acc_ra, acc_qb, acc_rb), or None when an\n"
+"overlap refutes the decomposition.  *xa* / *xb* are the variable lists\n"
+"passed to exists, *drop* the levels of xb, *intern(vars)* returns a\n"
+"set's (levels, suffix ids) and *cache* is the exists memo Table.");
+
+static PyObject *
+py_propagate_exor(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Exor x;
+    edge_t q, r, out[5];
+    Py_ssize_t ct_max, i, n;
+    PyObject *drop_seq = NULL, *result = NULL;
+    long long lv;
+    int rc;
+
+    (void)self;
+    if (nargs != 9) {
+        PyErr_SetString(PyExc_TypeError, "propagate_exor takes 9 arguments");
+        return NULL;
+    }
+    if (Py_TYPE(args[7]) != &TableType) {
+        PyErr_SetString(PyExc_TypeError, "exists memo must be a Table");
+        return NULL;
+    }
+    if (arg_edge(args[1], &q) < 0 || arg_edge(args[2], &r) < 0)
+        return NULL;
+    ct_max = PyLong_AsSsize_t(args[8]);
+    if (ct_max == -1 && PyErr_Occurred())
+        return NULL;
+    memset(&x, 0, sizeof(x));
+    x.a.vars = args[3];
+    x.b.vars = args[4];
+    x.a.n = x.b.n = -1;
+    x.intern = args[6];
+    x.cache = (Table *)args[7];
+    if (kernel_open(&x.k, args[0], ct_max, N_COUNTERS) < 0)
+        return NULL;
+    x.ndrop = PyList_GET_SIZE(x.k.unique);
+    x.drop = PyMem_Calloc((size_t)x.ndrop + 1, 1);
+    drop_seq = PySequence_Fast(args[5], "drop must be a sequence");
+    if (x.drop == NULL || drop_seq == NULL) {
+        if (x.drop == NULL)
+            PyErr_NoMemory();
+        goto out;
+    }
+    n = PySequence_Fast_GET_SIZE(drop_seq);
+    for (i = 0; i < n; i++) {
+        lv = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(drop_seq, i));
+        if (lv == -1 && PyErr_Occurred())
+            goto out;
+        if (lv < 0 || lv >= x.ndrop) {
+            PyErr_SetString(PyExc_IndexError, "BDD level out of range");
+            goto out;
+        }
+        x.drop[lv] = 1;
+    }
+    rc = exor_loop(&x, q, r, out);
+    if (rc == 1)
+        result = Py_BuildValue("(KKKKK)", (unsigned long long)out[0],
+                               (unsigned long long)out[1],
+                               (unsigned long long)out[2],
+                               (unsigned long long)out[3],
+                               (unsigned long long)out[4]);
+    else if (rc == 0)
+        result = Py_NewRef(Py_None);
+out:
+    result = kernel_close(&x.k, result);
+    PyMem_Free(x.drop);
+    Py_XDECREF(drop_seq);
+    PyMem_Free(x.a.levels);
+    PyMem_Free(x.b.levels);
     return result;
 }
 
@@ -1180,6 +1466,8 @@ static PyMethodDef kernel_methods[] = {
     {"and_", (PyCFunction)(void (*)(void))py_and, METH_FASTCALL, and_doc},
     {"exists", (PyCFunction)(void (*)(void))py_exists, METH_FASTCALL,
      exists_doc},
+    {"propagate_exor", (PyCFunction)(void (*)(void))py_propagate_exor,
+     METH_FASTCALL, exor_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1199,6 +1487,7 @@ PyInit__kernel(void)
         {&s_ct_lookups, "_ct_lookups"}, {&s_ct_hits, "_ct_hits"},
         {&s_uniq_lookups, "_uniq_lookups"}, {&s_uniq_hits, "_uniq_hits"},
         {&s_peak_live, "_peak_live"}, {&s_q_steps, "_q_steps"},
+        {&s_q_calls, "_q_exists_calls"},
         {&s_growth_hook, "_growth_hook"},
         {&s_growth_countdown, "_growth_countdown"},
         {&s_growth_interval, "_growth_interval"},

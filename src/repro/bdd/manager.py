@@ -152,6 +152,12 @@ class BDD:
         return var
 
     @property
+    def native(self):
+        """True when this manager runs the C inner loops of
+        :mod:`repro.bdd.native`, False on the Python loops."""
+        return self._kernel is not None
+
+    @property
     def num_vars(self):
         """Number of variables managed."""
         return len(self._var_names)

@@ -27,6 +27,8 @@ The exists walk runs in C when :mod:`repro.bdd.native` could build its
 extension (the fused ``and_exists`` walk stays in Python); the Python
 loop in :func:`_exists_iter` is the fallback and the differential
 tests' reference, and both leave the same memo entries and counters.
+:func:`exor_propagation` hands the whole loop of Fig. 4's EXOR
+propagation, its exists calls included, to the C kernel in one call.
 Its memo ``_cache_exists`` is a :data:`repro.bdd.native.Table` (int
 keys, edge values), which the C walk probes without boxing; the fused
 walk's memo keeps a dict, because its keys outgrow 64 bits.
@@ -158,6 +160,29 @@ def _exists_iter(mgr, f: Edge, levels, cache) -> Edge:
             rpush(result)
     mgr._q_steps += steps
     return results[0]
+
+
+def exor_propagation(mgr, q: Edge, r: Edge, xa, xb):
+    """The loop of Fig. 4's EXOR propagation as one C kernel call.
+
+    Runs the ``while q`` loop of
+    :func:`repro.decomp.exor.propagate_exor` for on-set *q* (not FALSE)
+    and off-set *r*, with *xa* / *xb* the variable-index lists that
+    function passes to :func:`exists`.  Returns ``(r, acc_qa, acc_ra,
+    acc_qb, acc_rb)`` -- the off-set points the propagation left
+    untouched and the four accumulated must-sets -- or ``None`` when an
+    overlap refutes the decomposition.  The C loop repeats the Python
+    one call for call and interns each variable set at its first
+    projection, so edges, arena, counters and suffix ids come out the
+    same.  Only for a manager with :attr:`BDD.native` set.
+    """
+    def intern(variables):
+        levels = _levels_token(mgr, variables)
+        return levels, (_suffixes(mgr, levels)[1] if levels else ())
+
+    return mgr._kernel.propagate_exor(
+        mgr, q, r, xa, xb, [mgr.level_of_var(v) for v in xb], intern,
+        _cache(mgr, "_cache_exists", native.Table), _manager._CT_MAX)
 
 
 def forall(mgr, variables, f: Edge) -> Edge:

@@ -426,8 +426,6 @@ def cmd_lint(args, stdout):
     specs = None
     if args.spec is not None:
         _data, _mgr, specs = load_pla(args.spec)
-        specs = {name: isf for name, isf in specs.items()
-                 if any(name == out for out, _n in netlist.outputs)}
     report = lint_netlist(netlist, specs=specs)
     stdout.write(report.format_text())
     if getattr(args, "json", None) is not None:

@@ -31,8 +31,11 @@ from them (quantifier commutativity plus unique-table canonicity), so
 the caches cannot change any decomposition decision.  The ``--check``
 contracts therefore never read them: they re-prove each step through
 :func:`repro.analysis.certify.theorem_residue` and
-:func:`repro.decomp.exor.propagate_exor`.  The caches live on
-the manager as ``_cache_ctx_*`` dicts, which
+:func:`repro.decomp.exor.propagate_exor`, the Python loop of the
+propagation that the check runs as one C kernel call where the kernel
+is compiled.  Its projections use the kernel's exists memo; only its
+final step goes through :meth:`CheckContext.exists`.  The caches live
+on the manager as ``_cache_ctx_*`` dicts, which
 :meth:`repro.bdd.manager.BDD.clear_caches` drops wholesale on reorder
 or GC exactly like the kernel's own computed tables — a cached edge is
 only ever replayed while it is still canonical.  The context instance

@@ -12,14 +12,20 @@ until a fixpoint; any overlap of a component's must-1 and must-0 sets
 refutes decomposability.  On success it returns the component ISF
 *constraints* ``(A_isf, B_isf)``; on failure ``None``.
 :func:`propagate_exor` is the propagation itself; the check wraps it in
-the context's verdict memo and a necessary Theorem 2 filter.
+the context's verdict memo and a necessary Theorem 2 filter.  On a
+manager that runs the C inner loops, the check hands the propagation's
+loop to one C kernel call (:func:`repro.bdd.exor_propagation`), which
+repeats it call for call, so edges, nodes and counters do not depend on
+which one ran; :func:`propagate_exor` stays the fallback, the
+differential tests' reference and the path of the ``--check`` contract.
 
 The propagation is exact for the check; the recursive decomposition
 re-derives component B from the chosen CSF f_A afterwards (see
 :mod:`repro.decomp.derive`), mirroring what Theorem 4 does for OR.
 """
 
-from repro.bdd import cube_to_bdd, exists as _exists, pick_cube
+from repro.bdd import (cube_to_bdd, exists as _exists, exor_propagation,
+                       pick_cube)
 from repro.bdd.function import Function
 from repro.boolfn.isf import ISF, InconsistentISF
 from repro.decomp.checks import exor_decomposable_single
@@ -68,7 +74,7 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
             isf, xa, xb, ctx):
         store(False)
         return None
-    result = propagate_exor(isf, xa, xb, ctx)
+    result = _propagate(isf, xa, xb, ctx)
     if result is None:
         store(False)
         return None
@@ -180,7 +186,33 @@ def propagate_exor(isf, xa, xb, ctx=None):
             r_a = mgr.diff(r_a, acc_ra)
             if mgr.and_(mgr.or_(acc_qa, q_a), mgr.or_(acc_ra, r_a)) != false:
                 return None
+    return _components(mgr, xa, xb, ctx, r, acc_qa, acc_ra, acc_qb, acc_rb)
 
+
+def _propagate(isf, xa, xb, ctx):
+    """:func:`propagate_exor`, with its loop as one C kernel call.
+
+    On a manager that runs the C inner loops, an incompletely specified
+    interval with a non-empty on-set hands the ``while q`` loop to
+    :func:`repro.bdd.exor_propagation`, which repeats it call for call;
+    the final step stays here.  Every other case runs
+    :func:`propagate_exor` itself.
+    """
+    mgr = isf.mgr
+    q = isf.on.node
+    if not mgr.native or q == mgr.false or isf.is_completely_specified():
+        return propagate_exor(isf, xa, xb, ctx)
+    xa = [mgr.var_index(v) for v in xa]
+    xb = [mgr.var_index(v) for v in xb]
+    loop = exor_propagation(mgr, q, isf.off.node, xa, xb)
+    if loop is None:
+        return None
+    return _components(mgr, xa, xb, ctx, *loop)
+
+
+def _components(mgr, xa, xb, ctx, r, acc_qa, acc_ra, acc_qb, acc_rb):
+    """The propagation's final step: the component ISFs, or ``None``."""
+    false = mgr.false
     # Untouched off-set points: force both components to 0 there
     # (0 EXOR 0 = 0), per the paper's final step.
     if r != false:

@@ -88,11 +88,18 @@ def parse_blif(text, mgr=None):
 
     Handles ``.names`` tables of any width (both on-set covers ending
     in 1 and off-set covers ending in 0).  Returns ``(mgr, outputs)``
-    where *outputs* maps output name to :class:`Function`.
+    where *outputs* maps output name to :class:`Function`.  With *mgr*
+    given, every ``.inputs`` name must already be one of its variables;
+    an unknown one raises :class:`BLIFError`.
     """
     inputs, outputs, tables = _parse_structure(_logical_lines(text))
     if mgr is None:
         mgr = BDD(inputs)
+    known = set(mgr.var_names)
+    for name in inputs:
+        if name not in known:
+            raise BLIFError("BLIF input %r is not a variable of the "
+                            "specification's manager" % name)
     values = {name: mgr.var(name) for name in inputs}
     for signals, rows in tables:
         *fanins, target = signals
@@ -157,8 +164,10 @@ def _cover_truth_table(fanin_count, rows):
             raise BLIFError("bad cover row %r" % row)
         if len(plane) != fanin_count:
             raise BLIFError("cover row %r width mismatch" % row)
-        if out_symbol not in "01":
+        if out_symbol not in ("0", "1"):
             raise BLIFError("bad cover output %r" % row)
+        if plane.strip("01-"):
+            raise BLIFError("bad cover symbol in %r" % row)
         if polarity is None:
             polarity = out_symbol
         elif polarity != out_symbol:
@@ -276,7 +285,7 @@ def _table_to_bdd(mgr, fanins, rows, values):
             raise BLIFError("bad cover row %r" % row)
         if len(plane) != len(fanins):
             raise BLIFError("cover row %r width mismatch" % row)
-        if out_symbol not in "01":
+        if out_symbol not in ("0", "1"):
             raise BLIFError("bad cover output %r" % row)
         if polarity is None:
             polarity = out_symbol

@@ -24,6 +24,36 @@ def kernel_state(mgr):
             mgr.cache_stats(), mgr._growth_countdown)
 
 
+class Trip(Exception):
+    """Raised by :func:`tripping_hook`."""
+
+
+def tripping_hook(trip_at):
+    """Growth hook that raises :class:`Trip` on fresh node *trip_at*
+    (install it with ``interval=1``)."""
+    fresh = [0]
+
+    def hook(mgr):
+        fresh[0] += 1
+        if fresh[0] == trip_at:
+            raise Trip("budget tripped at fresh node %d" % trip_at)
+    return hook
+
+
+def assert_unique_tables_consistent(mgr):
+    """Every live node sits in its level's unique table under its key."""
+    free = set(mgr._free)
+    indexed = set()
+    for level, table in enumerate(mgr._unique):
+        for key, idx in table.items():
+            assert mgr._level[idx] == level
+            assert key == (mgr._lo[idx] << 32) | mgr._hi[idx]
+            assert mgr._lo[idx] & 1 == 0, "stored low edge complemented"
+            indexed.add(idx)
+    live = set(range(1, len(mgr._level))) - free
+    assert indexed == live
+
+
 def brute_force(mgr, node, variables):
     """Truth table of *node* over *variables* as a packed int."""
     table = 0

@@ -259,6 +259,17 @@ class TestLintCommand:
                     stdout=out) == 0
         assert "0 error" in out.getvalue()
 
+    def test_spec_output_missing_from_netlist_fails(self, pla_path,
+                                                    tmp_path):
+        blif = tmp_path / "short.blif"
+        blif.write_text(".model m\n.inputs a b c\n.outputs g\n"
+                        ".names a b g\n11 1\n.end\n")
+        out = io.StringIO()
+        assert main(["lint", str(blif), "--spec", pla_path],
+                    stdout=out) == 1
+        assert ("specification names output 'f' but the netlist does "
+                "not declare it") in out.getvalue()
+
     def test_defective_blif_fails_threshold(self, tmp_path):
         blif = tmp_path / "bad.blif"
         blif.write_text("\n".join([

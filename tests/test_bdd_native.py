@@ -28,7 +28,8 @@ from repro.bdd import BDD, exists, forall, native
 from repro.bdd import manager as manager_module
 from repro.bdd.reorder import swap_levels
 
-from conftest import kernel_state
+from conftest import (Trip, assert_unique_tables_consistent, kernel_state,
+                      tripping_hook)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -39,20 +40,6 @@ OPS = ["and_", "or_", "exists", "forall"]
 #: The C loops, the Python loops on the same tables, and the real
 #: fallback: the Python loops on plain dicts.
 SETUPS = ["c", "python", "fallback"]
-
-
-class Trip(Exception):
-    """Raised by the test growth hook."""
-
-
-def _tripping_hook(trip_at):
-    fresh = [0]
-
-    def hook(mgr):
-        fresh[0] += 1
-        if fresh[0] == trip_at:
-            raise Trip("budget tripped at fresh node %d" % trip_at)
-    return hook
 
 
 def _operands(python_loops):
@@ -78,19 +65,6 @@ def _setup(name, monkeypatch):
         if name == "fallback":
             patch.setattr(native, "Table", dict)
         yield name != "c"
-
-
-def _assert_unique_tables_consistent(mgr):
-    free = set(mgr._free)
-    indexed = set()
-    for level, table in enumerate(mgr._unique):
-        for key, idx in table.items():
-            assert mgr._level[idx] == level
-            assert key == (mgr._lo[idx] << 32) | mgr._hi[idx]
-            assert mgr._lo[idx] & 1 == 0, "stored low edge complemented"
-            indexed.add(idx)
-    live = set(range(1, len(mgr._level))) - free
-    assert indexed == live
 
 
 def _run(op, mgr, f, g):
@@ -133,7 +107,7 @@ def test_budget_trip_leaves_identical_managers(op, trip_at, monkeypatch):
             mgr, f, g = _operands(python_loops)
             if op in ("exists", "forall"):
                 mgr.xor(f, g)           # build the operand before the hook
-            mgr.set_growth_hook(_tripping_hook(trip_at), interval=1)
+            mgr.set_growth_hook(tripping_hook(trip_at), interval=1)
             with pytest.raises(Trip) as info:
                 _run(op, mgr, f, g)
             tripped = (str(info.value), mgr._peak_live, kernel_state(mgr))
@@ -141,7 +115,7 @@ def test_budget_trip_leaves_identical_managers(op, trip_at, monkeypatch):
             mgr.ref(f)
             mgr.ref(g)
             mgr.collect()
-            _assert_unique_tables_consistent(mgr)
+            assert_unique_tables_consistent(mgr)
             outcomes.append((tripped, kernel_state(mgr)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
 

@@ -358,6 +358,19 @@ class TestCertifyCLI:
         assert main(["certify", str(pla), str(blif), str(bad)],
                     stdout=io.StringIO()) == 1
 
+    def test_certify_blif_input_unknown_to_the_spec(self, tmp_path, capsys):
+        pla, blif, cert = self._emit(tmp_path, "xor5")
+        text = blif.read_text()
+        inputs = next(line for line in text.splitlines()
+                      if line.startswith(".inputs"))
+        blif.write_text(text.replace(inputs, inputs + " ghost"))
+        capsys.readouterr()
+        assert main(["certify", str(pla), str(blif), cert],
+                    stdout=io.StringIO()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unusable BLIF "), err
+        assert "'ghost'" in err
+
     def test_decompose_certify_round_trip(self, tmp_path):
         pla = _write_bench_pla(tmp_path, "rd53")
         blif = tmp_path / "rd53.blif"

@@ -227,6 +227,22 @@ class TestBadInputExitCode:
         assert err.count("\n") == 1, err
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("inputs, bad", [
+        ("a b c d x4", "x4"),
+        ("x0 x1 x2 x3", "x0"),
+    ], ids=["extra-input", "other-names"])
+    def test_blif_input_unknown_to_the_spec(self, inputs, bad, pla_path,
+                                            tmp_path, capsys):
+        blif = tmp_path / "bad.blif"
+        blif.write_text(".model m\n.inputs %s\n.outputs f g\n"
+                        ".names %s f\n1 1\n.names %s g\n1 1\n.end\n"
+                        % (inputs, bad, bad))
+        assert main(["verify", pla_path, str(blif)],
+                    stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BLIF input %r " % bad), err
+        assert err.count("\n") == 1, err
+
     @pytest.mark.parametrize("size", ("0", "-3"))
     def test_weak_xa_size_below_one_rejected(self, pla_path, size, capsys):
         argv = ["decompose", pla_path, "--weak-xa-size", size]

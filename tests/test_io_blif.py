@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.bdd import BDD
 from repro.boolfn import from_truth_table, parse
 from repro.io import (BLIFError, netlist_from_functions, parse_blif,
-                      write_blif)
+                      parse_blif_netlist, write_blif)
 from repro.network import Netlist, gates as G, verify_equivalent
 from repro.network.extract import output_functions
 
@@ -123,6 +123,35 @@ class TestReader:
     def test_unsupported_construct_rejected(self):
         text = ".model m\n.inputs a\n.outputs y\n.latch a y 0\n.end\n"
         with pytest.raises(BLIFError):
+            parse_blif(text)
+
+    @pytest.mark.parametrize("inputs, bad", [
+        ("x0 x1 x2", "x2"),
+        ("a b", "a"),
+    ], ids=["extra-input", "other-names"])
+    def test_input_unknown_to_the_manager_rejected(self, inputs, bad):
+        text = (".model m\n.inputs %s\n.outputs y\n.names %s y\n1 1\n"
+                ".end\n" % (inputs, bad))
+        with pytest.raises(BLIFError, match=repr(bad)):
+            parse_blif(text, mgr=BDD(["x0", "x1"]))
+
+    def test_bad_cover_output_rejected(self):
+        text = (".model m\n.inputs a b\n.outputs y\n"
+                ".names a b y\n11 01\n.end\n")
+        with pytest.raises(BLIFError, match="bad cover output"):
+            parse_blif(text)
+        with pytest.raises(BLIFError, match="bad cover output"):
+            parse_blif_netlist(text)
+
+
+class TestNetlistReader:
+    @pytest.mark.parametrize("row", ["12 1", "1x 1"])
+    def test_bad_cover_symbol_rejected(self, row):
+        text = (".model m\n.inputs x0 x1\n.outputs f\n.names x0 x1 f\n"
+                "%s\n.end\n" % row)
+        with pytest.raises(BLIFError, match="bad cover symbol in %r" % row):
+            parse_blif_netlist(text)
+        with pytest.raises(BLIFError, match="bad cover symbol"):
             parse_blif(text)
 
 
