@@ -30,8 +30,8 @@ import sys
 from repro.io import load_pla, parse_blif, read_text
 from repro.decomp import DecompositionConfig
 from repro.network.mapper import map_netlist, verify_mapping
-from repro.pipeline import (Pipeline, PipelineConfig, PipelineError,
-                            PipelineInput, Session)
+from repro.pipeline import (EventBus, Pipeline, PipelineConfig,
+                            PipelineError, PipelineInput, Session)
 from repro.testability import analyze_testability, care_sets
 
 
@@ -182,21 +182,30 @@ def _emit_stats_json(args, session, run, stdout, extra=None):
             handle.write(text)
 
 
-def _run_pipeline(args, session, pipeline, source, stdout):
-    """Run one pipeline, mapping limit trips to a clean exit code.
+def _run_pipeline(config, pipeline, source):
+    """Run one input in a fresh session; returns ``(session, run)``.
 
-    The component-cache store (``--cache-dir``) is flushed on both
-    paths: a run that tripped its budget still banked every component
-    it finished, warming the retry.
+    A budget trip is reported on stderr and gives ``run=None``.  A
+    ``--cache-dir`` store is read once before the session and merged
+    once after it, as in a batch — also after a budget trip, so the
+    retry starts warm.
     """
+    from repro.decomp.cache_store import commit_store, open_store
+    events = EventBus()
+    stored = None
+    if config.cache_path is not None:
+        stored = open_store(config.cache_path, events=events,
+                            readonly=config.cache_readonly)
+    session = Session(config, events=events, stored=stored)
     try:
         run = pipeline.run(session, source)
     except PipelineError as exc:
-        session.flush_component_cache()
         sys.stderr.write("aborted: %s\n" % exc)
-        return None
-    session.flush_component_cache()
-    return run
+        run = None
+    if stored is not None and not config.cache_readonly:
+        commit_store(config.cache_path, [session.component_entries()],
+                     label=config.model, events=events)
+    return session, run
 
 
 def _certify_one(spec_path, blif_path, cert_path, events=None):
@@ -260,9 +269,10 @@ def cmd_decompose(args, stdout):
         sys.stderr.write("error: --certificates/--certify need a file "
                          "output (-o or --output-dir)\n")
         return 2
-    session = Session(_pipeline_config(args, verify=not args.no_verify))
     source = PipelineInput(path=args.input[0], emit_path=emit_path)
-    run = _run_pipeline(args, session, Pipeline.standard(), source, stdout)
+    session, run = _run_pipeline(
+        _pipeline_config(args, verify=not args.no_verify),
+        Pipeline.standard(), source)
     if run is None:
         return 3
     if emit_path is None:
@@ -297,7 +307,7 @@ def cmd_decompose(args, stdout):
 
 def _decompose_batch(args, stdout):
     """Batch/parallel decompose: N PLAs over ``--jobs`` workers."""
-    from repro.pipeline import EventBus, run_batch_parallel
+    from repro.pipeline import run_batch_parallel
     if args.output is not None and len(args.input) > 1:
         sys.stderr.write("error: -o/--output takes a single input; "
                          "use --output-dir for batches\n")
@@ -378,9 +388,9 @@ def _decompose_batch(args, stdout):
 
 def cmd_stats(args, stdout):
     """Decompose and print the Table 2 cost columns."""
-    session = Session(_pipeline_config(args))
-    run = _run_pipeline(args, session, Pipeline.standard(emit=False),
-                        PipelineInput(path=args.input), stdout)
+    session, run = _run_pipeline(_pipeline_config(args),
+                                 Pipeline.standard(emit=False),
+                                 PipelineInput(path=args.input))
     if run is None:
         return 3
     _print_stats(run.netlist_stats(), stdout)
@@ -529,9 +539,9 @@ def cmd_certify(args, stdout):
 
 def cmd_testability(args, stdout):
     """Decompose and run the Theorem 5 fault analysis."""
-    session = Session(_pipeline_config(args))
-    run = _run_pipeline(args, session, Pipeline.standard(emit=False),
-                        PipelineInput(path=args.input), stdout)
+    _session, run = _run_pipeline(_pipeline_config(args),
+                                  Pipeline.standard(emit=False),
+                                  PipelineInput(path=args.input))
     if run is None:
         return 3
     report = analyze_testability(run.netlist, run.mgr,
@@ -546,10 +556,10 @@ def cmd_testability(args, stdout):
 
 def cmd_map(args, stdout):
     """Decompose and map onto the standard-cell library."""
-    session = Session(_pipeline_config(args))
-    run = _run_pipeline(args, session,
-                        Pipeline.standard(emit=False, map_cells=True),
-                        PipelineInput(path=args.input), stdout)
+    _session, run = _run_pipeline(
+        _pipeline_config(args),
+        Pipeline.standard(emit=False, map_cells=True),
+        PipelineInput(path=args.input))
     if run is None:
         return 3
     mapping = run.mapping
@@ -587,9 +597,8 @@ def cmd_baseline(args, stdout):
     if args.flow == "sis":
         config.flow_options.update(factor=args.factor,
                                    minimizer=args.minimizer)
-    session = Session(config)
-    run = _run_pipeline(args, session, Pipeline.standard(emit=False),
-                        PipelineInput(path=args.input), stdout)
+    session, run = _run_pipeline(config, Pipeline.standard(emit=False),
+                                 PipelineInput(path=args.input))
     if run is None:
         return 3
     _print_stats(run.netlist_stats(), stdout)

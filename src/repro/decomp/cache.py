@@ -12,6 +12,24 @@ The paper reports up to ~20 % component reuse from this "lossless hash
 table"; the ablation benchmark measures the same effect here.
 """
 
+from repro.bdd.node import FALSE
+
+
+def theorem6_match(mgr, q, r, f):
+    """Theorem 6's two containment tests of the CSF *f* against the
+    interval (Q, ~R), all edges of *mgr*.
+
+    Returns False when *f* lies in the interval, True when its
+    complement does, and None when neither is compatible.
+    """
+    # f compatible iff Q & ~f == 0 and R & f == 0 ...
+    if mgr.diff(q, f) == FALSE and mgr.and_(r, f) == FALSE:
+        return False
+    # ... and ~f compatible iff R & ~f == 0 and Q & f == 0.
+    if mgr.and_(q, f) == FALSE and mgr.diff(r, f) == FALSE:
+        return True
+    return None
+
 
 class ComponentCache:
     """Support-hashed store of completely specified components.
@@ -44,26 +62,25 @@ class ComponentCache:
         bucket = self._by_support.get(frozenset(support))
         if not bucket:
             return None
-        mgr = isf.mgr
-        q, r = isf.on.node, isf.off.node
-        false = mgr.false
+        mgr, q, r = isf.mgr, isf.on.node, isf.off.node
         for csf, node in bucket:
-            f = csf.node
-            # Theorem 6: f compatible iff Q & ~f == 0 and R & f == 0.
-            if mgr.diff(q, f) == false and mgr.and_(r, f) == false:
-                self.hits += 1
-                if self.on_hit is not None:
-                    self.on_hit(isf, csf, node, False)
-                return csf, node, False
-            # ... and ~f compatible iff R & ~f == 0 and Q & f == 0.
-            if mgr.and_(q, f) == false and mgr.diff(r, f) == false:
-                self.hits += 1
-                self.complement_hits += 1
-                complemented = ~csf
-                if self.on_hit is not None:
-                    self.on_hit(isf, complemented, node, True)
-                return complemented, node, True
+            complemented = theorem6_match(mgr, q, r, csf.node)
+            if complemented is not None:
+                return self._hit(isf, csf, node, complemented)
         return None
+
+    def _hit(self, isf, csf, node, complemented):
+        """Count a hit, run the ``on_hit`` seam, return the hit triple.
+
+        *csf* is the stored function; a complement hit returns ``~csf``.
+        """
+        self.hits += 1
+        if complemented:
+            self.complement_hits += 1
+            csf = ~csf
+        if self.on_hit is not None:
+            self.on_hit(isf, csf, node, complemented)
+        return csf, node, complemented
 
     def insert(self, csf, node):
         """Record a synthesised CSF and its netlist node."""
@@ -81,7 +98,7 @@ class ComponentCache:
 
         Deterministic (insertion order per support bucket); used by the
         persistence layer (``repro.decomp.cache_store``) to serialise
-        the cache at session flush.
+        the session's live components for the store.
         """
         for bucket in self._by_support.values():
             for csf, node in bucket:

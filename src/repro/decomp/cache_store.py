@@ -12,6 +12,12 @@ are thrown away between runs.  This module makes the cache survive:
   BDD manager or netlist node id, so a store can be rehydrated into a
   completely fresh session — even one whose manager orders (or created)
   the variables differently.
+* :func:`open_store` and :func:`commit_store` are the one protocol a
+  run uses to share the store: the opener reads the file once, before
+  any session starts, and every session is seeded from those parsed
+  entries (a session never opens or writes the file).  After the run
+  the committer re-reads the file, unions it with each input's live
+  entries in dispatch order (:func:`merge_entries`) and writes it once.
 * :class:`PersistentComponentCache` is a drop-in
   :class:`~repro.decomp.cache.ComponentCache` seeded with *dormant*
   stored entries.  Lookups consult the live cache first; on a miss, a
@@ -29,17 +35,17 @@ stored CSF — corrupt covers cannot sneak into a netlist silently.
 
 Stores are forward-compatible within a version: unknown document or
 entry keys are ignored, a newer :data:`CACHE_VERSION` is rejected as
-unusable (the session skips the file with a warning event rather than
+unusable (the run starts cold with a warning event rather than
 crashing), and malformed entries are skipped individually.
 """
 
 import json
 import os
-import tempfile
 
 from repro.bdd.function import Function
 from repro.bdd.node import FALSE
-from repro.decomp.cache import ComponentCache
+from repro.decomp.cache import ComponentCache, theorem6_match
+from repro.io.jsonfile import save_json
 from repro.network import gates as G
 
 #: Magic identifying a component-cache file.
@@ -100,7 +106,10 @@ class StoredComponent:
         cubes = data.get("cubes")
         gates = data.get("gates", 0)
         if (not isinstance(support, list) or not support
-                or not all(isinstance(name, str) for name in support)):
+                or not all(isinstance(name, str) for name in support)
+                or len(set(support)) != len(support)):
+            # A repeated name would key as ("a", "a") and never dedup
+            # against the canonical ("a",).
             raise CacheStoreError("bad support list: %r" % (support,))
         if not isinstance(cubes, list):
             raise CacheStoreError("bad cube list: %r" % (cubes,))
@@ -212,14 +221,11 @@ def store_component(csf, node, mgr, netlist):
 
 
 def serialize_cache(cache, mgr, netlist, label=None):
-    """Serialise *cache* as a versioned store document.
+    """Serialise *cache*'s live entries as a versioned store document.
 
-    Live entries are written from their current CSFs (ISOP covers, cone
-    gate counts); dormant entries a :class:`PersistentComponentCache`
-    never promoted are carried over verbatim, so flushing after a run
-    that only touched part of the store loses nothing.  Duplicates
-    (same support and canonical cover) are written once, live entries
-    winning.
+    Entries are written from their current CSFs (ISOP covers, cone
+    gate counts); duplicates (same support and canonical cover) are
+    written once, the first one winning.
     """
     entries = []
     seen = set()
@@ -232,51 +238,18 @@ def serialize_cache(cache, mgr, netlist, label=None):
             continue
         seen.add(key)
         entries.append(stored)
-    for stored in getattr(cache, "dormant_entries", lambda: ())():
-        key = stored.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        entries.append(stored)
-    doc = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "entries": [entry.as_dict() for entry in entries],
-    }
-    if label is not None:
-        doc["label"] = label
-    return doc
+    return make_store(entries, label=label)
 
 
 def save_store(path, doc):
     """Write a store document as canonical JSON; returns *path*.
 
-    The write is atomic: the document goes to a temporary file in the
-    same directory and is moved over *path* with :func:`os.replace`, so
-    a reader (or a concurrent writer) can never observe a truncated or
-    half-written store.  Concurrent writers therefore race at whole-file
-    granularity: the last writer wins the file and the earlier flush is
-    lost — callers that need a union of concurrent flushes must write to
-    distinct paths and combine them with :func:`merge_stores` (this is
-    exactly what the parallel batch executor does with its per-worker
-    store files).
+    The write is atomic (:func:`repro.io.jsonfile.save_json`): a reader
+    never observes a truncated store, and concurrent writers race at
+    whole-file granularity.  :func:`commit_store` narrows that race to
+    the moment between its re-read and its write.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return path
+    return save_json(path, doc)
 
 
 def parse_store(doc, origin="<store>"):
@@ -291,13 +264,25 @@ def parse_store(doc, origin="<store>"):
     if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
         raise CacheStoreError("not a component-cache file: %s" % origin)
     version = doc.get("version")
-    if not isinstance(version, int) or not 1 <= version <= CACHE_VERSION:
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or not 1 <= version <= CACHE_VERSION):
         raise CacheStoreError(
             "unsupported cache version %r in %s (this build reads 1..%d)"
             % (version, origin, CACHE_VERSION))
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise CacheStoreError("cache file has no entry list: %s" % origin)
+    return _parse_entries(raw)
+
+
+def _parse_entries(raw):
+    """Rebuild a list of store-format entry dicts; returns
+    ``(entries, skipped)``.
+
+    Malformed entries are skipped and counted.  Parsing canonicalises
+    every entry (sorted support), which is what makes keys from
+    different managers comparable.
+    """
     entries = []
     skipped = 0
     for item in raw:
@@ -336,18 +321,19 @@ def make_store(entries, label=None):
     return doc
 
 
-def merge_entries(a, b):
-    """Union two :class:`StoredComponent` lists, deduplicated by key.
+def merge_entries(*lists):
+    """Union :class:`StoredComponent` lists, deduplicated by key.
 
-    Order is deterministic: *a*'s entries first, then *b*'s new ones.
-    When both lists carry the same ``(support, canonical cover)`` key,
-    the entry with the smaller recorded cone (fewest ``gates``) wins —
-    the gate count is the only field that can differ, and reports use
-    it to compare a rehydrated SOP cone against the original emission.
+    Order is deterministic: the first list's entries first, then each
+    later list's new ones.  When two lists carry the same
+    ``(support, canonical cover)`` key, the entry with the smaller
+    recorded cone (fewest ``gates``) wins — the gate count is the only
+    field that can differ, and reports use it to compare a rehydrated
+    SOP cone against the original emission.
     """
     merged = {}
     order = []
-    for entry in list(a) + list(b):
+    for entry in (entry for entries in lists for entry in entries):
         key = entry.key()
         if key not in merged:
             merged[key] = entry
@@ -363,15 +349,84 @@ def merge_stores(a, b, label=None):
     Both documents must be valid stores (:func:`parse_store` rules;
     malformed individual entries are dropped).  Duplicate entries are
     resolved by :func:`merge_entries` — same key keeps the smaller
-    cone.  This is the complement of :func:`save_store`'s whole-file
-    last-writer-wins semantics: concurrent flushes that went to
-    distinct paths are combined here without losing either side.
+    cone.
     """
     entries_a, _skipped = parse_store(a, origin="merge lhs")
     entries_b, _skipped = parse_store(b, origin="merge rhs")
     if label is None:
         label = a.get("label", b.get("label"))
     return make_store(merge_entries(entries_a, entries_b), label=label)
+
+
+def _read_store(path, events, preserve):
+    """``(entries, skipped)`` of the file at *path*, or None.
+
+    None means there is nothing to read: the file is missing (a normal
+    cold start, no event) or unusable.  An unusable file publishes
+    ``component_cache_load_failed`` on *events*; with *preserve* it is
+    first renamed to ``<path>.corrupt``, bytes intact, so the write
+    that follows cannot destroy it.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        return load_store(path)
+    except CacheStoreError as exc:
+        preserved = None
+        if preserve:
+            preserved = path + ".corrupt"
+            try:
+                os.replace(path, preserved)
+            except OSError:
+                preserved = None
+        if events is not None:
+            events.publish("component_cache_load_failed", path=path,
+                           error=str(exc), preserved=preserved)
+        return None
+
+
+def open_store(path, events=None, readonly=False):
+    """Read the store once, before a run's sessions start.
+
+    Returns the parsed :class:`StoredComponent` list every session of
+    the run is seeded from (``[]`` for a missing or unusable file) and
+    publishes ``component_cache_loaded`` on success.  A corrupt file is
+    renamed to ``<path>.corrupt`` (unless *readonly*: a read-only run
+    leaves the cache directory alone) and reported with
+    ``component_cache_load_failed``; the run proceeds cold.
+    """
+    loaded = _read_store(path, events, preserve=not readonly)
+    if loaded is None:
+        return []
+    entries, skipped = loaded
+    if events is not None:
+        events.publish("component_cache_loaded", path=path,
+                       entries=len(entries), skipped=skipped)
+    return entries
+
+
+def commit_store(path, contributions, label=None, events=None):
+    """Merge a run's contributions into the store and write it once.
+
+    *contributions* holds one list of store-format entry dicts per
+    input, in dispatch order (each session's live entries, see
+    ``Session.component_entries``).  The file is re-read first, so
+    entries another writer added during the run survive; the result is
+    ``merge_entries(original, *contributions)``.  Publishes
+    ``component_cache_merged`` and returns ``(path, entry_count)``, or
+    ``(None, 0)`` when there was no store and nothing to add.
+    """
+    loaded = _read_store(path, events, preserve=True)
+    original = loaded[0] if loaded is not None else []
+    parsed = [_parse_entries(items)[0] for items in contributions]
+    if loaded is None and not any(parsed):
+        return None, 0
+    entries = merge_entries(original, *parsed)
+    save_store(path, make_store(entries, label=label))
+    if events is not None:
+        events.publish("component_cache_merged", path=path,
+                       entries=len(entries), inputs=len(parsed))
+    return path, len(entries)
 
 
 class _DormantEntry:
@@ -432,13 +487,6 @@ class PersistentComponentCache(ComponentCache):
         """Stored entries not yet promoted into the live cache."""
         return sum(len(bucket) for bucket in self._dormant.values())
 
-    def dormant_entries(self):
-        """Iterate the never-promoted :class:`StoredComponent` objects
-        (a flush carries them over to the next store verbatim)."""
-        for bucket in self._dormant.values():
-            for entry in bucket:
-                yield entry.stored
-
     def lookup(self, isf, support):
         hit = super().lookup(isf, support)
         if hit is not None:
@@ -453,35 +501,18 @@ class PersistentComponentCache(ComponentCache):
         if not bucket:
             return None
         q, r = isf.on.node, isf.off.node
-        false = mgr.false
         for entry in bucket:
             csf = self._rehydrate(entry, mgr)
             if csf is None:
                 continue
-            f = csf.node
-            # Theorem 6 on the rebuilt cover: f compatible iff
-            # Q & ~f == 0 and R & f == 0; ~f compatible iff the
-            # mirrored pair holds.
-            direct = (mgr.diff(q, f) == false
-                      and mgr.and_(r, f) == false)
-            complement = (not direct
-                          and mgr.and_(q, f) == false
-                          and mgr.diff(r, f) == false)
-            if not direct and not complement:
+            complemented = theorem6_match(mgr, q, r, csf.node)
+            if complemented is None:
                 continue
             node = self._promote(entry, csf, bucket)
-            self.hits += 1
             self.rehydrated_hits += 1
-            if direct:
-                if self.on_hit is not None:
-                    self.on_hit(isf, csf, node, False)
-                return csf, node, False
-            self.complement_hits += 1
-            self.rehydrated_complement_hits += 1
-            complemented = ~csf
-            if self.on_hit is not None:
-                self.on_hit(isf, complemented, node, True)
-            return complemented, node, True
+            if complemented:
+                self.rehydrated_complement_hits += 1
+            return self._hit(isf, csf, node, complemented)
         return None
 
     def _rehydrate(self, entry, mgr):

@@ -150,9 +150,15 @@ _TT2_TO_GATE = {
 }
 
 
-def _cover_truth_table(fanin_count, rows):
-    """Evaluate a ≤2-input cover into a truth-table int (bit per row)."""
-    on_bits = 0
+def _cover_planes(fanin_count, rows):
+    """Validate a ``.names`` cover; returns ``(planes, polarity)``.
+
+    Both readers go through here: every row must be ``<plane> <out>``
+    (just ``<out>`` for a constant table) with a plane of *fanin_count*
+    symbols from ``0``/``1``/``-``, and one output symbol (``0`` or
+    ``1``) shared by every row.  *polarity* is None for an empty cover.
+    """
+    planes = []
     polarity = None
     for row in rows:
         parts = row.split()
@@ -172,6 +178,15 @@ def _cover_truth_table(fanin_count, rows):
             polarity = out_symbol
         elif polarity != out_symbol:
             raise BLIFError("mixed-polarity cover is not valid BLIF")
+        planes.append(plane)
+    return planes, polarity
+
+
+def _cover_truth_table(fanin_count, rows):
+    """Evaluate a ≤2-input cover into a truth-table int (bit per row)."""
+    planes, polarity = _cover_planes(fanin_count, rows)
+    on_bits = 0
+    for plane in planes:
         for point in range(1 << fanin_count):
             matches = all(symbol == "-"
                           or int(symbol) == ((point >> k) & 1)
@@ -273,32 +288,15 @@ def _table_to_bdd(mgr, fanins, rows, values):
     if missing:
         raise BLIFError("table uses undefined signals %s (non-topological "
                         "BLIF is not supported)" % missing)
+    planes, polarity = _cover_planes(len(fanins), rows)
     on = FALSE
-    polarity = None
-    for row in rows:
-        parts = row.split()
-        if len(parts) == 1:
-            plane, out_symbol = "", parts[0]
-        elif len(parts) == 2:
-            plane, out_symbol = parts
-        else:
-            raise BLIFError("bad cover row %r" % row)
-        if len(plane) != len(fanins):
-            raise BLIFError("cover row %r width mismatch" % row)
-        if out_symbol not in ("0", "1"):
-            raise BLIFError("bad cover output %r" % row)
-        if polarity is None:
-            polarity = out_symbol
-        elif polarity != out_symbol:
-            raise BLIFError("mixed-polarity cover is not valid BLIF")
+    for plane in planes:
         term = TRUE
         for name, symbol in zip(fanins, plane):
             if symbol == "1":
                 term = mgr.and_(term, values[name])
             elif symbol == "0":
                 term = mgr.and_(term, mgr.not_(values[name]))
-            elif symbol != "-":
-                raise BLIFError("bad cover symbol in %r" % row)
         on = mgr.or_(on, term)
     return on if polarity == "1" else mgr.not_(on)
 

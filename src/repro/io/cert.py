@@ -24,9 +24,9 @@ version: unknown document or step keys are ignored, a newer
 
 import json
 import os
-import tempfile
 
 from repro.bdd.function import Function
+from repro.io.jsonfile import save_json
 
 #: Magic identifying a decomposition-certificate file.
 CERT_FORMAT = "repro-decomposition-certificate"
@@ -150,7 +150,8 @@ def parse_cert(doc, origin="<certificate>"):
         raise CertificateError("not a decomposition certificate: %s"
                                % origin)
     version = doc.get("version")
-    if not isinstance(version, int) or not 1 <= version <= CERT_VERSION:
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or not 1 <= version <= CERT_VERSION):
         raise CertificateError(
             "unsupported certificate version %r in %s (this build reads "
             "1..%d)" % (version, origin, CERT_VERSION))
@@ -184,25 +185,10 @@ def save_cert(path, doc):
     Canonical means ``sort_keys`` + fixed indentation, so two runs that
     produced the same trace write byte-identical files (the parallel
     executor relies on this: ``jobs=1`` and ``jobs=N`` certificates
-    must compare equal).  The write is atomic (temp file +
-    :func:`os.replace`), mirroring the cache store's discipline.
+    must compare equal).  The write is atomic and shares the cache
+    store's writer (:func:`repro.io.jsonfile.save_json`).
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return path
+    return save_json(path, doc)
 
 
 def cert_path_for(emit_path):

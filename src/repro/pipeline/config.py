@@ -3,12 +3,11 @@
 :class:`PipelineConfig` merges the engine's
 :class:`~repro.decomp.DecompositionConfig` with the run-level knobs the
 driver used to hard-code: which synthesis flow to run, whether to
-verify, the recursion-limit headroom, and the two resource budgets
-(wall-clock seconds and live BDD nodes) enforced by the session.
+verify, and the two resource budgets (wall-clock seconds and live BDD
+nodes) enforced by the session.
 """
 
 from repro.decomp.bidecomp import DecompositionConfig
-from repro.pipeline.limits import DEFAULT_RECURSION_LIMIT
 
 #: Synthesis flows the decompose stage can dispatch to.
 FLOWS = ("bidecomp", "sis", "bds")
@@ -74,26 +73,22 @@ class PipelineConfig:
         Budget of live BDD nodes in the session manager, or None.
         Exceeding it raises
         :class:`~repro.pipeline.NodeLimitExceeded`.
-    recursion_limit:
-        Interpreter recursion headroom installed around the engine
-        (moved here from ``repro.decomp.driver``).
     model:
         BLIF ``.model`` name used by the emit stage.
-    progress_interval:
-        Engine calls between ``decompose_progress`` events.
     flow_options:
         Extra keyword arguments forwarded to the baseline synthesiser
         (e.g. ``{"factor": True, "minimizer": "espresso"}`` for the sis
         flow, ``{"use_xor": False}`` for bds).  Ignored by bidecomp.
     cache_path:
         Path of a component-cache store file
-        (:mod:`repro.decomp.cache_store`), or None.  When set, the
-        session seeds its Theorem 6 component cache from the file (if
-        it exists) and :meth:`Session.flush_component_cache` writes the
-        cache back (the CLI flag is ``--cache-dir``).
+        (:mod:`repro.decomp.cache_store`), or None.  When set, a run
+        reads the file once before its sessions start, seeds every
+        session's Theorem 6 component cache from it, and after the run
+        merges each input's live components back into it with one
+        write (the CLI flag is ``--cache-dir``).
     cache_readonly:
         Load the store but never write it back (warm-start runs that
-        must not perturb the cache on disk).
+        must not perturb the cache on disk).  Requires ``cache_path``.
     sweep_store:
         Provenance flag: ``cache_path`` is a single *cross-benchmark
         sweep store* shared by every input (and every CLI invocation
@@ -119,9 +114,8 @@ class PipelineConfig:
 
     def __init__(self, decomposition=None, flow="bidecomp", verify=True,
                  check_contracts=False, time_limit=None, max_nodes=None,
-                 recursion_limit=DEFAULT_RECURSION_LIMIT,
-                 model="bidecomp", progress_interval=1024,
-                 flow_options=None, cache_path=None, cache_readonly=False,
+                 model="bidecomp", flow_options=None, cache_path=None,
+                 cache_readonly=False,
                  sweep_store=False, budget_scope="run", jobs=1,
                  emit_certificates=False):
         if decomposition is None:
@@ -142,23 +136,13 @@ class PipelineConfig:
             if max_nodes <= 0:
                 raise ValueError("max_nodes must be positive, got %r"
                                  % max_nodes)
-        recursion_limit = int(recursion_limit)
-        if recursion_limit < 1000:
-            raise ValueError("recursion_limit must be >= 1000, got %r"
-                             % recursion_limit)
-        progress_interval = int(progress_interval)
-        if progress_interval <= 0:
-            raise ValueError("progress_interval must be positive, got %r"
-                             % progress_interval)
         self.decomposition = decomposition
         self.flow = flow
         self.verify = bool(verify)
         self.check_contracts = bool(check_contracts)
         self.time_limit = time_limit
         self.max_nodes = max_nodes
-        self.recursion_limit = recursion_limit
         self.model = model
-        self.progress_interval = progress_interval
         if flow_options is not None and not isinstance(flow_options, dict):
             raise ValueError("flow_options must be a dict, got %r"
                              % (flow_options,))
@@ -167,7 +151,11 @@ class PipelineConfig:
             raise ValueError("cache_path must be a path string or None, "
                              "got %r" % (cache_path,))
         self.cache_path = cache_path
-        self.cache_readonly = bool(cache_readonly)
+        cache_readonly = bool(cache_readonly)
+        if cache_readonly and cache_path is None:
+            raise ValueError("cache_readonly needs a cache_path to read "
+                             "the store from")
+        self.cache_readonly = cache_readonly
         sweep_store = bool(sweep_store)
         if sweep_store and cache_path is None:
             raise ValueError("sweep_store needs a cache_path to point "
@@ -202,7 +190,6 @@ class PipelineConfig:
             "check_contracts": self.check_contracts,
             "time_limit": self.time_limit,
             "max_nodes": self.max_nodes,
-            "recursion_limit": self.recursion_limit,
             "model": self.model,
             "cache_path": self.cache_path,
             "cache_readonly": self.cache_readonly,

@@ -17,8 +17,9 @@ inputs through the manager-independent store format of
 * **Isolation.**  Every input runs in a *fresh* :class:`Session` (one
   BDD manager per input — the manager is not thread-safe and never
   crosses a process boundary).  Sharing within a sweep is *snapshot*
-  sharing: each session warm-starts from the on-disk store as it was
-  when the sweep began.  That snapshot isolation —
+  sharing: the parent reads the store once, before any worker starts
+  (:func:`repro.decomp.cache_store.open_store`), and every session is
+  seeded from those parsed entries.  That snapshot isolation —
   not any scheduling order — is the determinism contract: the BLIF
   (and certificate trace) emitted for every input is independent of
   which worker ran it and when, so ``jobs=1`` and ``jobs=N`` produce
@@ -28,37 +29,37 @@ inputs through the manager-independent store format of
   :class:`~repro.pipeline.limits.Deadline` when the sweep starts and
   every worker session adopts it, so the whole sweep — not each
   worker's share of it — runs under a single wall clock.
-* **Store merge.**  Workers never write the shared store directly
-  (their sessions run ``cache_readonly``).  Each worker accumulates
-  the components its sessions discovered, flushes them to a private
-  ``<store>.workerN`` file on exit, and the parent unions the original
-  store with every worker store (dedup by support+cover key, smaller
-  cone wins — :func:`repro.decomp.cache_store.merge_entries`) back
-  into ``cache_path``.  A second sweep is warm everywhere.
+* **Store merge.**  Workers never touch the store file.  After each
+  input the session's live components travel back as store-format
+  dicts on that input's ``run`` message, and after the sweep the parent
+  re-reads the file, unions it with every input's contribution in
+  dispatch order (dedup by support+cover key, smaller cone wins) and
+  writes it once (:func:`repro.decomp.cache_store.commit_store`).  The
+  store bytes therefore do not depend on ``jobs``, a worker that dies
+  after finishing an input still banks that input's components, and a
+  second sweep is warm everywhere.
 * **Observability.**  Worker events are forwarded over the result
   queue and republished on the parent bus with a ``worker`` field, so
   ``--stats-json`` and budget accounting keep working; the parent adds
   ``batch_started`` / ``component_cache_merged`` / ``worker_failed`` /
   ``batch_finished`` events around them.
 
-Only sanitized event payloads and store-format dicts cross the process
-boundary — never BDD nodes, Functions or ISFs (``repro selfcheck``
-rule ``process-boundary`` enforces this statically).  Workers build
-their managers through the usual seam (``stage_build_isfs`` ->
-``pla.make_manager`` -> ``Session.adopt_manager``).
+Only sanitized event payloads and the manager-independent store format
+cross the process boundary — never BDD nodes, Functions or ISFs
+(``repro selfcheck`` rule ``process-boundary`` enforces this
+statically).  Workers build their managers through the usual seam
+(``stage_build_isfs`` -> ``pla.make_manager`` ->
+``Session.adopt_manager``).
 """
 
-import inspect
+import gc
 import multiprocessing
 import os
 import queue as queue_module
 import time
 from collections import deque
 
-from repro.decomp.cache_store import (CacheStoreError, load_store,
-                                      make_store, merge_entries,
-                                      merge_stores, save_store,
-                                      serialize_cache)
+from repro.decomp.cache_store import commit_store, open_store
 from repro.io import parse_pla, read_text
 from repro.network.stats import NetlistStats
 from repro.pipeline.config import PipelineConfig
@@ -290,44 +291,8 @@ class ParallelBatchResult(list):
 # ---------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------
-def _clone_config(config, **overrides):
-    """A fresh validated :class:`PipelineConfig` with fields replaced.
-
-    Every constructor parameter is stored under its own name, so the
-    signature lists the fields to copy.
-    """
-    fields = {name: getattr(config, name)
-              for name in inspect.signature(PipelineConfig).parameters}
-    fields.update(overrides)
-    return PipelineConfig(**fields)
-
-
-def worker_store_path(cache_path, worker_id):
-    """Private store file one worker flushes its new components to."""
-    return "%s.worker%d" % (cache_path, worker_id)
-
-
-def _harvest(session, config, store_doc):
-    """Fold this session's component cache into the worker's store doc.
-
-    Serialization uses the same path as a session flush
-    (:func:`serialize_cache`: live entries from their CSFs, dormant
-    ones verbatim), but the result is accumulated in memory and only
-    written once, to the worker's private file.
-    """
-    if config.cache_path is None or config.cache_readonly:
-        return store_doc
-    if session.engine is None or session.mgr is None:
-        return store_doc
-    doc = serialize_cache(session.engine.cache, session.mgr,
-                          session.netlist, label=config.model)
-    if store_doc is None:
-        return doc
-    return merge_stores(store_doc, doc)
-
-
 def _worker_main(worker_id, next_task, config, pipeline, channel,
-                 deadline=None):
+                 stored=None, deadline=None):
     """Worker loop: pull tasks until the queue is drained.
 
     *next_task* is a zero-argument callable returning ``(index, desc)``
@@ -335,18 +300,18 @@ def _worker_main(worker_id, next_task, config, pipeline, channel,
     ``("ready", id)`` request through the parent, in the ``jobs=1``
     inline path it pops the parent's work queue directly.  Every input
     gets a fresh session (and hence a fresh BDD manager, built inside
-    the pipeline through the ``adopt_manager`` seam) that warm-starts
-    read-only from the shared store snapshot.  *deadline* is the
-    sweep-wide clock under ``budget_scope="batch"`` (armed once by the
-    parent, shared by every worker).  Events are forwarded over
-    *channel* as they happen; a failing input is reported and the
-    worker pulls the next one.  Messages on *channel*:
+    the pipeline through the ``adopt_manager`` seam) seeded from
+    *stored*, the store entries the parent read when the sweep began.
+    *deadline* is the sweep-wide clock under ``budget_scope="batch"``
+    (armed once by the parent, shared by every worker).  Events are
+    forwarded over *channel* as they happen; a failing input is
+    reported and the worker pulls the next one.  Messages on *channel*:
     ``("ready", id)``, ``("event", id, name, payload)``,
-    ``("run", id, index, payload)``,
-    ``("done", id, saved_store_path_or_None)``.
+    ``("run", id, index, payload)`` and ``("done", id)``.  When the
+    sweep writes the store, a ``run`` payload carries the session's
+    live components under ``"components"``.
     """
-    run_config = _clone_config(config, cache_readonly=True)
-    store_doc = None
+    contribute = config.cache_path is not None and not config.cache_readonly
     while True:
         task = next_task()
         if task is None:
@@ -362,7 +327,7 @@ def _worker_main(worker_id, next_task, config, pipeline, channel,
 
         bus = EventBus(record=False)
         bus.subscribe(forward)
-        session = Session(run_config, events=bus)
+        session = Session(config, events=bus, stored=stored)
         if deadline is not None:
             session.adopt_deadline(deadline)
         started = time.perf_counter()
@@ -375,25 +340,21 @@ def _worker_main(worker_id, next_task, config, pipeline, channel,
         else:
             payload = _run_payload(run)
         payload["worker"] = worker_id
-        try:
-            store_doc = _harvest(session, config, store_doc)
-        except Exception as exc:
-            channel.put(("event", worker_id, "component_cache_load_failed",
-                         {"path": config.cache_path,
-                          "error": "harvest failed: %s" % exc}))
         if session.mgr is not None:
             session.mgr.set_growth_hook(None)
+        if contribute:
+            payload["components"] = session.component_entries()
         channel.put(("run", worker_id, index, payload))
-    saved = None
-    if (store_doc is not None and store_doc.get("entries")
-            and not config.cache_readonly):
-        saved = save_store(worker_store_path(config.cache_path, worker_id),
-                           store_doc)
-    channel.put(("done", worker_id, saved))
+        # The engine and its caches hold reference cycles, so only the
+        # cycle collector frees a finished input's BDD manager: free it
+        # before the next input builds its own.
+        session = run = None
+        gc.collect()
+    channel.put(("done", worker_id))
 
 
 def _worker_process(worker_id, task_queue, config, pipeline, channel,
-                    deadline):
+                    stored, deadline):
     """Process entrypoint: request/response loop against the parent.
 
     Each ``("ready", id)`` message on *channel* asks the parent's work
@@ -407,7 +368,7 @@ def _worker_process(worker_id, task_queue, config, pipeline, channel,
         return task_queue.get()
 
     _worker_main(worker_id, next_task, config, pipeline, channel,
-                 deadline=deadline)
+                 stored=stored, deadline=deadline)
 
 
 class _InlineChannel:
@@ -433,51 +394,6 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _merge_worker_stores(cache_path, saved_paths, label=None,
-                         events=None):
-    """Union the original store with every worker store file.
-
-    Dedup is by support+cover key, smaller cone winning.  An unreadable
-    store is never silently destroyed: it is renamed to
-    ``<store>.corrupt`` (preserving the bytes for post-mortem) and a
-    ``component_cache_load_failed`` event is published before the merge
-    of the readable stores proceeds — in particular, a corrupt
-    *cache_path* must not be overwritten with worker entries only,
-    which would silently drop every pre-sweep component.  Worker files
-    are deleted after a successful merge.  Returns
-    ``(path, entry_count)`` or ``(None, 0)`` when nothing was written.
-    """
-    entries = []
-    loaded_any = False
-    for path in [cache_path] + list(saved_paths):
-        if not os.path.exists(path):
-            continue
-        try:
-            loaded, _skipped = load_store(path)
-        except CacheStoreError as exc:
-            preserved = path + ".corrupt"
-            try:
-                os.replace(path, preserved)
-            except OSError:
-                preserved = None
-            if events is not None:
-                events.publish("component_cache_load_failed",
-                               path=path, error=str(exc),
-                               preserved=preserved)
-            continue
-        entries = merge_entries(entries, loaded)
-        loaded_any = True
-    if not loaded_any:
-        return None, 0
-    save_store(cache_path, make_store(entries, label=label))
-    for path in saved_paths:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    return cache_path, len(entries)
-
-
 def run_batch_parallel(sources, config=None, jobs=None, events=None,
                        pipeline=None):
     """Feed *sources* through the pull-based work queue; returns a
@@ -490,7 +406,8 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
         each path- or text-based.
     config:
         :class:`PipelineConfig` (coerced).  ``cache_path`` enables
-        snapshot warm starts and the store merge; ``budget_scope``
+        snapshot warm starts and the store merge (skipped under
+        ``cache_readonly``); ``budget_scope``
         chooses per-run clocks (``"run"``) vs one sweep-wide deadline
         shared by every worker (``"batch"``).
     jobs:
@@ -524,8 +441,12 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
         # session (Deadline survives fork/pickle: see its docstring).
         deadline = Deadline(config.time_limit)
 
+    stored = None
+    if config.cache_path is not None:
+        stored = open_store(config.cache_path, events=events,
+                            readonly=config.cache_readonly)
     payloads = {}
-    worker_stores = {}
+    contributions = {}
 
     def handle(message):
         kind = message[0]
@@ -540,11 +461,10 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
             events.republish(Event(name, payload))
         elif kind == "run":
             _kind, worker_id, index, payload = message
+            if "components" in payload:
+                contributions[index] = payload.pop("components")
             payloads[index] = payload
             work.task_done(worker_id, index)
-        elif kind == "done":
-            _kind, worker_id, saved = message
-            worker_stores[worker_id] = saved
 
     events.publish("batch_started", inputs=len(descs), jobs=workers,
                    queue=list(work.order))
@@ -561,21 +481,17 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
             return task
 
         _worker_main(0, next_task, config, pipeline, channel,
-                     deadline=deadline)
+                     stored=stored, deadline=deadline)
     else:
-        _run_workers(work, workers, config, pipeline, handle, payloads,
+        _run_workers(work, workers, config, pipeline, handle, stored,
                      events, deadline)
 
     merged_store, merged_entries = None, 0
     if config.cache_path is not None and not config.cache_readonly:
-        saved_paths = [path for path in worker_stores.values() if path]
-        merged_store, merged_entries = _merge_worker_stores(
-            config.cache_path, saved_paths, label=config.model,
-            events=events)
-        if merged_store is not None:
-            events.publish("component_cache_merged", path=merged_store,
-                           entries=merged_entries,
-                           worker_stores=len(saved_paths))
+        merged_store, merged_entries = commit_store(
+            config.cache_path,
+            [contributions[i] for i in work.order if i in contributions],
+            label=config.model, events=events)
 
     lost = set(work.assigned.values())
     runs = []
@@ -602,8 +518,8 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
                                merged_entries=merged_entries)
 
 
-def _run_workers(work, workers, config, pipeline, handle, payloads,
-                 events, deadline):
+def _run_workers(work, workers, config, pipeline, handle, stored, events,
+                 deadline):
     """Spawn the worker pool and pump the message queue.
 
     Every ``("ready", id)`` request is answered from the shared
@@ -624,7 +540,7 @@ def _run_workers(work, workers, config, pipeline, handle, payloads,
         process = context.Process(
             target=_worker_process,
             args=(worker_id, task_queue, config, pipeline, channel,
-                  deadline),
+                  stored, deadline),
             daemon=True)
         process.start()
         task_queues[worker_id] = task_queue

@@ -15,25 +15,30 @@ separately:
   outputs of its one input the way the paper shares decomposed blocks
   (Section 6).  Sweeps give each input a fresh session
   (:func:`repro.pipeline.run_batch_parallel`) and share components
-  through the persistent store.
+  through the persistent store: the run reads it once and seeds every
+  session from the parsed entries (*stored*), and after each input
+  :meth:`Session.component_entries` hands the live components back for
+  the run's one merge (:mod:`repro.decomp.cache_store`).
 
 The multi-output driver (``repro.decomp.bi_decompose``) is a thin
 wrapper over :meth:`Session.decompose_specs`.
 """
 
-import os
 import time
 from contextlib import contextmanager
 
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.events import EventBus
-from repro.pipeline.limits import (Deadline, NodeLimitExceeded,
-                                   recursion_guard)
+from repro.pipeline.limits import (DEFAULT_RECURSION_LIMIT, Deadline,
+                                   NodeLimitExceeded, recursion_guard)
 
 #: Fresh-node allocations between growth-hook invocations on the
 #: manager; small enough to catch runaway growth promptly, large enough
 #: to keep the hot path unaffected.
 GROWTH_CHECK_INTERVAL = 512
+
+#: Engine calls between ``decompose_progress`` events.
+PROGRESS_INTERVAL = 1024
 
 
 class Session:
@@ -50,18 +55,25 @@ class Session:
     events:
         Optional :class:`EventBus`; a recording bus is created when
         omitted.
+    stored:
+        :class:`~repro.decomp.cache_store.StoredComponent` list the
+        component cache is seeded from (the run's one read of the
+        store, :func:`repro.decomp.cache_store.open_store`), or None
+        for a session without a store.  The session never opens or
+        writes the store file itself.
     """
 
-    def __init__(self, config=None, mgr=None, events=None):
+    def __init__(self, config=None, mgr=None, events=None, stored=None):
         self.config = PipelineConfig.coerce(config)
         self.events = events if events is not None else EventBus()
         self.mgr = None
         self.netlist = None
         self.engine = None
+        self._stored = stored
         self._deadline = None
         self._clock_started = False
         self._stage = None
-        self._progress_countdown = self.config.progress_interval
+        self._progress_countdown = PROGRESS_INTERVAL
         if mgr is not None:
             self.adopt_manager(mgr)
 
@@ -76,9 +88,7 @@ class Session:
         return False
 
     def close(self):
-        """Flush the component cache, uninstall manager hooks and emit
-        ``session_closed``."""
-        self.flush_component_cache()
+        """Uninstall manager hooks and emit ``session_closed``."""
         if self.mgr is not None:
             self.mgr.set_growth_hook(None)
         self.events.publish("session_closed")
@@ -87,49 +97,28 @@ class Session:
     # Component-cache persistence (Theorem 6, cross-run)
     # ------------------------------------------------------------------
     def _build_component_cache(self):
-        """Persistent cache seeded from the store, or None (engine
-        default) when no ``cache_path`` is configured; never raises.
-
-        A missing file is a normal cold start (no event).  An unusable
-        file — corrupt JSON, wrong magic, unsupported version — is
-        skipped with a ``component_cache_load_failed`` warning event.
-        """
-        from repro.decomp.cache_store import (CacheStoreError,
-                                              PersistentComponentCache,
-                                              load_store)
-        path = self.config.cache_path
-        if path is None or not self.config.decomposition.use_cache:
+        """Persistent cache seeded from *stored*, or None (engine
+        default) for a session without a store or with the cache off."""
+        from repro.decomp.cache_store import PersistentComponentCache
+        if self._stored is None or not self.config.decomposition.use_cache:
             return None
-        entries = []
-        if os.path.exists(path):
-            try:
-                entries, skipped = load_store(path)
-            except CacheStoreError as exc:
-                self.events.publish("component_cache_load_failed",
-                                    path=path, error=str(exc))
-            else:
-                self.events.publish("component_cache_loaded",
-                                    path=path, entries=len(entries),
-                                    skipped=skipped)
-        return PersistentComponentCache(entries)
+        return PersistentComponentCache(self._stored)
 
-    def flush_component_cache(self):
-        """Write the engine's component cache back to the store.
+    def component_entries(self):
+        """The engine's live components as store-format dicts.
 
-        No-op without a ``cache_path``, under ``cache_readonly``, or
-        before any engine exists.  Returns the written path or None;
-        emits ``component_cache_flushed``.
+        This is the session's contribution to the run's store merge
+        (:func:`repro.decomp.cache_store.commit_store`); ``[]`` before
+        any engine exists.  Detaches the budget hook first: serialising
+        runs ISOP on the session's manager, and a run that tripped its
+        budget still banks every component it finished.
         """
-        from repro.decomp.cache_store import save_store, serialize_cache
-        if (self.config.cache_path is None or self.config.cache_readonly
-                or self.engine is None or self.mgr is None):
-            return None
-        doc = serialize_cache(self.engine.cache, self.mgr, self.netlist,
-                              label=self.config.model)
-        path = save_store(self.config.cache_path, doc)
-        self.events.publish("component_cache_flushed", path=path,
-                            entries=len(doc["entries"]))
-        return path
+        from repro.decomp.cache_store import serialize_cache
+        if self.engine is None:
+            return []
+        self.mgr.set_growth_hook(None)
+        return serialize_cache(self.engine.cache, self.mgr,
+                               self.netlist)["entries"]
 
     def adopt_manager(self, mgr):
         """Attach *mgr* to the session and install the limit hook.
@@ -210,7 +199,7 @@ class Session:
             self._deadline.check(stage=self._stage)
         self._progress_countdown -= 1
         if self._progress_countdown <= 0:
-            self._progress_countdown = self.config.progress_interval
+            self._progress_countdown = PROGRESS_INTERVAL
             self.events.publish("decompose_progress",
                                stage=self._stage,
                                calls=stats.calls,
@@ -326,7 +315,7 @@ class Session:
         started = time.perf_counter()
         roots = {}
         tracer = getattr(engine, "tracer", None)
-        with recursion_guard(self.config.recursion_limit):
+        with recursion_guard(DEFAULT_RECURSION_LIMIT):
             for name, isf in specs.items():
                 csf, node = engine.decompose(isf)
                 self.netlist.set_output(name, node)

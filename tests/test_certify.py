@@ -10,6 +10,8 @@ and rejects tampered ones with counterexamples.
 import copy
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -263,6 +265,24 @@ class TestCertifierRejects:
         save_cert(path, doc)
         with pytest.raises(CertificateError):
             load_cert(path)
+
+    def test_bool_version_rejected_at_load(self, tampered):
+        # bool is an int subclass: JSON true must not pass as version 1.
+        doc = copy.deepcopy(tampered.doc)
+        doc["version"] = True
+        path = str(tampered.tmp_path / "vtrue.cert.json")
+        save_cert(path, doc)
+        with pytest.raises(CertificateError, match="version"):
+            load_cert(path)
+
+    def test_saved_with_plain_open_mode(self, tmp_path):
+        old_mask = os.umask(0o022)
+        try:
+            path = save_cert(str(tmp_path / "c.cert.json"),
+                             {"format": "x"})
+        finally:
+            os.umask(old_mask)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.cert.json"

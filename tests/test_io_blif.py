@@ -111,8 +111,23 @@ class TestReader:
     def test_mixed_polarity_cover_rejected(self):
         text = (".model m\n.inputs a b\n.outputs y\n"
                 ".names a b y\n11 1\n00 0\n.end\n")
-        with pytest.raises(BLIFError):
-            parse_blif(text)
+        for reader in (parse_blif, parse_blif_netlist):
+            with pytest.raises(BLIFError, match="mixed-polarity"):
+                reader(text)
+
+    @pytest.mark.parametrize("reader", [parse_blif, parse_blif_netlist],
+                             ids=["bdd", "lint"])
+    @pytest.mark.parametrize("row, message", [
+        ("11 1 1", "bad cover row"),
+        ("1 1", "width mismatch"),
+        ("111 1", "width mismatch"),
+    ], ids=["shape", "narrow", "wide"])
+    def test_malformed_row_rejected_by_both_readers(self, reader, row,
+                                                    message):
+        text = (".model m\n.inputs a b\n.outputs y\n"
+                ".names a b y\n%s\n.end\n" % row)
+        with pytest.raises(BLIFError, match=message):
+            reader(text)
 
     def test_non_topological_rejected(self):
         text = (".model m\n.inputs a\n.outputs y\n"
@@ -149,10 +164,10 @@ class TestNetlistReader:
     def test_bad_cover_symbol_rejected(self, row):
         text = (".model m\n.inputs x0 x1\n.outputs f\n.names x0 x1 f\n"
                 "%s\n.end\n" % row)
-        with pytest.raises(BLIFError, match="bad cover symbol in %r" % row):
-            parse_blif_netlist(text)
-        with pytest.raises(BLIFError, match="bad cover symbol"):
-            parse_blif(text)
+        for reader in (parse_blif_netlist, parse_blif):
+            with pytest.raises(BLIFError,
+                               match="bad cover symbol in %r" % row):
+                reader(text)
 
 
 class TestNetlistFromFunctions:

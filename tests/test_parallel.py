@@ -9,13 +9,13 @@ the deque is non-empty, crash accounting), worker event forwarding
 payloads that must not crash the parent pump), failure isolation (a
 failing input reports an error without killing the sweep; a crashed
 worker's buffered payloads are drained, not lost), component-store
-sharing (worker-store merge, corrupt-store preservation, warm-rerun
-rehydrated hits), the ``PipelineConfig(jobs=...)`` wiring and the
-worker config clone, and the per-input vs sweep-wide wall-clock
-budget.
+sharing (one store read and one merge per sweep, contributions riding
+on ``run`` messages, jobs-independent store bytes, corrupt-store
+preservation, warm-rerun rehydrated hits), the
+``PipelineConfig(jobs=...)`` wiring, and the per-input vs sweep-wide
+wall-clock budget.
 """
 
-import inspect
 import json
 import os
 import sys
@@ -24,13 +24,11 @@ import time
 import pytest
 
 import repro.pipeline.parallel as parallel_module
-from repro.decomp import DecompositionConfig
 from repro.pipeline import (Deadline, EventBus, Pipeline, PipelineConfig,
                             PipelineInput, Session)
 from repro.pipeline.events import Event
 from repro.pipeline.parallel import (ParallelPipelineRun, _WorkQueue,
-                                     _clone_config, run_batch_parallel,
-                                     worker_store_path)
+                                     run_batch_parallel)
 from repro.pipeline.pipeline import (stage_build_isfs, stage_decompose,
                                      stage_emit, stage_parse,
                                      stage_preprocess, stage_verify)
@@ -176,6 +174,35 @@ def _sleepy_preprocess(session, run, record):
 
 
 SLEEPY_PIPELINE = _custom_pipeline(_sleepy_preprocess)
+
+#: Inputs each worker process has started (fork copies start empty).
+_STARTED = []
+
+
+def _die_on_second_input(session, run, record):
+    """Every worker process finishes one input, then dies on its next."""
+    _STARTED.append(run.label)
+    if len(_STARTED) > 1:
+        sys.exit(3)
+    stage_preprocess(session, run, record)
+
+
+DYING_PIPELINE = _custom_pipeline(_die_on_second_input)
+
+
+def _concurrent_writer_preprocess(session, run, record):
+    """Another writer adds an entry to the store mid-sweep."""
+    from repro.decomp.cache_store import (StoredComponent, load_store,
+                                          make_store, save_store)
+    if run.label == "in0":
+        path = session.config.cache_path
+        entries = load_store(path)[0] if os.path.exists(path) else []
+        extra = StoredComponent(["zz_outsider"], [{"zz_outsider": 1}])
+        save_store(path, make_store(entries + [extra]))
+    stage_preprocess(session, run, record)
+
+
+WRITER_PIPELINE = _custom_pipeline(_concurrent_writer_preprocess)
 
 
 # ---------------------------------------------------------------------
@@ -431,10 +458,9 @@ class TestStoreSharing:
         assert os.path.exists(config.cache_path)
         merged = events.named("component_cache_merged")
         assert merged and merged[0]["entries"] == result.merged_entries
-        # Private worker files are cleaned up after the merge.
-        for worker_id in range(2):
-            assert not os.path.exists(
-                worker_store_path(config.cache_path, worker_id))
+        assert merged[0]["inputs"] == 4
+        # The store is the only file the sweep wrote.
+        assert os.listdir(str(tmp_path)) == ["batch.cache.json"]
 
     def test_warm_rerun_rehydrates_from_merged_store(self, tmp_path):
         config = self.config(tmp_path)
@@ -476,9 +502,9 @@ class TestStoreSharing:
         preserved = config.cache_path + ".corrupt"
         assert open(preserved).read() == garbage
         fails = events.named("component_cache_load_failed")
-        assert any(p.get("preserved") == preserved
-                   and p.get("path") == config.cache_path
-                   for p in fails)
+        assert len(fails) == 1
+        assert fails[0]["preserved"] == preserved
+        assert fails[0]["path"] == config.cache_path
         # The merge still went through: the store was rebuilt from the
         # live workers' components and is readable again.
         assert result.merged_store == config.cache_path
@@ -486,6 +512,89 @@ class TestStoreSharing:
         entries, skipped = load_store(config.cache_path)
         assert len(entries) == result.merged_entries
         assert skipped == 0
+
+
+class TestStoreProtocol:
+    """One read before the sweep, one merge after it, for any jobs."""
+
+    @pytest.fixture
+    def io_log(self, tmp_path, monkeypatch):
+        """Log every store read/write, from any process, to one file."""
+        import repro.decomp.cache_store as cache_store
+        log = tmp_path / "io.log"
+        load_store, save_store = cache_store.load_store, \
+            cache_store.save_store
+
+        def logged(kind, fn):
+            def wrapper(path, *args):
+                with open(str(log), "a") as handle:
+                    handle.write("%s %s\n" % (kind, path))
+                return fn(path, *args)
+            return wrapper
+        monkeypatch.setattr(cache_store, "load_store",
+                            logged("read", load_store))
+        monkeypatch.setattr(cache_store, "save_store",
+                            logged("write", save_store))
+
+        def lines():
+            return log.read_text().splitlines() if log.exists() else []
+        return lines
+
+    def sweep(self, tmp_path, name, jobs, pipeline=None, sources=None):
+        store_dir = tmp_path / name
+        store_dir.mkdir(exist_ok=True)
+        config = PipelineConfig(
+            cache_path=str(store_dir / "batch.cache.json"))
+        result = run_batch_parallel(sources or make_inputs(),
+                                    config=config, jobs=jobs,
+                                    pipeline=pipeline)
+        return config.cache_path, result
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_read_to_seed_one_to_merge_one_write(self, tmp_path,
+                                                     io_log, jobs):
+        path, _cold = self.sweep(tmp_path, "store", jobs)
+        assert io_log() == ["write %s" % path]
+        inputs = make_inputs() * 2
+        for i, source in enumerate(inputs):
+            source.label = "in%d" % i
+        _path, warm = self.sweep(tmp_path, "store", jobs, sources=inputs)
+        assert not warm.failures
+        assert io_log()[1:] == ["read %s" % path, "read %s" % path,
+                                "write %s" % path]
+        assert os.listdir(os.path.dirname(path)) == ["batch.cache.json"]
+
+    def test_jobs1_and_jobs2_store_bytes_identical(self, tmp_path):
+        serial, _ = self.sweep(tmp_path, "serial", 1)
+        parallel, _ = self.sweep(tmp_path, "parallel", 2)
+        with open(serial, "rb") as one, open(parallel, "rb") as two:
+            assert one.read() == two.read()
+        # ... and again warm, from those stores.
+        self.sweep(tmp_path, "serial", 1)
+        self.sweep(tmp_path, "parallel", 2)
+        with open(serial, "rb") as one, open(parallel, "rb") as two:
+            assert one.read() == two.read()
+
+    def test_killed_worker_still_banks_finished_input(self, tmp_path):
+        path, result = self.sweep(tmp_path, "dying", 2,
+                                  pipeline=DYING_PIPELINE)
+        finished = [i for i, run in enumerate(result) if not run.failed]
+        # Each of the two workers finished its first input, then died.
+        assert len(finished) == 2
+        expected, _ = self.sweep(
+            tmp_path, "expected", 1,
+            sources=[make_inputs()[i] for i in finished])
+        with open(path, "rb") as got, open(expected, "rb") as want:
+            assert got.read() == want.read()
+
+    def test_entries_written_during_the_sweep_survive(self, tmp_path):
+        from repro.decomp.cache_store import load_store
+        path, result = self.sweep(tmp_path, "writer", 1,
+                                  pipeline=WRITER_PIPELINE)
+        assert not result.failures
+        entries, _skipped = load_store(path)
+        assert ("zz_outsider",) in [entry.support for entry in entries]
+        assert len(entries) == result.merged_entries > 1
 
 
 # ---------------------------------------------------------------------
@@ -562,26 +671,23 @@ class TestRunBatchWiring:
         assert {run["worker"] for run in doc["runs"]} == {0, 1}
         json.dumps(doc)
 
-    def test_clone_config_round_trips_every_field(self, tmp_path):
-        # Every field differs from its default, so a field the clone
-        # forgot would come back with the default value.
-        values = dict(
-            decomposition=DecompositionConfig(use_exor=False),
-            flow="sis", verify=False, check_contracts=True,
-            time_limit=12.5, max_nodes=12345, recursion_limit=4321,
-            model="m", progress_interval=7,
-            flow_options={"factor": True},
-            cache_path=str(tmp_path / "s.cache.json"),
-            cache_readonly=False, sweep_store=True,
-            budget_scope="batch", jobs=3, emit_certificates=True)
-        fields = inspect.signature(PipelineConfig).parameters
-        assert set(values) == set(fields) and len(fields) == 16
-        config = PipelineConfig(**values)
-        clone = _clone_config(config, cache_readonly=True)
-        assert clone is not config
-        for name, value in values.items():
-            expected = True if name == "cache_readonly" else value
-            assert getattr(clone, name) == expected, name
+
+
+    def test_finished_session_is_freed_before_the_next_input(
+            self, monkeypatch):
+        # Sessions hold reference cycles; a sweep must not keep several
+        # inputs' BDD managers alive at once.
+        import weakref
+        started = []
+        start_clock = Session.start_clock
+
+        def recording(session):
+            assert all(ref() is None for ref in started)
+            started.append(weakref.ref(session))
+            start_clock(session)
+        monkeypatch.setattr(Session, "start_clock", recording)
+        result = run_batch_parallel(make_inputs(), jobs=1)
+        assert not result.failures and len(started) == 4
 
 
 # ---------------------------------------------------------------------
@@ -612,10 +718,8 @@ class TestBudgetScope:
         deadlines = [session._deadline for session in sessions]
         assert all(isinstance(d, Deadline) for d in deadlines)
         assert len({id(d) for d in deadlines}) == len(deadlines)
-        # Each worker session runs on the clone of the sweep config.
-        assert all(session.config.time_limit == 600.0
-                   and session.config.cache_readonly
-                   for session in sessions)
+        # Each worker session runs on the sweep config itself.
+        assert all(session.config is config for session in sessions)
 
     def test_batch_scope_sessions_hold_the_parent_clock(
             self, sessions, monkeypatch):

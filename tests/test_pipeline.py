@@ -7,6 +7,7 @@ raise), configuration validation, and driver ergonomics (error
 messages, recursion-limit restoration).
 """
 
+import inspect
 import io
 import json
 import sys
@@ -310,7 +311,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"time_limit": 0}, {"time_limit": -1.0},
         {"max_nodes": 0}, {"max_nodes": -5},
-        {"recursion_limit": 10}, {"progress_interval": 0},
     ])
     def test_rejects_non_positive_budgets(self, kwargs):
         with pytest.raises(ValueError):
@@ -327,6 +327,18 @@ class TestConfig:
         assert doc["cache_path"] == "x.cache.json"
         assert doc["cache_readonly"] is True
         assert doc["sweep_store"] is False
+
+    def test_cache_readonly_requires_cache_path(self):
+        with pytest.raises(ValueError, match="cache_readonly"):
+            PipelineConfig(cache_readonly=True)
+
+    def test_fourteen_fields(self):
+        # recursion_limit and progress_interval are module constants
+        # (repro.pipeline.limits / repro.pipeline.session), not knobs.
+        fields = inspect.signature(PipelineConfig).parameters
+        assert len(fields) == 14
+        assert "recursion_limit" not in fields
+        assert "progress_interval" not in fields
 
     def test_sweep_store_requires_cache_path(self):
         with pytest.raises(ValueError, match="sweep_store"):
