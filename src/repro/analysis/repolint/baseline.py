@@ -9,11 +9,14 @@ rot into a list of exceptions nobody holds.
 Entries match on ``(rule, path, message)`` — deliberately not the line
 number, which drifts with every unrelated edit.  Matching is multiset
 style: two identical findings need two entries.
+
+The file is read, envelope-checked and written by
+:mod:`repro.io.jsonfile`, like the component store and certificates;
+this module checks only the entry shape.
 """
 
-import json
-
 from repro.analysis.rules import Finding, Severity
+from repro.io.jsonfile import check_envelope, load_json, save_json
 
 BASELINE_FORMAT = "repro-repolint-baseline"
 BASELINE_VERSION = 1
@@ -29,21 +32,9 @@ def _entry_key(doc):
 
 def load_baseline(path):
     """Parse and validate a baseline file into its document."""
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise BaselineError("cannot read baseline %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise BaselineError("baseline %s is not JSON: %s" % (path, exc))
-    if not isinstance(doc, dict) or doc.get("format") != BASELINE_FORMAT:
-        raise BaselineError(
-            "baseline %s is not a %r document" % (path, BASELINE_FORMAT))
-    version = doc.get("version")
-    if not isinstance(version, int) or not 1 <= version <= BASELINE_VERSION:
-        raise BaselineError(
-            "unsupported baseline version %r in %s (this build reads "
-            "1..%d)" % (version, path, BASELINE_VERSION))
+    doc = check_envelope(load_json(path, BaselineError, "repolint baseline"),
+                         BASELINE_FORMAT, BASELINE_VERSION, BaselineError,
+                         "repolint baseline", path)
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise BaselineError("baseline %s has no entries list" % path)
@@ -67,11 +58,9 @@ def make_baseline(findings):
 
 
 def save_baseline(path, doc):
-    """Write a baseline document (sorted keys, trailing newline)."""
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    """Write a baseline document as canonical JSON, atomically; returns
+    *path*."""
+    return save_json(path, doc)
 
 
 def apply_baseline(findings, doc):

@@ -23,15 +23,16 @@ flags (``--time-limit``, ``--max-nodes``) and the per-stage
 """
 
 import argparse
-import json
 import os
 import sys
 
 from repro.io import load_pla, parse_blif, read_text
+from repro.io.jsonfile import dumps_json
 from repro.decomp import DecompositionConfig
 from repro.network.mapper import map_netlist, verify_mapping
 from repro.pipeline import (EventBus, Pipeline, PipelineConfig,
-                            PipelineError, PipelineInput, Session)
+                            PipelineError, PipelineInput, Session,
+                            input_stem)
 from repro.testability import analyze_testability, care_sets
 
 
@@ -45,13 +46,6 @@ def _config_from_args(args):
         exhaustive_grouping=args.exhaustive_grouping,
         weak_xa_size=args.weak_xa_size,
     )
-
-
-def _stem(source):
-    if source in (None, "-"):
-        return "input"
-    name = os.path.basename(str(source))
-    return name.rsplit(".", 1)[0] if "." in name else name
 
 
 #: File name of the cross-benchmark sweep store inside ``--cache-dir``.
@@ -84,7 +78,7 @@ def _cache_path_from_args(args):
         if len(source) > 1:
             return os.path.join(cache_dir, "batch.cache.json")
         source = source[0]
-    return os.path.join(cache_dir, _stem(source) + ".cache.json")
+    return os.path.join(cache_dir, input_stem(source) + ".cache.json")
 
 
 def _pipeline_config(args, flow="bidecomp", verify=True):
@@ -164,6 +158,20 @@ def _add_resource_flags(parser):
                              "Theorem 6 containment tests)")
 
 
+def _write_json(target, doc, stdout):
+    """Write *doc* as canonical JSON to the path *target* (``-``: stdout).
+
+    A plain ``open(target, "w")``: an unwritable path raises OSError,
+    which :func:`main` turns into exit code 2.
+    """
+    text = dumps_json(doc)
+    if target == "-":
+        stdout.write(text)
+    else:
+        with open(target, "w") as handle:
+            handle.write(text)
+
+
 def _emit_stats_json(args, session, run, stdout, extra=None):
     if getattr(args, "stats_json", None) is None:
         return
@@ -174,12 +182,7 @@ def _emit_stats_json(args, session, run, stdout, extra=None):
         doc["lint"] = report.summary()
     if extra:
         doc.update(extra)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.stats_json == "-":
-        stdout.write(text)
-    else:
-        with open(args.stats_json, "w") as handle:
-            handle.write(text)
+    _write_json(args.stats_json, doc, stdout)
 
 
 def _run_pipeline(config, pipeline, source):
@@ -244,6 +247,32 @@ def _certify_one(spec_path, blif_path, cert_path, events=None):
     return False
 
 
+def _certify_runs(runs, certify, events=None):
+    """Tally the certificates of finished *runs*; with *certify*,
+    round-trip each one through :func:`_certify_one`.
+
+    Returns the ``"certify"`` stats-json block
+    (emitted/checked/accepted/rejected); a run that emitted no
+    certificate counts as rejected when *certify* asks for a check.
+    """
+    counts = {"emitted": 0, "checked": 0, "accepted": 0, "rejected": 0}
+    for run in runs:
+        if run.certificate_path:
+            counts["emitted"] += 1
+        if not certify:
+            continue
+        if run.certificate_path is None:
+            sys.stderr.write("certify %s: no certificate was emitted\n"
+                             % run.label)
+            counts["rejected"] += 1
+            continue
+        counts["checked"] += 1
+        accepted = _certify_one(run.source.path, run.source.emit_path,
+                                run.certificate_path, events=events)
+        counts["accepted" if accepted else "rejected"] += 1
+    return counts
+
+
 def _print_stats(stats, stream, prefix=""):
     stream.write("%sgates=%d exors=%d inverters=%d area=%.1f "
                  "cascades=%d delay=%.1f\n"
@@ -282,27 +311,12 @@ def cmd_decompose(args, stdout):
     sys.stderr.write("decomposition: %s\n" % result.stats.as_dict())
     sys.stderr.write("cache: %s\n" % result.cache_stats)
     sys.stderr.write("time: %.3fs\n" % run.elapsed)
-    exit_code = 0
     extra = None
     if emit_certs:
-        counts = {"emitted": 1 if run.certificate_path else 0,
-                  "checked": 0, "accepted": 0, "rejected": 0}
-        if args.certify:
-            if run.certificate_path is None:
-                sys.stderr.write("certify %s: no certificate was "
-                                 "emitted\n" % run.label)
-                counts["rejected"] = 1
-                exit_code = 1
-            else:
-                counts["checked"] = 1
-                accepted = _certify_one(args.input[0], emit_path,
-                                        run.certificate_path,
-                                        events=session.events)
-                counts["accepted" if accepted else "rejected"] = 1
-                exit_code = 0 if accepted else 1
-        extra = {"certify": counts}
+        extra = {"certify": _certify_runs([run], args.certify,
+                                          events=session.events)}
     _emit_stats_json(args, session, run, stdout, extra=extra)
-    return exit_code
+    return 1 if extra and extra["certify"]["rejected"] else 0
 
 
 def _decompose_batch(args, stdout):
@@ -326,7 +340,7 @@ def _decompose_batch(args, stdout):
         emit_path = None
         if args.output_dir is not None:
             emit_path = os.path.join(args.output_dir,
-                                     _stem(path) + ".blif")
+                                     input_stem(path) + ".blif")
         elif args.output not in (None, "-"):
             emit_path = args.output
         sources.append(PipelineInput(path=path, emit_path=emit_path))
@@ -347,35 +361,13 @@ def _decompose_batch(args, stdout):
                                   len(result.failures), result.elapsed))
     certify_counts = None
     if emit_certs:
-        certify_counts = {"emitted": sum(1 for run in result
-                                         if run.certificate_path),
-                          "checked": 0, "accepted": 0, "rejected": 0}
-        if args.certify:
-            for run in result:
-                if run.error is not None:
-                    continue
-                if (run.certificate_path is None
-                        or run.source.path is None):
-                    sys.stderr.write("certify %s: no certificate/spec "
-                                     "path to check\n" % run.label)
-                    certify_counts["rejected"] += 1
-                    continue
-                certify_counts["checked"] += 1
-                accepted = _certify_one(run.source.path,
-                                        run.source.emit_path,
-                                        run.certificate_path)
-                certify_counts["accepted" if accepted else
-                               "rejected"] += 1
+        certify_counts = _certify_runs(
+            [run for run in result if run.error is None], args.certify)
     if getattr(args, "stats_json", None) is not None:
         doc = result.report(config)
         if certify_counts is not None:
             doc["certify"] = certify_counts
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.stats_json == "-":
-            stdout.write(text)
-        else:
-            with open(args.stats_json, "w") as handle:
-                handle.write(text)
+        _write_json(args.stats_json, doc, stdout)
     if any(run.error["type"] == "ContractViolation"
            for run in result.failures):
         return 4
@@ -439,22 +431,13 @@ def cmd_lint(args, stdout):
     report = lint_netlist(netlist, specs=specs)
     stdout.write(report.format_text())
     if getattr(args, "json", None) is not None:
-        text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            stdout.write(text)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(text)
+        _write_json(args.json, report.as_dict(), stdout)
     if getattr(args, "sarif", None) is not None:
-        text = json.dumps(to_sarif(report, rules=RULES,
-                                   tool_name="repro-netlist-lint",
-                                   default_uri=args.netlist),
-                          indent=2, sort_keys=True) + "\n"
-        if args.sarif == "-":
-            stdout.write(text)
-        else:
-            with open(args.sarif, "w") as handle:
-                handle.write(text)
+        _write_json(args.sarif,
+                    to_sarif(report, rules=RULES,
+                             tool_name="repro-netlist-lint",
+                             default_uri=args.netlist),
+                    stdout)
     if args.fail_on == "never":
         return 0
     return 1 if report.worst(args.fail_on) else 0
@@ -492,20 +475,9 @@ def cmd_selfcheck(args, stdout):
         return 0
     stdout.write(report.format_text())
     if args.json is not None:
-        text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            stdout.write(text)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(text)
+        _write_json(args.json, report.as_dict(), stdout)
     if args.sarif is not None:
-        text = json.dumps(to_sarif(report), indent=2,
-                          sort_keys=True) + "\n"
-        if args.sarif == "-":
-            stdout.write(text)
-        else:
-            with open(args.sarif, "w") as handle:
-                handle.write(text)
+        _write_json(args.sarif, to_sarif(report), stdout)
     if args.fail_on == "never":
         return 0
     return 1 if report.worst(args.fail_on) else 0
@@ -528,12 +500,7 @@ def cmd_certify(args, stdout):
         return 1
     stdout.write(report.format_text())
     if getattr(args, "json", None) is not None:
-        text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            stdout.write(text)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(text)
+        _write_json(args.json, report.as_dict(), stdout)
     return 0 if report.ok else 1
 
 

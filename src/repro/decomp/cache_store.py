@@ -11,7 +11,10 @@ are thrown away between runs.  This module makes the cache survive:
   the cone the decomposition originally emitted.  Nothing references a
   BDD manager or netlist node id, so a store can be rehydrated into a
   completely fresh session — even one whose manager orders (or created)
-  the variables differently.
+  the variables differently.  The cover is written and rebuilt by the
+  certificate's codec (:func:`repro.io.cert.named_cover` /
+  :func:`~repro.io.cert.rebuild_cover`): a stored component and a
+  certified step's ``f`` are the same name-keyed cover.
 * :func:`open_store` and :func:`commit_store` are the one protocol a
   run uses to share the store: the opener reads the file once, before
   any session starts, and every session is seeded from those parsed
@@ -33,19 +36,20 @@ in-run hit, so checked mode (``repro.analysis.contracts``) re-verifies
 the Theorem 6 containment *and* that the emitted cone implements the
 stored CSF — corrupt covers cannot sneak into a netlist silently.
 
-Stores are forward-compatible within a version: unknown document or
-entry keys are ignored, a newer :data:`CACHE_VERSION` is rejected as
-unusable (the run starts cold with a warning event rather than
-crashing), and malformed entries are skipped individually.
+Reading, the envelope check and the atomic canonical write are
+:mod:`repro.io.jsonfile`'s, shared with certificates and the repolint
+baseline: unknown document or entry keys are ignored, a newer (or
+non-integer) :data:`CACHE_VERSION` is rejected as unusable (the run
+starts cold with a warning event rather than crashing).  Only the
+entry list is this module's to check, and malformed entries are
+skipped individually.
 """
 
-import json
 import os
 
-from repro.bdd.function import Function
-from repro.bdd.node import FALSE
 from repro.decomp.cache import ComponentCache, theorem6_match
-from repro.io.jsonfile import save_json
+from repro.io.cert import named_cover, rebuild_cover
+from repro.io.jsonfile import check_envelope, load_json, save_json
 from repro.network import gates as G
 
 #: Magic identifying a component-cache file.
@@ -141,18 +145,9 @@ class StoredComponent:
         literals are resolved by name, so a permuted variable order in
         the fresh manager yields the bit-exact same function.
         """
-        known = set(mgr.var_names)
-        if not set(self.support) <= known:
+        if not set(self.support) <= set(mgr.var_names):
             return None
-        node = FALSE
-        for cube in self.cubes:
-            term = mgr.true
-            # Deepest level first keeps the AND chain linear-time.
-            for name in sorted(cube, key=mgr.level_of_var, reverse=True):
-                literal = mgr.var(name) if cube[name] else mgr.nvar(name)
-                term = mgr.and_(literal, term)
-            node = mgr.or_(node, term)
-        return Function(mgr, node)
+        return rebuild_cover(mgr, self.cubes)
 
     def emit_cone(self, netlist, var_nodes, mgr):
         """Emit the cover as an SOP cone of two-input gates.
@@ -211,12 +206,8 @@ def store_component(csf, node, mgr, netlist):
     support = csf.support()
     if not support:
         return None
-    _cover, cubes = csf.isop()
-    named_cubes = [{mgr.var_name(var): value
-                    for var, value in cube.literals.items()}
-                   for cube in cubes]
     return StoredComponent([mgr.var_name(var) for var in support],
-                           named_cubes,
+                           named_cover(csf),
                            gates=cone_gate_count(netlist, node))
 
 
@@ -261,14 +252,8 @@ def parse_store(doc, origin="<store>"):
     failing the parse — one bad entry must not discard the rest.
     *origin* names the document in error messages (a path, usually).
     """
-    if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
-        raise CacheStoreError("not a component-cache file: %s" % origin)
-    version = doc.get("version")
-    if (not isinstance(version, int) or isinstance(version, bool)
-            or not 1 <= version <= CACHE_VERSION):
-        raise CacheStoreError(
-            "unsupported cache version %r in %s (this build reads 1..%d)"
-            % (version, origin, CACHE_VERSION))
+    check_envelope(doc, CACHE_FORMAT, CACHE_VERSION, CacheStoreError,
+                   "component-cache file", origin)
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise CacheStoreError("cache file has no entry list: %s" % origin)
@@ -299,13 +284,7 @@ def load_store(path):
     Raises :class:`CacheStoreError` when the file as a whole is
     unusable (unreadable, not JSON, or :func:`parse_store` rejects it).
     """
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise CacheStoreError("unreadable cache file: %s" % exc)
-    except ValueError as exc:
-        raise CacheStoreError("corrupt cache file %s: %s" % (path, exc))
+    doc = load_json(path, CacheStoreError, "component-cache file")
     return parse_store(doc, origin=path)
 
 

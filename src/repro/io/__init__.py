@@ -1,4 +1,9 @@
-"""File formats: espresso PLA and BLIF."""
+"""File formats: espresso PLA, BLIF and the decomposition certificate.
+
+Versioned JSON artifacts (the component store, certificates, the
+repolint baseline) are read, envelope-checked and written through
+:mod:`repro.io.jsonfile`.
+"""
 
 from repro.io.pla import (PLAData, PLAError, load_pla, parse_pla,
                           read_pla, read_text, write_pla)

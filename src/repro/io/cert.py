@@ -5,28 +5,29 @@ manager-independent trace of one decomposition run: per recursion step
 it records which theorem of the paper justified the step, the gate, the
 XA/XB/XC variable *names*, and canonical Minato-Morreale ISOP cube
 covers of the step's interval ``(Q, R)`` and of the completely
-specified component ``f`` the engine chose — the same names+covers
-serialization discipline :mod:`repro.decomp.cache_store` uses, so a
-certificate can be replayed in a completely fresh BDD manager.
+specified component ``f`` the engine chose, so a certificate can be
+replayed in a completely fresh BDD manager.
 
 This module holds only what *both* sides of the protocol share: the
-format constants, the reader/writer, and the cover helpers.  The
+format constants, the reader/writer, and the cover codec.  The
 producer lives in :mod:`repro.decomp.trace`; the independent checker in
 :mod:`repro.analysis.certify` imports nothing from the engine or the
 pipeline (``repro selfcheck`` rule ``certifier-independence``), which
 is why these helpers live here in :mod:`repro.io` rather than next to
-either of them.
+either of them.  :func:`named_cover` / :func:`rebuild_cover` are also
+the component store's codec (:mod:`repro.decomp.cache_store`): a stored
+Theorem 6 component and a certified step's ``f`` are the same
+name-keyed ISOP cover, written and rebuilt by the same code.
 
-Like the cache store, certificates are forward-compatible within a
-version: unknown document or step keys are ignored, a newer
-:data:`CERT_VERSION` is rejected as unusable.
+Reading, the envelope check and the atomic canonical write are
+:mod:`repro.io.jsonfile`'s: unknown document or step keys are ignored,
+a newer (or non-integer) :data:`CERT_VERSION` is rejected as unusable.
 """
 
-import json
 import os
 
 from repro.bdd.function import Function
-from repro.io.jsonfile import save_json
+from repro.io.jsonfile import check_envelope, load_json, save_json
 
 #: Magic identifying a decomposition-certificate file.
 CERT_FORMAT = "repro-decomposition-certificate"
@@ -91,7 +92,9 @@ def validate_cover(cover, where="cover"):
 
     Unlike cache-store entries, literal-free cubes (constant true) and
     empty covers (constant false) are legal — a step's interval bound
-    or component may be constant.
+    or component may be constant.  A literal must be the int 0 or 1:
+    ``bool`` is an int subclass (``True in (0, 1)``), so a JSON
+    ``true``/``false`` is rejected explicitly, as the store does.
     """
     if not isinstance(cover, list):
         raise CertificateError("%s is not a cube list: %r" % (where, cover))
@@ -99,7 +102,8 @@ def validate_cover(cover, where="cover"):
         if not isinstance(cube, dict):
             raise CertificateError("%s has a bad cube: %r" % (where, cube))
         for name, value in cube.items():
-            if not isinstance(name, str) or value not in (0, 1):
+            if (not isinstance(name, str) or isinstance(value, bool)
+                    or value not in (0, 1)):
                 raise CertificateError(
                     "%s has a bad cube literal %r=%r" % (where, name, value))
     return cover
@@ -146,15 +150,8 @@ def parse_cert(doc, origin="<certificate>"):
     job (:mod:`repro.analysis.certify`) — it turns problems into
     findings with counterexamples instead of parse errors.
     """
-    if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
-        raise CertificateError("not a decomposition certificate: %s"
-                               % origin)
-    version = doc.get("version")
-    if (not isinstance(version, int) or isinstance(version, bool)
-            or not 1 <= version <= CERT_VERSION):
-        raise CertificateError(
-            "unsupported certificate version %r in %s (this build reads "
-            "1..%d)" % (version, origin, CERT_VERSION))
+    check_envelope(doc, CERT_FORMAT, CERT_VERSION, CertificateError,
+                   "decomposition certificate", origin)
     if not isinstance(doc.get("steps"), list):
         raise CertificateError("certificate has no step list: %s" % origin)
     if not isinstance(doc.get("outputs"), dict):
@@ -169,13 +166,7 @@ def load_cert(path):
     Raises :class:`CertificateError` when the file is unreadable, not
     JSON, or fails :func:`parse_cert`.
     """
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise CertificateError("unreadable certificate: %s" % exc)
-    except ValueError as exc:
-        raise CertificateError("corrupt certificate %s: %s" % (path, exc))
+    doc = load_json(path, CertificateError, "decomposition certificate")
     return parse_cert(doc, origin=path)
 
 
@@ -185,8 +176,8 @@ def save_cert(path, doc):
     Canonical means ``sort_keys`` + fixed indentation, so two runs that
     produced the same trace write byte-identical files (the parallel
     executor relies on this: ``jobs=1`` and ``jobs=N`` certificates
-    must compare equal).  The write is atomic and shares the cache
-    store's writer (:func:`repro.io.jsonfile.save_json`).
+    must compare equal).  The write is atomic
+    (:func:`repro.io.jsonfile.save_json`).
     """
     return save_json(path, doc)
 

@@ -25,9 +25,10 @@ from repro.pipeline.events import Event, EventBus
 from repro.pipeline.config import FLOWS, STAGE_NAMES, PipelineConfig
 from repro.pipeline.session import Session
 from repro.pipeline.pipeline import (Pipeline, PipelineInput, PipelineRun,
-                                     stage_build_isfs, stage_decompose,
-                                     stage_emit, stage_map, stage_parse,
-                                     stage_preprocess, stage_verify)
+                                     input_stem, stage_build_isfs,
+                                     stage_decompose, stage_emit, stage_map,
+                                     stage_parse, stage_preprocess,
+                                     stage_verify)
 from repro.pipeline.parallel import (ParallelBatchResult,
                                      ParallelPipelineRun,
                                      run_batch_parallel)
@@ -37,7 +38,7 @@ __all__ = [
     "PipelineError", "PipelineTimeout", "recursion_guard",
     "Event", "EventBus", "FLOWS", "STAGE_NAMES", "PipelineConfig",
     "Session",
-    "Pipeline", "PipelineInput", "PipelineRun",
+    "Pipeline", "PipelineInput", "PipelineRun", "input_stem",
     "ParallelBatchResult", "ParallelPipelineRun", "run_batch_parallel",
     "stage_parse", "stage_build_isfs", "stage_preprocess",
     "stage_decompose", "stage_verify", "stage_map", "stage_emit",

@@ -22,6 +22,7 @@ otherwise) and shares Theorem 6 components between them through the
 persistent component store.
 """
 
+import os
 import time
 
 from repro.io import (cert_path_for, parse_pla, read_text, save_cert,
@@ -45,12 +46,7 @@ class PipelineInput:
         self.pla = pla
         self.mgr = mgr
         self.specs = specs
-        if label is None:
-            if path not in (None, "-"):
-                label = _stem(path)
-            else:
-                label = "input"
-        self.label = label
+        self.label = input_stem(path) if label is None else label
         self.emit_path = emit_path
 
 
@@ -283,6 +279,11 @@ class Pipeline:
         return run
 
 
-def _stem(path):
-    name = str(path).replace("\\", "/").rsplit("/", 1)[-1]
+def input_stem(path):
+    """File name of *path* without its extension; ``"input"`` for
+    stdin (``-``) or no path.  It names the run, the BLIF and the
+    certificate ``--output-dir`` writes, and the per-stem store."""
+    if path in (None, "-"):
+        return "input"
+    name = os.path.basename(str(path))
     return name.rsplit(".", 1)[0] if "." in name else name

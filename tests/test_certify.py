@@ -71,7 +71,8 @@ class TestCoverHelpers:
             rebuild_cover(mgr, [{"zz": 1}])
 
     def test_validate_rejects_bad_shapes(self):
-        for bad in ({"a": 1}, [["a"]], [{"a": 2}], [{3: 1}]):
+        for bad in ({"a": 1}, [["a"]], [{"a": 2}], [{3: 1}],
+                    [{"a": True}], [{"a": False}]):
             with pytest.raises(CertificateError):
                 validate_cover(bad)
 
@@ -370,6 +371,21 @@ class TestCertifyCLI:
         assert main(["certify", str(pla), str(blif), cert],
                     stdout=out) == 1
         assert "REJECT" in out.getvalue()
+
+    def test_certify_subcommand_rejects_bool_literal(self, tmp_path):
+        # JSON true/false equal 1/0 in Python, so the rebuilt function
+        # would not change; the literal itself must be rejected.
+        pla, blif, cert = self._emit(tmp_path)
+        doc = load_cert(cert)
+        step = next(step for step in doc["steps"]
+                    if step["f"] and step["f"][0])
+        name = sorted(step["f"][0])[0]
+        step["f"][0][name] = bool(step["f"][0][name])
+        save_cert(cert, doc)
+        out = io.StringIO()
+        assert main(["certify", str(pla), str(blif), cert],
+                    stdout=out) == 1
+        assert "bad cube literal" in out.getvalue()
 
     def test_certify_subcommand_unusable_file(self, tmp_path):
         pla, blif, _cert = self._emit(tmp_path, "xor5")

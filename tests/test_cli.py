@@ -120,6 +120,22 @@ class TestDecomposeBatch:
                        "--stats-json", warm]) == 0
         assert json.load(open(warm))["rehydrated_hits"] > 0
 
+    def test_blif_name_and_labels_share_one_stem(self, tmp_path):
+        # On POSIX a backslash is part of the file name, not a separator.
+        import json
+        pla = tmp_path / "a\\b.pla"
+        pla.write_text(PLA_SMALL)
+        out_dir = tmp_path / "out"
+        stats = tmp_path / "stats.json"
+        assert main(["decompose", str(pla), "--output-dir", str(out_dir),
+                     "--certificates", "--stats-json", str(stats)]) == 0
+        assert sorted(os.listdir(out_dir)) == ["a\\b.blif",
+                                               "a\\b.cert.json"]
+        assert [run["label"] for run in json.load(open(stats))["runs"]] \
+            == ["a\\b"]
+        cert = json.load(open(out_dir / "a\\b.cert.json"))
+        assert cert["label"] == "a\\b"
+
     def test_single_output_with_many_inputs_is_an_error(self,
                                                         batch_paths,
                                                         tmp_path):

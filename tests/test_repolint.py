@@ -627,6 +627,11 @@ class TestBaseline:
         with pytest.raises(BaselineError, match="version"):
             load_baseline(path)
         path.write_text(json.dumps(
+            {"format": "repro-repolint-baseline", "version": True,
+             "entries": []}))
+        with pytest.raises(BaselineError, match="version"):
+            load_baseline(path)
+        path.write_text(json.dumps(
             {"format": "repro-repolint-baseline", "version": 1,
              "entries": [{"rule": "x"}]}))
         with pytest.raises(BaselineError, match="malformed"):
