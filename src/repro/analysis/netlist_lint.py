@@ -48,7 +48,6 @@ class LintContext:
         self.specs = specs or {}
         self.seed = seed
         self._reachable = None
-        self._fanouts = None
         self._signatures = None
         self._signature_exact = None
 
@@ -76,13 +75,6 @@ class LintContext:
                              if 0 <= f < total)
             self._reachable = seen
         return self._reachable
-
-    @property
-    def fanouts(self):
-        """Map node id -> gate fan-out count."""
-        if self._fanouts is None:
-            self._fanouts = self.netlist.fanout_counts()
-        return self._fanouts
 
     def structurally_sound(self):
         """True when ids/arities/types allow simulation-based rules."""

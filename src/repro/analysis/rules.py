@@ -26,11 +26,6 @@ class Severity:
         except ValueError:
             raise ValueError("unknown severity %r" % (severity,))
 
-    @classmethod
-    def at_least(cls, severity, threshold):
-        """Is *severity* at or above *threshold*?"""
-        return cls.rank(severity) >= cls.rank(threshold)
-
 
 class Finding:
     """One lint finding: a rule id, severity, message and locations.

@@ -16,7 +16,7 @@ Quick start::
 
 from repro.bdd.manager import BDD, BDDError
 from repro.bdd.function import Function, fn_vars
-from repro.bdd.node import FALSE, TRUE, TERMINAL_LEVEL, is_terminal
+from repro.bdd.node import FALSE, TRUE, TERMINAL_LEVEL
 from repro.bdd.types import Edge, Level, NodeId, SuffixId, VarId
 from repro.bdd.quantify import (exists, forall, and_exists, or_forall,
                                  exor_propagation)
@@ -25,18 +25,16 @@ from repro.bdd.cubes import (sat_count, pick_cube, pick_minterm,
 from repro.bdd.isop import Cube, isop, cover_to_bdd, cover_literal_count
 from repro.bdd.reorder import (swap_levels, sift, reorder_to,
                                move_var_to_level, live_size)
-from repro.bdd.simplify import constrain, restrict, minimize
 from repro.bdd.dump import to_dot, stats
 
 __all__ = [
     "BDD", "BDDError", "Function", "fn_vars",
-    "FALSE", "TRUE", "TERMINAL_LEVEL", "is_terminal",
+    "FALSE", "TRUE", "TERMINAL_LEVEL",
     "Edge", "NodeId", "Level", "VarId", "SuffixId",
     "exists", "forall", "and_exists", "or_forall", "exor_propagation",
     "sat_count", "pick_cube", "pick_minterm", "cube_to_bdd",
     "iter_cubes", "iter_minterms",
     "Cube", "isop", "cover_to_bdd", "cover_literal_count",
     "swap_levels", "sift", "reorder_to", "move_var_to_level", "live_size",
-    "constrain", "restrict", "minimize",
     "to_dot", "stats",
 ]

@@ -989,8 +989,8 @@ class BDD:
 
         Counts complement-resolved edges, i.e. distinct subfunctions
         including the reachable constants — exactly the node count the
-        pre-complement core reported, so size-based decisions (e.g.
-        ``simplify.minimize``) are unchanged by the edge encoding.
+        pre-complement core reported, so size-based reports are
+        unchanged by the edge encoding.
         """
         _lev = self._level
         _lo = self._lo
@@ -1105,14 +1105,15 @@ class BDD:
     # ------------------------------------------------------------------
     def clear_caches(self):
         """Invalidate all computed tables (required after in-place
-        reordering).
+        reordering or garbage collection; ``swap_levels`` and
+        :meth:`collect` are its only callers).
 
         Drops the per-operator computed tables and every dict or
         :data:`native.Table` cache: ``_cache_support`` (keyed on packed
         edges whose levels go stale on reordering) and the dynamic
-        caches attached lazily by the quantification / cube-count /
-        simplify modules (any attribute named ``_cache_*``, the exists
-        memo included).
+        caches attached lazily by the quantification and cube-count
+        modules and :class:`repro.decomp.context.CheckContext` (any
+        attribute named ``_cache_*``, the exists memo included).
         """
         self._ct_and.clear()
         self._ct_xor.clear()

@@ -35,16 +35,6 @@ TRUE: Edge = 1
 TERMINAL_LEVEL: Level = 1 << 30
 
 
-def is_terminal(edge: Edge) -> bool:
-    """Return True if *edge* is one of the two constant edges."""
-    return edge == FALSE or edge == TRUE
-
-
-def is_complemented(edge: Edge) -> bool:
-    """Return True if *edge* carries the complement bit."""
-    return bool(edge & 1)
-
-
 def regular(edge: Edge) -> Edge:
     """Strip the complement bit: the positive-polarity edge of *edge*."""
     return edge & ~1

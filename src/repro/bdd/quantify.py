@@ -23,6 +23,10 @@ probe.  All of these live in ``_cache_*`` attributes, which
 :meth:`repro.bdd.manager.BDD.clear_caches` drops wholesale on reorder
 or GC, keeping ids and level tokens consistent with the current order.
 
+The fused :func:`and_exists` / :func:`or_forall` walks have no caller in
+the decomposition engine (its checks keep the apply forms, DESIGN.md
+§9); ``perfbench``'s tracer still wraps them by name.
+
 The exists walk runs in C when :mod:`repro.bdd.native` could build its
 extension (the fused ``and_exists`` walk stays in Python); the Python
 loop in :func:`_exists_iter` is the fallback and the differential

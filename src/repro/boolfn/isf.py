@@ -146,27 +146,10 @@ class ISF:
         """Restrict several input variables at once."""
         return ISF(self.on.restrict(assignment), self.off.restrict(assignment))
 
-    def cover(self, method="isop"):
-        """Pick one compatible CSF.
-
-        * ``method="isop"`` (default): the Minato-Morreale irredundant
-          SOP of the interval — small in literal count;
-        * ``method="restrict"``: Coudert-Madre restrict of the on-set
-          against the care set — small in BDD nodes, the same role
-          BuDDy's ``bdd_simplify`` plays in the original program.
-        """
-        if method == "isop":
-            cover_node, _cubes = _isop(self.mgr, self.on.node,
-                                       self.upper.node)
-        elif method == "restrict":
-            from repro.bdd.simplify import minimize as _minimize
-            care = self.care
-            if care.is_false():
-                return Function(self.mgr, self.mgr.false)
-            cover_node = _minimize(self.mgr, self.on.node, care.node)
-        else:
-            raise ValueError("unknown cover method %r" % method)
-        return Function(self.mgr, cover_node)
+    def cover(self):
+        """Pick one compatible CSF: the Minato-Morreale irredundant SOP
+        of the interval, small in literal count."""
+        return self.cover_cubes()[0]
 
     def cover_cubes(self):
         """Irredundant SOP cover of the interval as ``(csf, cubes)``."""

@@ -119,21 +119,23 @@ def _add_config_flags(parser):
                         help="variables in the weak step's XA (paper: 1)")
 
 
-def _add_resource_flags(parser):
+def _add_budget_flags(parser):
+    """Budget and report flags (``decompose``, ``stats``, ``baseline``)."""
     parser.add_argument("--time-limit", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget; exceeded -> exit 3")
-    parser.add_argument("--budget-scope", choices=("run", "batch"),
-                        default="run",
-                        help="what --time-limit spans: each input run "
-                             "(default) or the whole batch (one sweep-wide "
-                             "clock shared by every --jobs worker)")
     parser.add_argument("--max-nodes", type=int, default=None,
                         metavar="N",
                         help="live BDD node budget; exceeded -> exit 3")
     parser.add_argument("--stats-json", default=None, metavar="PATH",
                         help="write the per-stage run report as JSON "
                              "('-' for stdout)")
+
+
+def _add_engine_flags(parser):
+    """Flags of the bi-decomposition engine's runs (``decompose`` and
+    ``stats``); the baseline flows have no contracts and no component
+    store."""
     parser.add_argument("--check", action="store_true",
                         help="re-verify the paper's theorem certificates "
                              "at every recursion step (sanitizer mode; "
@@ -600,14 +602,21 @@ def build_parser():
                    help="emit certificates and round-trip each one "
                         "through the offline certifier (a rejection "
                         "makes the exit code 1)")
+    p.add_argument("--budget-scope", choices=("run", "batch"),
+                   default="run",
+                   help="what --time-limit spans: each input run "
+                        "(default) or the whole batch (one sweep-wide "
+                        "clock shared by every --jobs worker)")
     _add_config_flags(p)
-    _add_resource_flags(p)
+    _add_budget_flags(p)
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("stats", help="print netlist cost columns")
     p.add_argument("input")
     _add_config_flags(p)
-    _add_resource_flags(p)
+    _add_budget_flags(p)
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="check a BLIF against a PLA spec")
@@ -700,7 +709,7 @@ def build_parser():
                    help="SIS flow: enable algebraic factoring")
     p.add_argument("--minimizer", choices=("isop", "espresso"),
                    default="isop")
-    _add_resource_flags(p)
+    _add_budget_flags(p)
     p.set_defaults(func=cmd_baseline)
     return parser
 

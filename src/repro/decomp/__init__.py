@@ -34,9 +34,6 @@ from repro.decomp.bidecomp import (DecompositionConfig, DecompositionEngine,
                                    DecompositionError, DecompositionStats)
 from repro.decomp.driver import (DecompositionResult, bi_decompose,
                                  bi_decompose_function)
-from repro.decomp.ashenhurst import (AshenhurstDecomposition,
-                                     ashenhurst_decompose,
-                                     find_ashenhurst)
 
 __all__ = [
     "or_decomposable", "and_decomposable", "exor_decomposable_single",
@@ -58,6 +55,4 @@ __all__ = [
     "DecompositionConfig", "DecompositionEngine", "DecompositionError",
     "DecompositionStats", "DecompositionResult",
     "bi_decompose", "bi_decompose_function",
-    "AshenhurstDecomposition", "ashenhurst_decompose",
-    "find_ashenhurst",
 ]

@@ -6,7 +6,7 @@
 2. look the interval up in the component-reuse cache,
 3. terminal case: support <= 2 emits one gate (``FindGate``),
 4. try strong OR / AND / EXOR variable groupings and pick the best
-   (most grouped variables, best balance),
+   (most grouped variables, then best balance, then OR / AND / EXOR),
 5. otherwise take the best weak OR/AND step (single XA variable
    maximising injected don't-cares),
 6. as a guaranteed-progress fallback — the one deviation from the
@@ -56,16 +56,17 @@ class DecompositionConfig:
     * ``use_weak`` — allow weak OR/AND steps (off forces Shannon
       fallback, emulating a strong-only variant);
     * ``use_cache`` — component-reuse cache of Section 6;
-    * ``use_inessential`` — inessential-variable removal;
-    * ``gate_preference`` — tie-break order among equally scored
-      groupings;
     * ``exhaustive_grouping`` — Section 5's exclude-one/add-many
       grouping refinement (the paper measured <3 % area gain for 2x
       CPU; off by default, the ablation bench reproduces the claim);
     * ``weak_xa_size`` — how many variables the weak step's XA may
-      hold (the paper settled on 1 after experimentation);
-    * ``objective`` — ``"area"`` scores groupings by coverage then
-      balance (the paper's cost); ``"delay"`` puts balance first.
+      hold (the paper settled on 1 after experimentation).
+
+    The rest of Fig. 7 is fixed, as in the paper: inessential variables
+    are always removed first, groupings are scored by coverage then
+    balance (:func:`~repro.decomp.grouping.grouping_score`), and exact
+    ties go to the cheaper gate (OR, then AND, then EXOR; see
+    :meth:`enabled_gates`).
 
     Checking every synthesised component against its interval is the
     ``--check`` mode's job (``bi_decompose(..., check=True)``), not a
@@ -73,31 +74,39 @@ class DecompositionConfig:
     """
 
     def __init__(self, use_or=True, use_and=True, use_exor=True,
-                 use_weak=True, use_cache=True, use_inessential=True,
-                 gate_preference=(OR_GATE, AND_GATE, EXOR_GATE),
-                 exhaustive_grouping=False, weak_xa_size=1,
-                 objective="area"):
+                 use_weak=True, use_cache=True, exhaustive_grouping=False,
+                 weak_xa_size=1):
         self.use_or = use_or
         self.use_and = use_and
         self.use_exor = use_exor
         self.use_weak = use_weak
         self.use_cache = use_cache
-        self.use_inessential = use_inessential
-        self.gate_preference = tuple(gate_preference)
         self.exhaustive_grouping = exhaustive_grouping
         if weak_xa_size < 1:
             raise ValueError("weak_xa_size must be >= 1, got %r"
                              % (weak_xa_size,))
         self.weak_xa_size = weak_xa_size
-        if objective not in ("area", "delay"):
-            raise ValueError("objective must be 'area' or 'delay'")
-        self.objective = objective
 
     def enabled_gates(self):
-        """Strong gate types to try, in preference order."""
-        enabled = {OR_GATE: self.use_or, AND_GATE: self.use_and,
-                   EXOR_GATE: self.use_exor}
-        return tuple(g for g in self.gate_preference if enabled.get(g))
+        """Strong gate types to try, in Fig. 7's tie-break order: OR,
+        then AND, then EXOR (cheaper gates first)."""
+        return tuple(gate for gate, enabled in ((OR_GATE, self.use_or),
+                                                (AND_GATE, self.use_and),
+                                                (EXOR_GATE, self.use_exor))
+                     if enabled)
+
+    def as_dict(self):
+        """The switches as a flat dict (the ``--stats-json`` report's
+        ``config.decomposition`` block)."""
+        return {
+            "use_or": self.use_or,
+            "use_and": self.use_and,
+            "use_exor": self.use_exor,
+            "use_weak": self.use_weak,
+            "use_cache": self.use_cache,
+            "exhaustive_grouping": self.exhaustive_grouping,
+            "weak_xa_size": self.weak_xa_size,
+        }
 
 
 class DecompositionStats:
@@ -112,12 +121,10 @@ class DecompositionStats:
         self.shannon = 0
         self.inessential_removed = 0
         # CheckContext counters, summed over every recursion step:
-        # decomposability checks probed during grouping, quantification
-        # probes answered from the context cache, and fused
-        # and_exists/or_forall kernel calls issued.
+        # decomposability checks probed during grouping and
+        # quantification probes answered from the context cache.
         self.grouping_check_calls = 0
         self.quantify_cache_hits = 0
-        self.and_exists_calls = 0
 
     def strong_steps(self):
         """Total strong bi-decomposition steps."""
@@ -145,7 +152,6 @@ class DecompositionStats:
         stats.inessential_removed = data.get("inessential_removed", 0)
         stats.grouping_check_calls = data.get("grouping_check_calls", 0)
         stats.quantify_cache_hits = data.get("quantify_cache_hits", 0)
-        stats.and_exists_calls = data.get("and_exists_calls", 0)
         return stats
 
     def as_dict(self):
@@ -163,7 +169,6 @@ class DecompositionStats:
             "inessential_removed": self.inessential_removed,
             "grouping_check_calls": self.grouping_check_calls,
             "quantify_cache_hits": self.quantify_cache_hits,
-            "and_exists_calls": self.and_exists_calls,
         }
 
     def __repr__(self):
@@ -228,9 +233,8 @@ class DecompositionEngine:
         self.stats.calls += 1
         self._report("call")
         self._pre_decompose(isf)
-        if self.config.use_inessential:
-            isf, removed = remove_inessential(isf)
-            self.stats.inessential_removed += len(removed)
+        isf, removed = remove_inessential(isf)
+        self.stats.inessential_removed += len(removed)
         support = isf.structural_support()
         tracer = self.tracer
         if tracer is not None:
@@ -280,7 +284,6 @@ class DecompositionEngine:
         stats = self.stats
         stats.grouping_check_calls += ctx.check_calls
         stats.quantify_cache_hits += ctx.cache_hits
-        stats.and_exists_calls += ctx.and_exists_calls
         if step is None:
             return self._shannon_step(isf, support)
         gate, xa, isf_a = step
@@ -296,8 +299,7 @@ class DecompositionEngine:
                 grouping = improve_grouping(isf, support, gate,
                                             *grouping, ctx=ctx)
             candidates[gate] = grouping
-        best = find_best_grouping(candidates, self.config.gate_preference,
-                                  objective=self.config.objective)
+        best = find_best_grouping(candidates)
         if best is None:
             return None
         gate, xa, xb = best

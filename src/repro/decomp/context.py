@@ -40,7 +40,7 @@ on the manager as ``_cache_ctx_*`` dicts, which
 or GC exactly like the kernel's own computed tables — a cached edge is
 only ever replayed while it is still canonical.  The context instance
 itself only carries counters (``check_calls``, ``cache_hits``,
-``and_exists_calls``), which the engine folds into
+``exists_calls``); the engine folds the first two into
 :class:`repro.decomp.bidecomp.DecompositionStats` per recursion step so
 the win is measurable by deterministic operation counts.
 
@@ -49,8 +49,7 @@ complemented ISF, whose on/off nodes are the same edges with roles
 swapped, so OR and AND probes share cache entries automatically.
 """
 
-from repro.bdd import (and_exists as _and_exists, exists as _exists,
-                       or_forall as _or_forall)
+from repro.bdd import exists as _exists
 from repro.bdd.types import Edge
 
 
@@ -68,8 +67,7 @@ class CheckContext:
     which is how the engine reports per-recursion-step numbers.
     """
 
-    __slots__ = ("mgr", "check_calls", "cache_hits", "and_exists_calls",
-                 "exists_calls")
+    __slots__ = ("mgr", "check_calls", "cache_hits", "exists_calls")
 
     def __init__(self, mgr):
         self.mgr = mgr
@@ -77,8 +75,6 @@ class CheckContext:
         self.check_calls = 0
         #: Probes answered from any of the context caches.
         self.cache_hits = 0
-        #: Fused and_exists / or_forall kernel calls issued.
-        self.and_exists_calls = 0
         #: Kernel exists() walks actually issued (cache misses).
         self.exists_calls = 0
 
@@ -127,16 +123,6 @@ class CheckContext:
         """Cached universal dual: ``forall(V, f) = ~exists(V, ~f)``."""
         mgr = self.mgr
         return mgr.not_(self.exists(mgr.not_(node), variables))
-
-    def and_exists(self, variables, f: Edge, g: Edge) -> Edge:
-        """Fused ``exists(variables, f & g)`` (kernel-memoised)."""
-        self.and_exists_calls += 1
-        return _and_exists(self.mgr, sorted(self._varset(variables)), f, g)
-
-    def or_forall(self, variables, f: Edge, g: Edge) -> Edge:
-        """Fused ``forall(variables, f | g)`` (kernel-memoised)."""
-        self.and_exists_calls += 1
-        return _or_forall(self.mgr, sorted(self._varset(variables)), f, g)
 
     # -- check-result memo ----------------------------------------------
     def check_memo(self, kind, q: Edge, r: Edge, xa, xb):

@@ -11,7 +11,7 @@ bi-decomposition feasible:
    short-delay netlists;
 3. :func:`find_best_grouping` scores the OR / AND / EXOR candidates:
    more variables in ``XA | XB`` is better, balance breaks ties, and
-   gate preference order breaks exact ties (Fig. 7's
+   the fixed gate order OR, AND, EXOR breaks exact ties (Fig. 7's
    FindBestVariableGrouping).
 """
 
@@ -139,40 +139,28 @@ def improve_grouping(isf, support, gate, xa, xb, ctx=None):
     return frozenset(xa), frozenset(xb)
 
 
-def grouping_score(xa, xb, objective="area"):
-    """Fig. 7's cost function.
-
-    * ``"area"`` (the paper's): prefer more grouped variables, then
-      balance;
-    * ``"delay"``: balance dominates — equal-depth components first,
-      coverage second (the paper explains balance is what shortens the
-      critical path).
-    """
-    total = len(xa) + len(xb)
-    imbalance = abs(len(xa) - len(xb))
-    if objective == "delay":
-        return (-imbalance, total)
-    return (total, -imbalance)
+def grouping_score(xa, xb):
+    """Fig. 7's cost function: prefer more grouped variables, then
+    balance."""
+    return (len(xa) + len(xb), -abs(len(xa) - len(xb)))
 
 
-def find_best_grouping(candidates, preference=(OR_GATE, AND_GATE,
-                                               EXOR_GATE),
-                       objective="area"):
+def find_best_grouping(candidates):
     """Pick the best grouping among per-gate candidates.
 
     *candidates* maps gate type -> ``(xa, xb)`` or ``None``.  Returns
     ``(gate, xa, xb)`` or ``None`` when no strong grouping exists.
-    Exact score ties are resolved by *preference* order (cheaper gates
-    first by default).
+    Exact score ties go to the earlier candidate; the engine inserts
+    them in :meth:`~repro.decomp.bidecomp.DecompositionConfig.enabled_gates`
+    order (OR, AND, EXOR: cheaper gates first).
     """
     best = None
     best_score = None
-    for gate in preference:
-        grouping = candidates.get(gate)
+    for gate, grouping in candidates.items():
         if grouping is None:
             continue
         xa, xb = grouping
-        score = grouping_score(xa, xb, objective)
+        score = grouping_score(xa, xb)
         if best_score is None or score > best_score:
             best = (gate, xa, xb)
             best_score = score

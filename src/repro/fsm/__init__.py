@@ -2,7 +2,7 @@
 don't-cares, and synthesis through the bi-decomposition engine."""
 
 from repro.fsm.machine import FSM, FSMError, Transition
-from repro.fsm.kiss import parse_kiss, read_kiss, write_kiss
+from repro.fsm.kiss import parse_kiss, write_kiss
 from repro.fsm.encode import (EncodedFSM, binary_codes, encode_fsm,
                               one_hot_codes)
 from repro.fsm.synthesize import (SynthesizedFSM, check_against_fsm,
@@ -10,7 +10,7 @@ from repro.fsm.synthesize import (SynthesizedFSM, check_against_fsm,
 
 __all__ = [
     "FSM", "FSMError", "Transition",
-    "parse_kiss", "read_kiss", "write_kiss",
+    "parse_kiss", "write_kiss",
     "EncodedFSM", "binary_codes", "encode_fsm", "one_hot_codes",
     "SynthesizedFSM", "check_against_fsm", "synthesize_fsm",
 ]

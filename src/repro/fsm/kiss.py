@@ -55,12 +55,6 @@ def parse_kiss(text):
     return fsm
 
 
-def read_kiss(path):
-    """Parse a KISS2 file from *path*."""
-    with open(path) as handle:
-        return parse_kiss(handle.read())
-
-
 def write_kiss(fsm, path=None):
     """Serialise an FSM back to KISS2 text."""
     lines = [".i %d" % fsm.num_inputs,

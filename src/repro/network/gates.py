@@ -79,9 +79,3 @@ def dual(gate_type):
     up to complement; returned unchanged)."""
     return {AND: OR, OR: AND, NAND: NOR, NOR: NAND}.get(gate_type, gate_type)
 
-
-def complement_of(gate_type):
-    """The gate type computing the complement (AND -> NAND etc.)."""
-    table = {AND: NAND, NAND: AND, OR: NOR, NOR: OR, XOR: XNOR, XNOR: XOR,
-             CONST0: CONST1, CONST1: CONST0, BUF: NOT, NOT: BUF}
-    return table[gate_type]

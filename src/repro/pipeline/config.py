@@ -183,8 +183,11 @@ class PipelineConfig:
         raise ValueError("cannot build a PipelineConfig from %r" % (value,))
 
     def as_dict(self):
-        """Flat dict view (for ``--stats-json`` dumps)."""
+        """Dict view (for ``--stats-json`` dumps): the run-level knobs,
+        plus the engine switches under ``decomposition``, so a report
+        says which ablation produced it."""
         return {
+            "decomposition": self.decomposition.as_dict(),
             "flow": self.flow,
             "verify": self.verify,
             "check_contracts": self.check_contracts,

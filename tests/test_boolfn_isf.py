@@ -1,7 +1,7 @@
 """Tests for the incompletely-specified-function (ISF) abstraction."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.bdd import BDD
 from repro.boolfn import ISF, InconsistentISF, parse
@@ -74,11 +74,15 @@ class TestCompatibility:
 
     @settings(max_examples=40, deadline=None)
     @given(isf_strategy(3))
+    @example((0, 0))   # the all-don't-care interval
     def test_cover_is_always_compatible(self, pair):
         on_tt, off_tt = pair
         mgr = make_mgr(3)
         isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
-        assert isf.is_compatible(isf.cover())
+        cover = isf.cover()
+        assert isf.is_compatible(cover)
+        # An empty on-set needs no cube: its ISOP is constant 0.
+        assert cover.is_false() == (on_tt == 0)
 
 
 class TestTransforms:

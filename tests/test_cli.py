@@ -312,6 +312,31 @@ class TestOtherCommands:
         assert main(["baseline", pla_path, "--minimizer", "espresso",
                      "--factor"], stdout=out) == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--cache-dir", "{dir}"], ["--check"], ["--cache-readonly"],
+        ["--sweep-store"], ["--budget-scope", "batch"],
+    ], ids=["cache-dir", "check", "cache-readonly", "sweep-store",
+            "budget-scope"])
+    def test_baseline_rejects_engine_flags(self, pla_path, tmp_path,
+                                           flags):
+        # The sis/bds flows have no contracts, no component store and
+        # one input: an engine flag would be silently ignored (or, for
+        # --cache-dir, open and rewrite a store), so it is a usage error.
+        store_dir = tmp_path / "d"
+        argv = ["baseline", pla_path] + [f.format(dir=store_dir)
+                                         for f in flags]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv, stdout=io.StringIO())
+        assert excinfo.value.code == 2
+        assert not store_dir.exists()
+
+    def test_stats_rejects_budget_scope(self, pla_path):
+        # stats runs one input, so a batch-wide clock means nothing.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", pla_path, "--budget-scope", "batch"],
+                 stdout=io.StringIO())
+        assert excinfo.value.code == 2
+
     def test_fsm_command(self, tmp_path):
         kiss = tmp_path / "m.kiss2"
         kiss.write_text(".i 1\n.o 1\n.r A\n0 A A 0\n1 A B 0\n"

@@ -129,13 +129,20 @@ class TestConfigurations:
         verify_against_isfs(result.netlist, specs)
         assert result.stats.shannon > 0
 
-    def test_gate_preference_changes_tie_breaks(self):
-        mgr = make_mgr(4)
-        specs = {"f": parse(mgr, "x0 & x1 | x2 & x3")}
-        prefer_and = DecompositionConfig(
-            gate_preference=("AND", "OR", "XOR"))
-        result = bi_decompose(specs, config=prefer_and)
+    def test_score_ties_go_to_or_first(self):
+        # The multiplexer a ? b : c splits with XA = {b}, XB = {c} under
+        # OR (a&b | ~a&c), AND ((~a | b) & (a | c)) and EXOR
+        # (a&b ^ ~a&c) alike.  The three scores tie, so Fig. 7's fixed
+        # order (OR, AND, EXOR) must pick OR, and AND once OR is off.
+        mgr = BDD(["a", "b", "c"])
+        specs = {"f": parse(mgr, "a & b | ~a & c")}
+        result = bi_decompose(specs)
         verify_against_isfs(result.netlist, specs)
+        assert result.stats.strong == {"OR": 1, "AND": 0, "XOR": 0}
+        result = bi_decompose(specs,
+                              config=DecompositionConfig(use_or=False))
+        verify_against_isfs(result.netlist, specs)
+        assert result.stats.strong == {"OR": 0, "AND": 1, "XOR": 0}
 
     def test_cache_disabled_still_correct(self):
         mgr, specs = self._spec()

@@ -90,18 +90,6 @@ class TestQuantificationCache:
         assert ctx_a.exists_calls == 1 and ctx_b.exists_calls == 1
         assert ctx_b.cache_hits == 0
 
-    def test_fused_probes_are_counted(self):
-        mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        f, g = mgr.var(0), mgr.or_(mgr.var(1), mgr.var(2))
-        fused = ctx.and_exists([1], f, g)
-        assert fused == kernel_exists(mgr, [1], mgr.and_(f, g))
-        dual = ctx.or_forall([1], f, g)
-        from repro.bdd import forall as kernel_forall
-        assert dual == kernel_forall(mgr, [1], mgr.or_(f, g))
-        assert ctx.and_exists_calls == 2
-        assert mgr.cache_stats()["and_exists_calls"] == 2
-
 
 class TestCheckMemo:
     def test_miss_store_hit_cycle(self):
@@ -298,8 +286,7 @@ class TestEngineIntegration:
         assert stats.grouping_check_calls > 0
         assert stats.quantify_cache_hits > 0
         doc = stats.as_dict()
-        for key in ("grouping_check_calls", "quantify_cache_hits",
-                    "and_exists_calls"):
+        for key in ("grouping_check_calls", "quantify_cache_hits"):
             assert key in doc
         again = DecompositionStats.from_dict(doc)
         assert again.grouping_check_calls == stats.grouping_check_calls

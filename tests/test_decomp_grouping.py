@@ -94,13 +94,15 @@ class TestBestGrouping:
             grouping_score({0, 1, 2}, {3})
 
     def test_find_best_uses_preference_on_ties(self):
-        candidates = {OR_GATE: ({0}, {1}), AND_GATE: ({0}, {1})}
+        # Exact ties go to the earlier candidate; the engine inserts
+        # candidates in the paper's order OR, AND, EXOR.
+        tied = ({0}, {1})
         gate, _xa, _xb = find_best_grouping(
-            candidates, preference=(AND_GATE, OR_GATE, EXOR_GATE))
-        assert gate == AND_GATE
-        gate, _xa, _xb = find_best_grouping(
-            candidates, preference=(OR_GATE, AND_GATE, EXOR_GATE))
+            {OR_GATE: tied, AND_GATE: tied, EXOR_GATE: tied})
         assert gate == OR_GATE
+        gate, _xa, _xb = find_best_grouping(
+            {AND_GATE: tied, EXOR_GATE: tied})
+        assert gate == AND_GATE
 
     def test_find_best_skips_missing(self):
         candidates = {OR_GATE: None, EXOR_GATE: ({0, 2}, {1})}

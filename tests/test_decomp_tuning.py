@@ -56,28 +56,12 @@ class TestImproveGrouping:
 
 
 class TestObjective:
-    def test_delay_objective_still_correct(self):
-        mgr = make_mgr(5)
-        specs = {"f": mgr.fn(weight_set(mgr, range(5), {1, 2, 4}))}
-        result = bi_decompose(specs,
-                              config=DecompositionConfig(
-                                  objective="delay"))
-        verify_against_isfs(result.netlist, specs)
-
-    def test_delay_score_prefers_balance(self):
+    def test_coverage_outranks_balance(self):
+        # The paper's area score: more grouped variables wins even
+        # against a perfectly balanced smaller grouping.
         from repro.decomp import grouping_score
-        balanced = grouping_score({0, 1}, {2, 3}, objective="delay")
-        lopsided = grouping_score({0, 1, 2, 3, 4}, {5},
-                                  objective="delay")
-        assert balanced > lopsided
-        # Area mode ranks them the other way (more variables wins).
         assert grouping_score({0, 1, 2, 3, 4}, {5}) > \
             grouping_score({0, 1}, {2, 3})
-
-    def test_invalid_objective_rejected(self):
-        import pytest
-        with pytest.raises(ValueError):
-            DecompositionConfig(objective="power")
 
 
 class TestWeakXaSize:

@@ -454,6 +454,22 @@ class TestStatsJson:
         assert {s["stage"] for s in doc["stages"]} >= \
             {"parse", "build_isfs", "decompose", "verify", "emit"}
 
+    def test_cli_stats_json_records_engine_switches(self, tmp_path):
+        from repro.cli import main
+        pla_path = tmp_path / "in.pla"
+        pla_path.write_text(PLA)
+        stats_path = tmp_path / "stats.json"
+        assert main(["decompose", str(pla_path), "-o",
+                     str(tmp_path / "out.blif"), "--no-exor",
+                     "--weak-xa-size", "2",
+                     "--stats-json", str(stats_path)],
+                    stdout=io.StringIO()) == 0
+        doc = json.loads(stats_path.read_text())
+        assert doc["config"]["decomposition"] == {
+            "use_or": True, "use_and": True, "use_exor": False,
+            "use_weak": True, "use_cache": True,
+            "exhaustive_grouping": False, "weak_xa_size": 2}
+
     def test_cli_time_limit_trips_with_exit_code_3(self, tmp_path):
         from repro.cli import main
         pla_path = tmp_path / "in.pla"
