@@ -9,10 +9,14 @@
  * those two walks under one kernel open and close.  It makes the
  * Python loop's AND and exists calls in the same order, top-level AND
  * fast paths and ``_q_exists_calls`` included, and interns each
- * variable set at its first projection.  All three work through the
- * CPython C API on the manager's own structures -- the ``_level`` / ``_lo`` / ``_hi``
- * lists, the per-level ``_unique`` tables, the ``_free`` list, the
- * ``_ct_and`` table and the caller's exists memo -- and repeat the Python
+ * variable set at its first projection.  A fourth entry runs the whole
+ * explicit-stack walk of ``repro.bdd.isop.isop``: cofactor splits, its
+ * AND / OR / DIFF steps, the ``var`` node and ``ite(var, f1, f0)`` merge
+ * of each split (the ``_ct_ite`` dict included) and the cube lists.
+ * All four work through the CPython C API on the manager's own
+ * structures -- the ``_level`` / ``_lo`` / ``_hi`` lists, the per-level
+ * ``_unique`` tables, the ``_free`` list, the ``_ct_and`` table and the
+ * caller's exists memo -- and repeat the Python
  * loops step for step: the same probe order, node-creation order,
  * counter increments, ``_peak_live`` updates, growth-hook firing and
  * computed-table cap.  Node indices, counters and every module that
@@ -34,9 +38,9 @@
  * every hook call (the hook sees the manager as it would under the
  * Python loops) and when the top-level call returns.
  *
- * repro.bdd.native compiles and loads this file; repro.bdd.manager and
- * repro.bdd.quantify keep the Python loops as the fallback and as the
- * differential tests' reference.
+ * repro.bdd.native compiles and loads this file; repro.bdd.manager,
+ * repro.bdd.quantify and repro.bdd.isop keep the Python loops as the
+ * fallback and as the differential tests' reference.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -52,7 +56,8 @@ typedef uint64_t edge_t;
 static PyObject *s_level, *s_lo, *s_hi, *s_unique, *s_free, *s_ct_and,
     *s_ct_lookups, *s_ct_hits, *s_uniq_lookups, *s_uniq_hits,
     *s_peak_live, *s_q_steps, *s_q_calls, *s_growth_hook,
-    *s_growth_countdown, *s_growth_interval;
+    *s_growth_countdown, *s_growth_interval, *s_ct_ite, *s_level_to_var,
+    *s_literals;
 
 /* ------------------------------------------------------------------ */
 /* Growable stacks with inline storage                                 */
@@ -1302,6 +1307,400 @@ error:
 #undef REFUTE_IF_OVERLAP
 
 /* ------------------------------------------------------------------ */
+/* Minato-Morreale ISOP                                                */
+/* ------------------------------------------------------------------ */
+
+/* A cube list of the walk.  LIST_NONE is the empty list, LIST_ONE one
+ * literal-free cube, and an index >= 0 names a Merge: the cubes of c0
+ * with var = 0, then those of c1 with var = 1, then those of cd.  A
+ * memo hit shares a list as the Python walk shares its memoised cube
+ * lists; the Cube objects are only built for the final result. */
+#define LIST_NONE (-2)
+#define LIST_ONE (-1)
+
+typedef struct { long long var; Py_ssize_t c0, c1, cd, ncubes; } Merge;
+typedef struct { edge_t cover; Py_ssize_t cubes; } Cover;
+
+/* Frames, as in repro.bdd.isop: 0 expand the interval (e[0], e[1]);
+ * 1 cover the variable-free remainder of the split at lvl with
+ * cofactors e[] = (l0, l1, u0, u1); 2 merge the split's covers
+ * e[0] = f0 (cubes c0) and e[1] = f1 (cubes c1) with the remainder's. */
+typedef struct {
+    int tag;
+    long long lvl, var;
+    edge_t key, e[4];
+    Py_ssize_t c0, c1;
+} IsopFrame;
+
+typedef STACK(IsopFrame, 32) IsopFrames;
+typedef STACK(Cover, 32) Covers;
+typedef STACK(Merge, 32) Merges;
+
+typedef struct {
+    Kernel k;
+    PyObject *ct_ite;               /* new ref: the manager's ITE dict */
+    PyObject *level_to_var;         /* new ref */
+    Merges merges;
+    Covers memo;                    /* the per-call memo's covers */
+    Table index;                    /* (lower << 32) | upper -> memo slot */
+} Isop;
+
+/* BDD.ite(f, g, h) through the Python method (the shapes below that the
+ * merge never produces, and the EXOR route), with the manager in the
+ * state the Python loops would leave it in. */
+static int
+ite_call(Isop *s, edge_t f, edge_t g, edge_t h, edge_t *out)
+{
+    Kernel *k = &s->k;
+    PyObject *r;
+    int rc;
+    if (sync_out(k) < 0)
+        return -1;
+    r = PyObject_CallMethod(k->mgr, "ite", "KKK", (unsigned long long)f,
+                            (unsigned long long)g, (unsigned long long)h);
+    if (r == NULL)
+        return -1;
+    rc = as_edge(r, out);
+    Py_DECREF(r);
+    return rc < 0 ? -1 : sync_in(k);
+}
+
+/* The ITE table's key ((a << 32 | b) << 32) | c as a Python int. */
+static PyObject *
+ite_key(edge_t a, edge_t b, edge_t c)
+{
+    PyObject *hi = PyLong_FromUnsignedLongLong((a << 32) | b), *shift,
+        *low, *key = NULL;
+    if (hi == NULL)
+        return NULL;
+    shift = PyLong_FromLong(32);
+    low = PyLong_FromUnsignedLongLong(c);
+    if (shift != NULL && low != NULL) {
+        PyObject *up = PyNumber_Lshift(hi, shift);
+        if (up != NULL) {
+            key = PyNumber_Or(up, low);
+            Py_DECREF(up);
+        }
+    }
+    Py_DECREF(hi);
+    Py_XDECREF(shift);
+    Py_XDECREF(low);
+    return key;
+}
+
+/* BDD.ite(f, g, h) where f is a one-node function whose level lies
+ * above g's and h's: the ISOP merge ite(var, f1, f0).  Fast paths,
+ * folds, the AND routes, the ITE table and its cap as in the Python
+ * method; any other shape goes to the method itself. */
+static int
+ite_top(Isop *s, edge_t f, edge_t g, edge_t h, edge_t *out)
+{
+    Kernel *k = &s->k;
+    edge_t a = f, b = g, c = h, la, lb, lc, a0, a1, lo, hi, res = 0, t;
+    long long lookups = 0, hits = 0, ulookups = 0, uhits = 0;
+    PyObject *key, *hit, *v;
+    int flip;
+
+    if (a < 2) {
+        *out = a ? b : c;
+        return 0;
+    }
+    if (b == c) {
+        *out = b;
+        return 0;
+    }
+    /* Fold selector-equal branches to constants. */
+    if (b == a)
+        b = 1;
+    else if (b == (a ^ 1))
+        b = 0;
+    if (c == a)
+        c = 0;
+    else if (c == (a ^ 1))
+        c = 1;
+    if (b == 1 && c == 0)
+        res = a;
+    else if (b == 0 && c == 1)
+        res = a ^ 1;
+    else if (c == 0) {
+        if (and_top(k, a, b, &res) < 0)
+            return -1;
+    }
+    else if (c == 1) {
+        if (and_top(k, a, b ^ 1, &res) < 0)
+            return -1;
+        res ^= 1;
+    }
+    else if (b == 0) {
+        if (and_top(k, a ^ 1, c, &res) < 0)
+            return -1;
+    }
+    else if (b == 1) {
+        if (and_top(k, a ^ 1, c ^ 1, &res) < 0)
+            return -1;
+        res ^= 1;
+    }
+    else {
+        if (a & 1) {
+            a ^= 1;
+            t = b;
+            b = c;
+            c = t;
+        }
+        flip = (int)(b & 1);
+        if (flip) {
+            b ^= 1;
+            c ^= 1;
+        }
+        if (list_item(k->level, a >> 1, &la) < 0
+            || list_item(k->level, b >> 1, &lb) < 0
+            || list_item(k->level, c >> 1, &lc) < 0
+            || branches(k, a, la, la, &a0, &a1) < 0)
+            return -1;
+        if (b == (c ^ 1) || la >= lb || la >= lc || a0 > 1 || a1 > 1)
+            return ite_call(s, f, g, h, out);
+        key = ite_key(a, b, c);
+        if (key == NULL)
+            return -1;
+        lookups = 1;
+        hit = PyDict_GetItemWithError(s->ct_ite, key);
+        if (hit != NULL) {
+            hits = 1;
+            if (as_edge(hit, &res) < 0) {
+                Py_DECREF(key);
+                return -1;
+            }
+        }
+        else if (PyErr_Occurred()) {
+            Py_DECREF(key);
+            return -1;
+        }
+        else {
+            /* Both children are terminal selections of g and h. */
+            lo = a0 ? b : c;
+            hi = a1 ? b : c;
+            if (make_node(k, (long long)la, lo, hi, &ulookups, &uhits,
+                          &res) < 0
+                || (v = PyLong_FromUnsignedLongLong(res)) == NULL) {
+                Py_DECREF(key);
+                return -1;
+            }
+            if (PyDict_SetItem(s->ct_ite, key, v) < 0) {
+                Py_DECREF(v);
+                Py_DECREF(key);
+                return -1;
+            }
+            Py_DECREF(v);
+        }
+        Py_DECREF(key);
+        res ^= (edge_t)flip;
+    }
+    k->val[C_CT_LOOKUPS] += lookups;
+    k->val[C_CT_HITS] += hits;
+    k->val[C_UNIQ_LOOKUPS] += ulookups;
+    k->val[C_UNIQ_HITS] += uhits;
+    if (PyDict_GET_SIZE(s->ct_ite) > k->ct_max)
+        PyDict_Clear(s->ct_ite);
+    *out = res;
+    return 0;
+}
+
+/* The number of cubes in list *id*. */
+static inline Py_ssize_t
+list_size(const Isop *s, Py_ssize_t id)
+{
+    return id >= 0 ? s->merges.items[id].ncubes : id == LIST_ONE;
+}
+
+#define AND(f_, g_, out_) \
+    do { if (and_top(&s->k, (f_), (g_), &(out_)) < 0) goto error; } while (0)
+#define OR(f_, g_, out_) \
+    do { AND((f_) ^ 1, (g_) ^ 1, out_); (out_) ^= 1; } while (0)
+#define DIFF(f_, g_, out_) AND((f_), (g_) ^ 1, out_)
+#define PUSH(s_, v_) \
+    do { if (STACK_PUSH((s_), (v_)) < 0) goto error; } while (0)
+
+/* repro.bdd.isop's walk, step for step, on an interval lower <= upper. */
+static int
+isop_walk(Isop *s, edge_t lower, edge_t upper, Cover *out)
+{
+    Kernel *k = &s->k;
+    IsopFrames tasks;
+    Covers results;
+    IsopFrame fr, next;
+    Cover r0, r1, rd, res;
+    Merge m;
+    edge_t lo, up, key, la, lu, l0, l1, u0, u1, t1, t2, lit, merged;
+    edge_t var, slot;
+
+    STACK_INIT(tasks);
+    STACK_INIT(results);
+    memset(&next, 0, sizeof(next));
+    next.e[0] = lower;
+    next.e[1] = upper;
+    PUSH(tasks, next);
+    while (tasks.len) {
+        fr = tasks.items[--tasks.len];
+        if (fr.tag == 0) {
+            lo = fr.e[0];
+            up = fr.e[1];
+            if (lo == 0 || up == 1) {
+                res.cover = lo == 0 ? 0 : 1;
+                res.cubes = lo == 0 ? LIST_NONE : LIST_ONE;
+                PUSH(results, res);
+                continue;
+            }
+            key = (lo << 32) | up;
+            if (probe(&s->index, key, &slot)) {
+                PUSH(results, s->memo.items[(Py_ssize_t)slot]);
+                continue;
+            }
+            if (list_item(k->level, lo >> 1, &la) < 0
+                || list_item(k->level, up >> 1, &lu) < 0)
+                goto error;
+            next.tag = 1;
+            next.lvl = (long long)(la < lu ? la : lu);
+            if (list_item(s->level_to_var, (edge_t)next.lvl, &var) < 0
+                || branches(k, lo, la, (edge_t)next.lvl, &l0, &l1) < 0
+                || branches(k, up, lu, (edge_t)next.lvl, &u0, &u1) < 0)
+                goto error;
+            next.var = (long long)var;
+            next.key = key;
+            next.e[0] = l0;
+            next.e[1] = l1;
+            next.e[2] = u0;
+            next.e[3] = u1;
+            /* On-set minterms coverable only by cubes with the negative
+             * (resp. positive) literal of the split variable. */
+            DIFF(l0, u1, t1);
+            DIFF(l1, u0, t2);
+            PUSH(tasks, next);
+            next.tag = 0;
+            next.e[0] = t2;
+            next.e[1] = u1;
+            PUSH(tasks, next);
+            next.e[0] = t1;
+            next.e[1] = u0;
+            PUSH(tasks, next);
+        }
+        else if (fr.tag == 1) {
+            r1 = results.items[--results.len];
+            r0 = results.items[--results.len];
+            /* What remains must be covered by variable-free cubes. */
+            DIFF(fr.e[0], r0.cover, t1);
+            DIFF(fr.e[1], r1.cover, t2);
+            OR(t1, t2, lo);
+            AND(fr.e[2], fr.e[3], up);
+            next = fr;
+            next.tag = 2;
+            next.e[0] = r0.cover;
+            next.e[1] = r1.cover;
+            next.c0 = r0.cubes;
+            next.c1 = r1.cubes;
+            PUSH(tasks, next);
+            next.tag = 0;
+            next.e[0] = lo;
+            next.e[1] = up;
+            PUSH(tasks, next);
+        }
+        else {
+            rd = results.items[--results.len];
+            /* BDD.var: the literal's node, then the ITE merge. */
+            if (make_node(k, fr.lvl, 0, 1, &k->val[C_UNIQ_LOOKUPS],
+                          &k->val[C_UNIQ_HITS], &lit) < 0
+                || ite_top(s, lit, fr.e[1], fr.e[0], &merged) < 0)
+                goto error;
+            OR(rd.cover, merged, res.cover);
+            m.var = fr.var;
+            m.c0 = fr.c0;
+            m.c1 = fr.c1;
+            m.cd = rd.cubes;
+            m.ncubes = list_size(s, m.c0) + list_size(s, m.c1)
+                       + list_size(s, m.cd);
+            res.cubes = s->merges.len;
+            PUSH(s->merges, m);
+            if (store(&s->index, fr.key, (edge_t)s->memo.len) < 0)
+                goto error;
+            PUSH(s->memo, res);
+            PUSH(results, res);
+        }
+    }
+    *out = results.items[0];
+    STACK_FREE(tasks);
+    STACK_FREE(results);
+    return 0;
+error:
+    STACK_FREE(tasks);
+    STACK_FREE(results);
+    return -1;
+}
+
+#undef AND
+#undef OR
+#undef DIFF
+#undef PUSH
+
+/* One literal of the cube under construction. */
+typedef struct { long long var; int value; } Literal;
+
+/* Store the Cube objects of list *id* in *out* from index *next* on
+ * (the result list is allocated at its final size); path[0..depth) holds
+ * the literals of the merges above it, outermost first.  with_literal
+ * adds the innermost literal first, so a cube's dict takes the path in
+ * reverse.  Every step descends a level, so depth stays below the
+ * number of levels. */
+static int
+emit_cubes(Isop *s, Py_ssize_t id, Literal *path, Py_ssize_t depth,
+           PyTypeObject *cube_type, PyObject *empty, PyObject *out,
+           Py_ssize_t *next)
+{
+    while (id != LIST_NONE) {
+        if (id == LIST_ONE) {
+            PyObject *literals = PyDict_New(), *cube = NULL;
+            Py_ssize_t i;
+            int rc = -1;
+            if (literals == NULL)
+                return -1;
+            for (i = depth - 1; i >= 0; i--) {
+                PyObject *var = PyLong_FromLongLong(path[i].var);
+                PyObject *value = PyLong_FromLong(path[i].value);
+                int bad = var == NULL || value == NULL
+                          || PyDict_SetItem(literals, var, value) < 0;
+                Py_XDECREF(var);
+                Py_XDECREF(value);
+                if (bad)
+                    goto cube_done;
+            }
+            cube = cube_type->tp_new(cube_type, empty, NULL);
+            if (cube != NULL && PyObject_SetAttr(cube, s_literals,
+                                                 literals) == 0) {
+                PyList_SET_ITEM(out, (*next)++, cube);      /* steals */
+                cube = NULL;
+                rc = 0;
+            }
+cube_done:
+            Py_XDECREF(cube);
+            Py_DECREF(literals);
+            return rc;
+        }
+        {
+            Merge m = s->merges.items[id];
+            path[depth].var = m.var;
+            path[depth].value = 0;
+            if (emit_cubes(s, m.c0, path, depth + 1, cube_type, empty,
+                           out, next) < 0)
+                return -1;
+            path[depth].value = 1;
+            if (emit_cubes(s, m.c1, path, depth + 1, cube_type, empty,
+                           out, next) < 0)
+                return -1;
+            id = m.cd;
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module functions                                                    */
 /* ------------------------------------------------------------------ */
 
@@ -1462,12 +1861,80 @@ out:
     return result;
 }
 
+PyDoc_STRVAR(isop_doc,
+"isop(mgr, lower, upper, cube_type, ct_max)\n\n"
+"repro.bdd.isop.isop's walk for an interval lower <= upper: returns\n"
+"(cover, cubes), the cubes a list of new *cube_type* objects whose\n"
+"``literals`` dicts are filled in with_literal's order.");
+
+static PyObject *
+py_isop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Isop s;
+    edge_t lower, upper;
+    Py_ssize_t ct_max;
+    Cover root;
+    Literal *path = NULL;
+    Py_ssize_t next = 0;
+    PyObject *cubes = NULL, *empty = NULL, *result = NULL;
+
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "isop takes 5 arguments");
+        return NULL;
+    }
+    if (!PyType_Check(args[3])) {
+        PyErr_SetString(PyExc_TypeError, "cube_type must be a type");
+        return NULL;
+    }
+    if (arg_edge(args[1], &lower) < 0 || arg_edge(args[2], &upper) < 0)
+        return NULL;
+    ct_max = PyLong_AsSsize_t(args[4]);
+    if (ct_max == -1 && PyErr_Occurred())
+        return NULL;
+    memset(&s, 0, sizeof(s));
+    STACK_INIT(s.merges);
+    STACK_INIT(s.memo);
+    if (kernel_open(&s.k, args[0], ct_max, N_WALK) < 0)
+        return NULL;
+    if ((s.ct_ite = get_typed(args[0], s_ct_ite, &PyDict_Type)) == NULL
+        || (s.level_to_var = get_typed(args[0], s_level_to_var,
+                                       &PyList_Type)) == NULL
+        || isop_walk(&s, lower, upper, &root) < 0)
+        goto out;
+    path = PyMem_Malloc(sizeof(Literal)
+                        * (size_t)(PyList_GET_SIZE(s.k.unique) + 1));
+    cubes = PyList_New(list_size(&s, root.cubes));
+    empty = PyTuple_New(0);
+    if (path == NULL || cubes == NULL || empty == NULL) {
+        if (path == NULL)
+            PyErr_NoMemory();
+        goto out;
+    }
+    if (emit_cubes(&s, root.cubes, path, 0, (PyTypeObject *)args[3], empty,
+                   cubes, &next) == 0)
+        result = Py_BuildValue("(KO)", (unsigned long long)root.cover,
+                               cubes);
+out:
+    result = kernel_close(&s.k, result);
+    Py_XDECREF(s.ct_ite);
+    Py_XDECREF(s.level_to_var);
+    Py_XDECREF(cubes);
+    Py_XDECREF(empty);
+    PyMem_Free(path);
+    STACK_FREE(s.merges);
+    STACK_FREE(s.memo);
+    table_clear(&s.index);
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"and_", (PyCFunction)(void (*)(void))py_and, METH_FASTCALL, and_doc},
     {"exists", (PyCFunction)(void (*)(void))py_exists, METH_FASTCALL,
      exists_doc},
     {"propagate_exor", (PyCFunction)(void (*)(void))py_propagate_exor,
      METH_FASTCALL, exor_doc},
+    {"isop", (PyCFunction)(void (*)(void))py_isop, METH_FASTCALL, isop_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1491,6 +1958,8 @@ PyInit__kernel(void)
         {&s_growth_hook, "_growth_hook"},
         {&s_growth_countdown, "_growth_countdown"},
         {&s_growth_interval, "_growth_interval"},
+        {&s_ct_ite, "_ct_ite"}, {&s_level_to_var, "_level_to_var"},
+        {&s_literals, "literals"},
     };
     PyObject *module;
     size_t i;

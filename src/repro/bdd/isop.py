@@ -4,14 +4,28 @@ Given an interval ``(L, U)`` with ``L <= U`` (i.e. an incompletely
 specified function with on-set L and don't-care set U & ~L), ``isop``
 computes a completely specified cover ``f`` with ``L <= f <= U`` as an
 irredundant list of cubes.  This is the SOP engine behind the SIS-like
-baseline and the PLA writer.
+baseline, the PLA writer, and the name-keyed covers of certificates and
+the component store (:func:`named_cubes`).
 
 The walk is an explicit-stack iteration (no python recursion); the cube
 list is assembled in exactly the order of the classical recursion —
 negative-literal cubes, then positive-literal, then variable-free — so
-covers are reproducible term for term.
+covers are reproducible term for term.  It runs in C when
+:mod:`repro.bdd.native` could build its extension: the C walk makes the
+same AND calls, ``var`` nodes and ITE merges in the same order (a
+merge that takes ITE's EXOR route goes back to :meth:`BDD.ite`), so
+node indices, computed tables and counters do not depend on which one
+ran.
+The Python walk below stays as the fallback and the differential tests'
+reference.
+
+:func:`named_cubes` memoises exact covers per manager and edge in
+``_cache_named_isop``, which :meth:`BDD.clear_caches` drops with the
+other ``_cache_*`` tables; every cover it computes still enters through
+:func:`isop`.
 """
 
+from repro.bdd import manager as _manager
 from repro.bdd.node import FALSE, TRUE
 
 
@@ -68,6 +82,8 @@ def isop(mgr, lower, upper):
     """
     if mgr.diff(lower, upper) != FALSE:
         raise ValueError("isop requires lower <= upper")
+    if mgr._kernel is not None:
+        return mgr._kernel.isop(mgr, lower, upper, Cube, _manager._CT_MAX)
     cache = {}
     # Explicit-stack Minato-Morreale: frame tags mark the three resume
     # points of the classical recursion (expand, after both literal
@@ -120,6 +136,28 @@ def isop(mgr, lower, upper):
             cache[key] = (cover, cubes)
             results.append((cover, cubes))
     return results[0]
+
+
+def named_cubes(mgr, edge):
+    """Exact ISOP cover of *edge* with the literals keyed by name.
+
+    Returns a tuple of cubes, each a tuple of ``(variable_name, 0/1)``
+    pairs in variable-index order; ``()`` is constant false and
+    ``((),)`` constant true.  On a given variable order the ISOP is
+    canonical, so the result is memoised per manager and edge: the
+    proof tracer and the component store ask for the same covers over
+    and over.  The tuples are immutable, so no caller can change what a
+    later call returns.
+    """
+    memo = mgr._cache_named_isop
+    cubes = memo.get(edge)
+    if cubes is None:
+        names = mgr._var_names
+        cubes = tuple(tuple((names[var], value)
+                            for var, value in sorted(cube.literals.items()))
+                      for cube in isop(mgr, edge, edge)[1])
+        memo[edge] = cubes
+    return cubes
 
 
 def _cofactors_at(mgr, node, level):

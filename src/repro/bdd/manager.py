@@ -114,6 +114,8 @@ class BDD:
         # clear_caches, which must clear it explicitly — its keys are
         # packed edges whose *levels* go stale on reordering).
         self._cache_support = {}
+        # Name-keyed exact ISOP covers by edge (repro.bdd.isop.named_cubes).
+        self._cache_named_isop = {}
         # Variable bookkeeping.
         self._var_names = []
         self._name_to_var = {}

@@ -187,13 +187,14 @@ def _emit_stats_json(args, session, run, stdout, extra=None):
     _write_json(args.stats_json, doc, stdout)
 
 
-def _run_pipeline(config, pipeline, source):
+def _run_pipeline(config, pipeline, source, label=None):
     """Run one input in a fresh session; returns ``(session, run)``.
 
     A budget trip is reported on stderr and gives ``run=None``.  A
     ``--cache-dir`` store is read once before the session and merged
     once after it, as in a batch — also after a budget trip, so the
-    retry starts warm.
+    retry starts warm.  The store is written with *label*; None (a
+    command without ``--model``) keeps the label already on disk.
     """
     from repro.decomp.cache_store import commit_store, open_store
     events = EventBus()
@@ -209,7 +210,7 @@ def _run_pipeline(config, pipeline, source):
         run = None
     if stored is not None and not config.cache_readonly:
         commit_store(config.cache_path, [session.component_entries()],
-                     label=config.model, events=events)
+                     label=label, events=events)
     return session, run
 
 
@@ -303,7 +304,7 @@ def cmd_decompose(args, stdout):
     source = PipelineInput(path=args.input[0], emit_path=emit_path)
     session, run = _run_pipeline(
         _pipeline_config(args, verify=not args.no_verify),
-        Pipeline.standard(), source)
+        Pipeline.standard(), source, label=args.model)
     if run is None:
         return 3
     if emit_path is None:
@@ -562,10 +563,14 @@ def cmd_fsm(args, stdout):
 
 def cmd_baseline(args, stdout):
     """Run a comparison baseline on the PLA."""
+    if args.flow != "sis" and (args.factor or args.minimizer):
+        sys.stderr.write("error: --factor and --minimizer apply only to "
+                         "--flow sis\n")
+        return 2
     config = _pipeline_config(args, flow=args.flow)
     if args.flow == "sis":
         config.flow_options.update(factor=args.factor,
-                                   minimizer=args.minimizer)
+                                   minimizer=args.minimizer or "isop")
     session, run = _run_pipeline(config, Pipeline.standard(emit=False),
                                  PipelineInput(path=args.input))
     if run is None:
@@ -708,7 +713,8 @@ def build_parser():
     p.add_argument("--factor", action="store_true",
                    help="SIS flow: enable algebraic factoring")
     p.add_argument("--minimizer", choices=("isop", "espresso"),
-                   default="isop")
+                   default=None,
+                   help="SIS flow: two-level minimizer (default isop)")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_baseline)
     return parser

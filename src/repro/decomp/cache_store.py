@@ -278,14 +278,18 @@ def _parse_entries(raw):
     return entries, skipped
 
 
-def load_store(path):
-    """Parse a store file; returns ``(entries, skipped)``.
+def load_store(path, with_label=False):
+    """Parse a store file; returns ``(entries, skipped)``, and with
+    *with_label* ``(entries, skipped, label)`` (None when unlabelled).
 
     Raises :class:`CacheStoreError` when the file as a whole is
     unusable (unreadable, not JSON, or :func:`parse_store` rejects it).
     """
     doc = load_json(path, CacheStoreError, "component-cache file")
-    return parse_store(doc, origin=path)
+    entries, skipped = parse_store(doc, origin=path)
+    if with_label:
+        return entries, skipped, doc.get("label")
+    return entries, skipped
 
 
 def make_store(entries, label=None):
@@ -338,7 +342,7 @@ def merge_stores(a, b, label=None):
 
 
 def _read_store(path, events, preserve):
-    """``(entries, skipped)`` of the file at *path*, or None.
+    """``(entries, skipped, label)`` of the file at *path*, or None.
 
     None means there is nothing to read: the file is missing (a normal
     cold start, no event) or unusable.  An unusable file publishes
@@ -349,7 +353,7 @@ def _read_store(path, events, preserve):
     if not os.path.exists(path):
         return None
     try:
-        return load_store(path)
+        return load_store(path, with_label=True)
     except CacheStoreError as exc:
         preserved = None
         if preserve:
@@ -377,7 +381,7 @@ def open_store(path, events=None, readonly=False):
     loaded = _read_store(path, events, preserve=not readonly)
     if loaded is None:
         return []
-    entries, skipped = loaded
+    entries, skipped, _label = loaded
     if events is not None:
         events.publish("component_cache_loaded", path=path,
                        entries=len(entries), skipped=skipped)
@@ -391,17 +395,20 @@ def commit_store(path, contributions, label=None, events=None):
     input, in dispatch order (each session's live entries, see
     ``Session.component_entries``).  The file is re-read first, so
     entries another writer added during the run survive; the result is
-    ``merge_entries(original, *contributions)``.  Publishes
-    ``component_cache_merged`` and returns ``(path, entry_count)``, or
-    ``(None, 0)`` when there was no store and nothing to add.
+    ``merge_entries(original, *contributions)``.  A *label* of None
+    keeps the label already on disk (a command without ``--model``
+    must not rename the store).  Publishes ``component_cache_merged``
+    and returns ``(path, entry_count)``, or ``(None, 0)`` when there
+    was no store and nothing to add.
     """
     loaded = _read_store(path, events, preserve=True)
-    original = loaded[0] if loaded is not None else []
+    original, _skipped, on_disk = loaded or ([], 0, None)
     parsed = [_parse_entries(items)[0] for items in contributions]
     if loaded is None and not any(parsed):
         return None, 0
     entries = merge_entries(original, *parsed)
-    save_store(path, make_store(entries, label=label))
+    save_store(path, make_store(entries,
+                                label=on_disk if label is None else label))
     if events is not None:
         events.publish("component_cache_merged", path=path,
                        entries=len(entries), inputs=len(parsed))

@@ -27,6 +27,7 @@ a newer (or non-integer) :data:`CERT_VERSION` is rejected as unusable.
 import os
 
 from repro.bdd.function import Function
+from repro.bdd.isop import named_cubes
 from repro.io.jsonfile import check_envelope, load_json, save_json
 
 #: Magic identifying a decomposition-certificate file.
@@ -74,16 +75,16 @@ def named_cover(fn):
     """Canonical name-keyed ISOP cover of a :class:`Function`.
 
     Returns a list of ``{variable_name: 0/1}`` product terms whose
-    disjunction equals *fn* exactly (``Function.isop`` with no upper
-    bound is an exact cover).  ``[]`` is constant false and ``[{}]``
-    (one literal-free cube) constant true.  On a given variable order
-    the ISOP is canonical, so equal functions serialize identically.
+    disjunction equals *fn* exactly (the ISOP of the interval
+    ``(fn, fn)``).  ``[]`` is constant false and ``[{}]`` (one
+    literal-free cube) constant true.  On a given variable order the
+    ISOP is canonical, so equal functions serialize identically.  The
+    cover comes from the manager's memo
+    (:func:`repro.bdd.isop.named_cubes`), so each function is covered
+    once per manager however often a certificate step or the store asks;
+    the lists and dicts returned are fresh, the caller's to edit.
     """
-    mgr = fn.mgr
-    _cover, cubes = fn.isop()
-    return [{mgr.var_name(var): value
-             for var, value in sorted(cube.literals.items())}
-            for cube in cubes]
+    return [dict(cube) for cube in named_cubes(fn.mgr, fn.node)]
 
 
 def validate_cover(cover, where="cover"):

@@ -225,14 +225,6 @@ class Netlist:
                 return node
         raise KeyError("no output named %r" % name)
 
-    def fanout_counts(self):
-        """Map node id -> number of gate fan-outs (outputs not counted)."""
-        counts = {node: 0 for node in range(len(self.types))}
-        for fanins in self.fanins:
-            for fanin in fanins:
-                counts[fanin] += 1
-        return counts
-
     def reachable_from_outputs(self, outputs=None):
         """Set of node ids in some output's transitive fan-in cone.
 

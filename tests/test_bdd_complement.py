@@ -11,11 +11,11 @@ The operation mix is AND / OR / XOR / NOT plus ``exists`` / ``forall``
 over random variable sets.  For every case the harness cross-checks
 truth tables, supports, ISOP covers and the complement-edge node counts
 against the reference (complement sharing may only ever *shrink* a DAG,
-never grow it).  Each case is also replayed on a manager held on the
-Python loops (:func:`repro.bdd.native._python_loops`): the C inner
-loops must leave the same edges, arena, unique tables, computed tables
-and ``cache_stats()``, node for node.  The RNG is seeded per case, so
-any failure reproduces by seed.
+never grow it).  Each case, its ISOP included, is also replayed on a
+manager held on the Python loops (:func:`repro.bdd.native._python_loops`):
+the C inner loops must leave the same edges, covers, cube lists, arena,
+unique tables, computed tables and ``cache_stats()``, node for node.
+The RNG is seeded per case, so any failure reproduces by seed.
 """
 
 import random
@@ -222,8 +222,14 @@ def test_differential_against_reference(chunk):
             "seed %d: complement core grew the DAG" % seed
 
         # 4. ISOP: the cover reproduces the function exactly and every
-        #    cube is an implicant.
+        #    cube is an implicant; the Python walk gives the same cover,
+        #    cube for cube, and leaves the same manager.
         cover, cubes = isop(mgr, edge, edge)
+        py_cover, py_cubes = isop(py_mgr, edge, edge)
+        assert (cover, _literals(cubes)) == (py_cover, _literals(py_cubes)), \
+            "seed %d: C and Python ISOP differ" % seed
+        assert kernel_state(mgr) == kernel_state(py_mgr), \
+            "seed %d: C and Python ISOP left different managers" % seed
         assert cover == edge, "seed %d: isop cover != function" % seed
         assert cover_to_bdd(mgr, cubes) == edge, \
             "seed %d: cube list disagrees with cover" % seed
@@ -232,21 +238,37 @@ def test_differential_against_reference(chunk):
                 "seed %d: non-implicant cube" % seed
 
 
+def _literals(cubes):
+    """A cube list as literal items, in each dict's insertion order."""
+    return [list(cube.literals.items()) for cube in cubes]
+
+
+def _interval_case(seed, python_loops):
+    """ISOP of a proper interval (L < U) around a random function."""
+    rng = random.Random(10_000 + seed)
+    num_ops = rng.randint(4, 12)
+    mgr, edges, _, _ = _random_case(10_000 + seed, NUM_VARS, num_ops,
+                                    python_loops=python_loops)
+    f_edge = edges[-1]
+    # Derive a don't-care mask from a second expression over the
+    # same manager (fresh managers per case keep this cheap).
+    dc = mgr.var(rng.randrange(NUM_VARS))
+    if rng.random() < 0.5:
+        dc = mgr.not_(dc)
+    lower = mgr.diff(f_edge, dc)
+    upper = mgr.or_(f_edge, dc)
+    return mgr, lower, upper, isop(mgr, lower, upper)
+
+
 def test_interval_isop_differential():
-    """ISOP on proper intervals (L < U): cover stays inside the band."""
+    """ISOP on proper intervals (L < U): cover stays inside the band,
+    and the Python walk gives the same cover and manager."""
     for seed in range(100):
-        rng = random.Random(10_000 + seed)
-        num_ops = rng.randint(4, 12)
-        mgr, edges, _, _ = _random_case(10_000 + seed, NUM_VARS, num_ops)
-        f_edge = edges[-1]
-        # Derive a don't-care mask from a second expression over the
-        # same manager (fresh managers per case keep this cheap).
-        dc = mgr.var(rng.randrange(NUM_VARS))
-        if rng.random() < 0.5:
-            dc = mgr.not_(dc)
-        lower = mgr.diff(f_edge, dc)
-        upper = mgr.or_(f_edge, dc)
-        cover, cubes = isop(mgr, lower, upper)
+        mgr, lower, upper, (cover, cubes) = _interval_case(seed, False)
+        py_mgr, _, _, (py_cover, py_cubes) = _interval_case(seed, True)
+        assert (cover, _literals(cubes)) == (py_cover, _literals(py_cubes)), \
+            "seed %d" % seed
+        assert kernel_state(mgr) == kernel_state(py_mgr), "seed %d" % seed
         assert mgr.diff(lower, cover) == FALSE, "seed %d" % seed
         assert mgr.diff(cover, upper) == FALSE, "seed %d" % seed
         assert cover_to_bdd(mgr, cubes) == cover, "seed %d" % seed

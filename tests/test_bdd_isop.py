@@ -1,13 +1,14 @@
 """Tests for the Minato-Morreale irredundant SOP algorithm."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import (BDD, FALSE, TRUE, Cube, cover_literal_count,
-                       cover_to_bdd, isop)
+                       cover_to_bdd, isop, native)
+from repro.bdd.reorder import reorder_to
 from repro.boolfn import from_truth_table
 
-from conftest import isf_strategy, make_mgr, tt_strategy
+from conftest import isf_strategy, kernel_state, make_mgr, tt_strategy
 
 
 class TestInterval:
@@ -37,6 +38,43 @@ class TestInterval:
         mgr = make_mgr(2)
         with pytest.raises(ValueError):
             isop(mgr, TRUE, mgr.var(0))
+
+
+@st.composite
+def intervals(draw):
+    """``(n, on_tt, dc_tt, order)``: an interval over n <= 8 variables
+    as on-set and don't-care truth tables, and a variable order to move
+    the manager to first (None keeps variable index == level)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    full = (1 << (1 << n)) - 1
+    on_tt = draw(st.integers(min_value=0, max_value=full))
+    dc_tt = draw(st.integers(min_value=0, max_value=full))
+    order = draw(st.none() | st.permutations(range(n)))
+    return n, on_tt & ~dc_tt, dc_tt, order
+
+
+def _walk(python_loops, case):
+    n, on_tt, dc_tt, order = case
+    mgr = make_mgr(n)
+    if python_loops:
+        native._python_loops(mgr)
+    lower = from_truth_table(mgr, list(range(n)), on_tt)
+    upper = mgr.or_(lower, from_truth_table(mgr, list(range(n)), dc_tt))
+    if order is not None:
+        reorder_to(mgr, order)
+    cover, cubes = isop(mgr, lower, upper)
+    return (cover, [list(cube.literals.items()) for cube in cubes],
+            kernel_state(mgr))
+
+
+class TestNativeWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(intervals())
+    def test_c_walk_matches_python_walk(self, case):
+        """The C walk returns the Python walk's cover and cubes, literal
+        order included, and leaves the same arena, tables and counters
+        (on the fallback both sides run the Python walk)."""
+        assert _walk(False, case) == _walk(True, case)
 
 
 class TestIrredundancy:

@@ -1,11 +1,12 @@
 """The BDD kernel's C inner loops: budget trips, tables and the loader.
 
-:mod:`repro.bdd.native` runs ``BDD.and_``'s miss path and the exists
-walk in C, on ``native.Table`` unique / computed / exists tables, when
-it can build ``_kernel.c``.  These tests check the places where the C
-loops could drift from the Python ones without the differential
-harness in ``test_bdd_complement.py`` noticing — a growth hook that
-raises in the middle of a walk, and the computed-table cap — against
+:mod:`repro.bdd.native` runs ``BDD.and_``'s miss path, the exists
+walk and the ISOP walk in C, on ``native.Table`` unique / computed /
+exists tables, when it can build ``_kernel.c``.  These tests check the
+places where the C loops could drift from the Python ones without the
+differential harness in ``test_bdd_complement.py`` noticing — a growth
+hook that raises in the middle of a walk or reads the manager there,
+and the computed-table caps — against
 two references: the Python loops on the same tables, and the real
 fallback, the Python loops on plain dicts.  They also check that
 reorder and GC drop the exists memo, and that the loader falls back to
@@ -24,7 +25,7 @@ import sysconfig
 
 import pytest
 
-from repro.bdd import BDD, exists, forall, native
+from repro.bdd import BDD, exists, forall, isop, native
 from repro.bdd import manager as manager_module
 from repro.bdd.reorder import swap_levels
 
@@ -36,7 +37,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 NUM_VARS = 12
 HALF = NUM_VARS // 2
-OPS = ["and_", "or_", "exists", "forall"]
+OPS = ["and_", "or_", "exists", "forall", "isop"]
 #: The C loops, the Python loops on the same tables, and the real
 #: fallback: the Python loops on plain dicts.
 SETUPS = ["c", "python", "fallback"]
@@ -74,7 +75,18 @@ def _run(op, mgr, f, g):
         return mgr.or_(f, g)
     if op == "exists":
         return exists(mgr, [0, 2, 4, 7, 9], mgr.xor(f, g))
-    return forall(mgr, [1, 3, 6, 8], mgr.xor(f, g))
+    if op == "forall":
+        return forall(mgr, [1, 3, 6, 8], mgr.xor(f, g))
+    cover, cubes = isop(mgr, mgr.diff(f, g), mgr.xor(f, g))
+    return cover, [list(cube.literals.items()) for cube in cubes]
+
+
+def _operand_nodes(op, mgr, f, g):
+    """Build what *op* needs besides its walk, before a hook goes in."""
+    if op in ("exists", "forall", "isop"):
+        mgr.xor(f, g)
+    if op == "isop":
+        mgr.diff(f, g)
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -105,8 +117,7 @@ def test_budget_trip_leaves_identical_managers(op, trip_at, monkeypatch):
     for setup in SETUPS:
         with _setup(setup, monkeypatch) as python_loops:
             mgr, f, g = _operands(python_loops)
-            if op in ("exists", "forall"):
-                mgr.xor(f, g)           # build the operand before the hook
+            _operand_nodes(op, mgr, f, g)
             mgr.set_growth_hook(tripping_hook(trip_at), interval=1)
             with pytest.raises(Trip) as info:
                 _run(op, mgr, f, g)
@@ -118,6 +129,25 @@ def test_budget_trip_leaves_identical_managers(op, trip_at, monkeypatch):
             assert_unique_tables_consistent(mgr)
             outcomes.append((tripped, kernel_state(mgr)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_hook_sees_identical_managers(op, monkeypatch):
+    """A growth hook fired on every fresh node sees the same counters
+    and arena size on every setup: the C loops sync the manager before
+    each call."""
+    seen = []
+    for setup in SETUPS:
+        with _setup(setup, monkeypatch) as python_loops:
+            mgr, f, g = _operands(python_loops)
+            _operand_nodes(op, mgr, f, g)
+            calls = []
+            mgr.set_growth_hook(
+                lambda m: calls.append((m.cache_stats(), len(m._level))),
+                interval=1)
+            result = _run(op, mgr, f, g)
+            seen.append((result, calls, kernel_state(mgr)))
+    assert seen[0] == seen[1] == seen[2]
 
 
 @pytest.mark.parametrize("op", OPS)

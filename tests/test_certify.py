@@ -8,6 +8,7 @@ and rejects tampered ones with counterexamples.
 """
 
 import copy
+import importlib
 import io
 import json
 import os
@@ -64,6 +65,39 @@ class TestCoverHelpers:
         assert named_cover(mgr.fn_true()) == [{}]
         assert rebuild_cover(mgr, []).is_false()
         assert rebuild_cover(mgr, [{}]).is_true()
+
+    def test_edits_to_a_cover_never_reach_a_later_call(self):
+        # The per-manager memo holds immutable tuples; every call
+        # hands out fresh lists and dicts.
+        mgr = BDD(["a", "b", "c"])
+        fn = parse(mgr, "a & b | ~c")
+        first = named_cover(fn)
+        expected = [dict(cube) for cube in first]
+        first[0]["zz"] = 1
+        first[-1].clear()
+        first.append({"a": 0})
+        assert named_cover(fn) == expected
+
+    def test_one_isop_per_function_until_clear_caches(self, monkeypatch):
+        # The package re-exports the function under the module's name.
+        isop_module = importlib.import_module("repro.bdd.isop")
+        calls = []
+        real = isop_module.isop
+
+        def spy(mgr, lower, upper):
+            calls.append((lower, upper))
+            return real(mgr, lower, upper)
+        monkeypatch.setattr(isop_module, "isop", spy)
+        mgr = BDD(["a", "b", "c"])
+        fn = parse(mgr, "a & b | ~c")
+        cover = named_cover(fn)
+        assert named_cover(fn) == cover
+        assert named_cover(~fn) != cover
+        assert calls == [(fn.node, fn.node), ((~fn).node, (~fn).node)]
+        mgr.clear_caches()
+        assert mgr._cache_named_isop == {}
+        assert named_cover(fn) == cover
+        assert len(calls) == 3
 
     def test_rebuild_rejects_unknown_variable(self):
         mgr = BDD(["a"])

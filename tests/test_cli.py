@@ -1,6 +1,7 @@
 """Tests for the BI-DECOMP command-line interface."""
 
 import io
+import json
 import os
 
 import pytest
@@ -329,6 +330,31 @@ class TestOtherCommands:
             main(argv, stdout=io.StringIO())
         assert excinfo.value.code == 2
         assert not store_dir.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--factor"], ["--minimizer", "espresso"],
+        ["--factor", "--minimizer", "espresso"],
+    ], ids=["factor", "minimizer", "both"])
+    def test_baseline_bds_rejects_sis_flags(self, pla_path, flags, capsys):
+        # The BDS-like flow has no factoring step and no two-level
+        # minimizer: the flags would be silently ignored.
+        argv = ["baseline", pla_path, "--flow", "bds"] + flags
+        assert main(argv, stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_stats_keeps_the_store_label(self, pla_path, tmp_path):
+        # stats has no --model: its store merge keeps the label that
+        # decompose --model wrote.
+        store_dir = str(tmp_path / "d")
+        assert main(["decompose", pla_path, "--model", "foo",
+                     "--cache-dir", store_dir],
+                    stdout=io.StringIO()) == 0
+        store = os.path.join(store_dir, "in.cache.json")
+        assert json.load(open(store))["label"] == "foo"
+        assert main(["stats", pla_path, "--cache-dir", store_dir],
+                    stdout=io.StringIO()) == 0
+        assert json.load(open(store))["label"] == "foo"
 
     def test_stats_rejects_budget_scope(self, pla_path):
         # stats runs one input, so a batch-wide clock means nothing.

@@ -121,14 +121,6 @@ class TestQueries:
         with pytest.raises(KeyError):
             nl.output_node("zz")
 
-    def test_fanout_counts(self, nl):
-        a, b = nl.inputs
-        g = nl.add_and(a, b)
-        nl.add_or(g, a)
-        counts = nl.fanout_counts()
-        assert counts[g] == 1
-        assert counts[a] == 2
-
     def test_reachable_excludes_dead_logic(self, nl):
         a, b = nl.inputs
         live = nl.add_and(a, b)

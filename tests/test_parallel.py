@@ -526,10 +526,10 @@ class TestStoreProtocol:
             cache_store.save_store
 
         def logged(kind, fn):
-            def wrapper(path, *args):
+            def wrapper(path, *args, **kwargs):
                 with open(str(log), "a") as handle:
                     handle.write("%s %s\n" % (kind, path))
-                return fn(path, *args)
+                return fn(path, *args, **kwargs)
             return wrapper
         monkeypatch.setattr(cache_store, "load_store",
                             logged("read", load_store))
