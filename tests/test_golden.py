@@ -35,6 +35,7 @@ import os
 
 import pytest
 
+from repro.baselines import bds_like_synthesize, sis_like_synthesize
 from repro.bench import get
 from repro.decomp import bi_decompose
 
@@ -68,6 +69,36 @@ def test_golden_metrics_exact(name):
     assert got == expected, (
         "golden drift on %s — if intentional, regenerate "
         "tests/golden_results.json (see module docstring)" % name)
+
+
+BASELINE_PATH = os.path.join(os.path.dirname(__file__),
+                             "golden_baselines.json")
+with open(BASELINE_PATH) as _handle:
+    GOLDEN_BASELINES = json.load(_handle)
+
+
+def _cost_columns(stats):
+    return {"gates": stats.gates, "exors": stats.exors,
+            "inverters": stats.inverters, "area": stats.area,
+            "cascades": stats.cascades, "delay": round(stats.delay, 4)}
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_baseline_golden_metrics_exact(name):
+    """Pin the Table 2 (SIS-like) and Table 3 (BDS-like) comparators.
+
+    ``tests/golden_baselines.json`` holds both flows' cost columns for
+    the same benchmarks; regenerate it like the bidecomp file, calling
+    ``sis_like_synthesize(specs, factor=False)`` and
+    ``bds_like_synthesize(specs)`` in place of ``bi_decompose``.
+    """
+    _mgr, specs = get(name).build()
+    got = {"sis": _cost_columns(
+               sis_like_synthesize(specs, factor=False).netlist_stats()),
+           "bds": _cost_columns(bds_like_synthesize(specs).netlist_stats())}
+    assert got == GOLDEN_BASELINES[name], (
+        "baseline drift on %s — if intentional, regenerate "
+        "tests/golden_baselines.json" % name)
 
 
 def test_golden_file_covers_table_benchmarks():
