@@ -20,7 +20,7 @@ def run_one(name):
     mgr, specs = bench.build()
 
     bidecomp = bi_decompose(specs, verify=True)
-    sis = sis_like_synthesize(specs, factor=False)   # the paper's SIS setup
+    sis = sis_like_synthesize(specs)   # the paper's SIS setup
     bds = bds_like_synthesize(specs)
     verify_against_isfs(sis.netlist, specs)
     verify_against_isfs(bds.netlist, specs)

@@ -42,7 +42,7 @@ and does not prove.
 
 from repro.bdd import exists as _exists, forall as _forall, pick_minterm
 from repro.bdd.function import Function
-from repro.io import load_pla, parse_blif, read_text  # repolint: disable=certifier-independence -- io.pla can call the espresso baseline minimiser, which imports no engine or pipeline code; the certifier never invokes that path
+from repro.io import load_pla, parse_blif, read_text
 from repro.io.cert import (LEAF_THEOREMS, STRONG_THEOREMS, THEOREM_GATES,
                            WEAK_THEOREMS, CertificateError, load_cert,
                            rebuild_cover, validate_cover)

@@ -1,18 +1,7 @@
-"""Comparison baselines: a SIS-like SOP/factoring flow and a BDS-like
+"""Comparison baselines: a SIS-like ISOP-and-map flow and a BDS-like
 structural BDD decomposition (the two comparators in Tables 2 and 3)."""
 
-from repro.baselines.factor import FactorTree, factor_cubes, tree_to_netlist
 from repro.baselines.sis_like import BaselineResult, sis_like_synthesize
 from repro.baselines.bds_like import bds_like_synthesize
-from repro.baselines.espresso import (MinimizationError, espresso, expand,
-                                      irredundant, reduce_cover, cover_cost)
-from repro.baselines.espresso_multi import (MOCube, espresso_multi,
-                                            multi_cost, pla_area, pla_rows)
 
-__all__ = [
-    "FactorTree", "factor_cubes", "tree_to_netlist",
-    "BaselineResult", "sis_like_synthesize", "bds_like_synthesize",
-    "MinimizationError",
-    "espresso", "expand", "irredundant", "reduce_cover", "cover_cost",
-    "MOCube", "espresso_multi", "multi_cost", "pla_area", "pla_rows",
-]
+__all__ = ["BaselineResult", "sis_like_synthesize", "bds_like_synthesize"]

@@ -31,11 +31,8 @@ from repro.bdd.node import FALSE, TRUE
 from repro.network.netlist import Netlist
 
 
-def bds_like_synthesize(specs, use_xor=True, session=None):
+def bds_like_synthesize(specs, session=None):
     """Structurally decompose ``{name: ISF-or-Function}`` BDDs.
-
-    ``use_xor=False`` disables the complemented-cofactor XOR cut (an
-    ablation showing where the EXOR gates come from).
 
     *session* optionally runs the flow inside a
     :class:`repro.pipeline.Session` (growth hooks, time budget, one
@@ -52,7 +49,7 @@ def bds_like_synthesize(specs, use_xor=True, session=None):
         if session is not None:
             session.check_limits()
         cover = isf.cover()
-        node = _decompose_node(mgr, cover.node, netlist, memo, use_xor)
+        node = _decompose_node(mgr, cover.node, netlist, memo)
         netlist.set_output(name, node)
         if session is not None:
             session.events.publish("flow_progress", flow="bds",
@@ -61,7 +58,7 @@ def bds_like_synthesize(specs, use_xor=True, session=None):
     return BaselineResult(netlist, elapsed)
 
 
-def _decompose_node(mgr, node, netlist, memo, use_xor):
+def _decompose_node(mgr, node, netlist, memo):
     if node == FALSE:
         return netlist.constant(0)
     if node == TRUE:
@@ -75,29 +72,22 @@ def _decompose_node(mgr, node, netlist, memo, use_xor):
     hi = mgr.high(node)
     if hi == FALSE:
         result = netlist.add_and(netlist.add_not(literal),
-                                 _decompose_node(mgr, lo, netlist, memo,
-                                                 use_xor))
+                                 _decompose_node(mgr, lo, netlist, memo))
     elif lo == FALSE:
         result = netlist.add_and(literal,
-                                 _decompose_node(mgr, hi, netlist, memo,
-                                                 use_xor))
+                                 _decompose_node(mgr, hi, netlist, memo))
     elif hi == TRUE:
         result = netlist.add_or(literal,
-                                _decompose_node(mgr, lo, netlist, memo,
-                                                use_xor))
+                                _decompose_node(mgr, lo, netlist, memo))
     elif lo == TRUE:
         result = netlist.add_or(netlist.add_not(literal),
-                                _decompose_node(mgr, hi, netlist, memo,
-                                                use_xor))
-    elif use_xor and mgr.not_(lo) == hi:
+                                _decompose_node(mgr, hi, netlist, memo))
+    elif mgr.not_(lo) == hi:
         result = netlist.add_xor(literal,
-                                 _decompose_node(mgr, lo, netlist, memo,
-                                                 use_xor))
+                                 _decompose_node(mgr, lo, netlist, memo))
     else:
         result = netlist.add_mux(literal,
-                                 _decompose_node(mgr, hi, netlist, memo,
-                                                 use_xor),
-                                 _decompose_node(mgr, lo, netlist, memo,
-                                                 use_xor))
+                                 _decompose_node(mgr, hi, netlist, memo),
+                                 _decompose_node(mgr, lo, netlist, memo))
     memo[node] = result
     return result

@@ -1,16 +1,16 @@
-"""SIS-like baseline: SOP minimisation + algebraic factoring + 2-input
-mapping.
+"""SIS-like baseline: ISOP cover mapped onto two-input AND/OR trees.
 
-The paper compares BI-DECOMP against SIS's area-oriented mapping into a
-two-input gate library after ``resub -a; simplify -m``.  SIS itself is
-unavailable legacy C code, so this module reimplements the same
-pipeline shape:
+The paper compares BI-DECOMP against SIS's area-oriented mapping into
+a two-input gate library, run without a multi-level factoring script.
+SIS itself is unavailable legacy C code, so this module reimplements
+the same flow shape:
 
 1. per-output irredundant SOP via Minato-Morreale ISOP over the ISF
    interval (don't-cares exploited, like ``simplify -m``);
-2. algebraic quick factoring of the cover;
-3. mapping onto balanced two-input AND/OR/NOT trees, with structural
-   hashing providing the (modest) SIS-style sharing across outputs.
+2. each cube mapped onto a balanced two-input AND tree of its literals
+   (in variable order) and the cube terms onto a balanced OR tree,
+   with structural hashing providing the (modest) SIS-style sharing
+   across outputs.
 
 Crucially — and deliberately — the result contains **no EXOR gates**,
 reproducing the behaviour the paper observes in SIS's output and the
@@ -20,7 +20,6 @@ resulting blow-up on XOR-intensive functions such as 9sym and 16sym8.
 import time
 
 from repro.bdd.isop import isop as _isop
-from repro.baselines.factor import factor_cubes, tree_to_netlist
 from repro.boolfn.isf import ISF
 from repro.network.netlist import Netlist
 from repro.network.stats import compute_stats
@@ -43,15 +42,8 @@ class BaselineResult:
                 % (self.netlist_stats(), self.elapsed))
 
 
-def sis_like_synthesize(specs, factor=True, minimizer="isop", session=None):
-    """Run the SIS-like pipeline on ``{output_name: ISF-or-Function}``.
-
-    With ``factor=False`` the flat two-level SOP is mapped directly
-    (an ablation: factoring is what makes SIS multi-level).
-
-    ``minimizer`` selects the two-level engine: ``"isop"`` (fast
-    Minato-Morreale irredundant cover) or ``"espresso"`` (the
-    EXPAND/IRREDUNDANT/REDUCE loop, closer to SIS's ``simplify -m``).
+def sis_like_synthesize(specs, session=None):
+    """Run the SIS-like flow on ``{output_name: ISF-or-Function}``.
 
     *session* optionally runs the flow inside a
     :class:`repro.pipeline.Session`: the session's BDD-growth hook and
@@ -71,24 +63,10 @@ def sis_like_synthesize(specs, factor=True, minimizer="isop", session=None):
     for name, isf in specs.items():
         if session is not None:
             session.check_limits()
-        if minimizer == "espresso":
-            from repro.baselines.espresso import espresso
-            cubes, _cover = espresso(mgr, isf.on.node, isf.upper.node)
-        elif minimizer == "isop":
-            _cover, cubes = _isop(mgr, isf.on.node, isf.upper.node)
-        else:
-            raise ValueError("unknown minimizer %r" % minimizer)
+        _cover, cubes = _isop(mgr, isf.on.node, isf.upper.node)
         total_cubes += len(cubes)
         total_literals += sum(cube.num_literals() for cube in cubes)
-        if factor:
-            tree = factor_cubes(cubes)
-        else:
-            from repro.baselines.factor import _sop_tree, FactorTree
-            tree = _sop_tree(cubes) if cubes else FactorTree.constant(0)
-            if any(not cube.literals for cube in cubes):
-                tree = FactorTree.constant(1)
-        node = tree_to_netlist(tree, netlist, var_nodes)
-        netlist.set_output(name, node)
+        netlist.set_output(name, _sop_node(cubes, netlist, var_nodes))
         if session is not None:
             session.events.publish("flow_progress", flow="sis",
                                    output=name, cubes=len(cubes))
@@ -96,6 +74,33 @@ def sis_like_synthesize(specs, factor=True, minimizer="isop", session=None):
     return BaselineResult(netlist, elapsed,
                           extra={"cubes": total_cubes,
                                  "sop_literals": total_literals})
+
+
+def _sop_node(cubes, netlist, var_nodes):
+    """Map a cube cover onto balanced AND trees under a balanced OR."""
+    if not cubes:
+        return netlist.constant(0)
+    if any(not cube.literals for cube in cubes):
+        return netlist.constant(1)  # a tautology cube absorbs the rest
+    terms = []
+    for cube in cubes:
+        literals = [var_nodes[var] if polarity
+                    else netlist.add_not(var_nodes[var])
+                    for var, polarity in sorted(cube.literals.items())]
+        terms.append(_balanced(literals, netlist.add_and))
+    return _balanced(terms, netlist.add_or)
+
+
+def _balanced(nodes, combine):
+    """Reduce a node list with a balanced binary tree (short delay)."""
+    while len(nodes) > 1:
+        paired = []
+        for i in range(0, len(nodes) - 1, 2):
+            paired.append(combine(nodes[i], nodes[i + 1]))
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    return nodes[0]
 
 
 def _as_isf(spec):

@@ -336,17 +336,25 @@ def _decompose_batch(args, stdout):
                          "outputs (--output-dir)\n")
         return 2
     config = _pipeline_config(args, verify=not args.no_verify)
-    if args.output_dir is not None:
-        os.makedirs(args.output_dir, exist_ok=True)
     sources = []
+    writers = {}
     for path in args.input:
         emit_path = None
         if args.output_dir is not None:
             emit_path = os.path.join(args.output_dir,
                                      input_stem(path) + ".blif")
+            if emit_path in writers:
+                # The later input would overwrite the earlier one's BLIF
+                # (and certificate).
+                sys.stderr.write("error: %s and %s both write %s\n"
+                                 % (writers[emit_path], path, emit_path))
+                return 2
+            writers[emit_path] = path
         elif args.output not in (None, "-"):
             emit_path = args.output
         sources.append(PipelineInput(path=path, emit_path=emit_path))
+    if args.output_dir is not None:
+        os.makedirs(args.output_dir, exist_ok=True)
     result = run_batch_parallel(sources, config=config, jobs=args.jobs,
                                 events=EventBus(record=False))
     for run in result:
@@ -563,15 +571,8 @@ def cmd_fsm(args, stdout):
 
 def cmd_baseline(args, stdout):
     """Run a comparison baseline on the PLA."""
-    if args.flow != "sis" and (args.factor or args.minimizer):
-        sys.stderr.write("error: --factor and --minimizer apply only to "
-                         "--flow sis\n")
-        return 2
-    config = _pipeline_config(args, flow=args.flow)
-    if args.flow == "sis":
-        config.flow_options.update(factor=args.factor,
-                                   minimizer=args.minimizer or "isop")
-    session, run = _run_pipeline(config, Pipeline.standard(emit=False),
+    session, run = _run_pipeline(_pipeline_config(args, flow=args.flow),
+                                 Pipeline.standard(emit=False),
                                  PipelineInput(path=args.input))
     if run is None:
         return 3
@@ -709,12 +710,9 @@ def build_parser():
 
     p = sub.add_parser("baseline", help="run a comparison flow")
     p.add_argument("input")
-    p.add_argument("--flow", choices=("sis", "bds"), default="sis")
-    p.add_argument("--factor", action="store_true",
-                   help="SIS flow: enable algebraic factoring")
-    p.add_argument("--minimizer", choices=("isop", "espresso"),
-                   default=None,
-                   help="SIS flow: two-level minimizer (default isop)")
+    p.add_argument("--flow", choices=("sis", "bds"), default="sis",
+                   help="sis: ISOP cover mapped onto AND/OR trees "
+                        "(Table 2); bds: structural BDD cuts (Table 3)")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_baseline)
     return parser

@@ -42,7 +42,7 @@ def _stats_row(stats, elapsed):
 
 
 def _synthesize(name, flow="bidecomp", config=None, verify=True,
-                mgr_specs=None, flow_options=None):
+                mgr_specs=None):
     """Run one benchmark through the session/pipeline layer.
 
     Returns the finished :class:`~repro.pipeline.PipelineRun`; its
@@ -55,19 +55,17 @@ def _synthesize(name, flow="bidecomp", config=None, verify=True,
     else:
         mgr, specs = mgr_specs
     session = Session(PipelineConfig(decomposition=config, flow=flow,
-                                     verify=verify,
-                                     flow_options=flow_options))
+                                     verify=verify))
     pipeline = Pipeline.standard(emit=False)
     return pipeline.run(session, PipelineInput(mgr=mgr, specs=specs,
                                                label=name))
 
 
-def run_table2(names=TABLE2, verify=True, sis_factor=False, config=None):
+def run_table2(names=TABLE2, verify=True, config=None):
     """Reproduce Table 2: BI-DECOMP vs the SIS-like baseline.
 
-    ``sis_factor=False`` matches the paper's SIS usage (mapping only,
-    no multi-level factoring script); pass True for a stronger
-    baseline.
+    The SIS-like flow matches the paper's SIS usage: mapping only, no
+    multi-level factoring script.
 
     Returns one row dict per benchmark with ``sis`` and ``bidecomp``
     sub-dicts holding gates/exors/area/cascades/delay/time.
@@ -77,8 +75,7 @@ def run_table2(names=TABLE2, verify=True, sis_factor=False, config=None):
         bench = get(name)
         mgr, specs = bench.build()
         sis = _synthesize(name, flow="sis", verify=verify,
-                          mgr_specs=(mgr, specs),
-                          flow_options={"factor": sis_factor}).result
+                          mgr_specs=(mgr, specs)).result
         run = _synthesize(name, flow="bidecomp", config=config,
                           verify=verify, mgr_specs=(mgr, specs))
         result = run.result

@@ -114,7 +114,10 @@ def _parse_structure(lines):
     """Split logical BLIF lines into ``(inputs, outputs, tables)``.
 
     *tables* is a list of ``(signal_names, cover_rows)`` where the last
-    signal name is the table's target.
+    signal name is the table's target.  A target that is a primary
+    input, or that an earlier table already drives, raises
+    :class:`BLIFError`: both readers would otherwise let the last
+    driver win silently.
     """
     inputs = []
     outputs = []
@@ -133,6 +136,8 @@ def _parse_structure(lines):
             continue
         if line.startswith(".names"):
             signals = line.split()[1:]
+            if not signals:
+                raise BLIFError(".names without an output signal")
             rows = []
             while index < len(lines) and not lines[index].startswith("."):
                 rows.append(lines[index])
@@ -140,6 +145,16 @@ def _parse_structure(lines):
             tables.append((signals, rows))
             continue
         raise BLIFError("unsupported BLIF construct: %r" % line)
+    primary = set(inputs)
+    driven = set(primary)
+    for signals, _rows in tables:
+        target = signals[-1]
+        if target in primary:
+            raise BLIFError(".names drives primary input %r" % target)
+        if target in driven:
+            raise BLIFError(".names drives signal %r a second time"
+                            % target)
+        driven.add(target)
     return inputs, outputs, tables
 
 

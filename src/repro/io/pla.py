@@ -18,6 +18,7 @@ Espresso semantics implemented:
 """
 
 from repro.bdd.function import Function
+from repro.bdd.isop import isop
 from repro.bdd.manager import BDD
 from repro.bdd.node import FALSE, TRUE
 from repro.boolfn.isf import ISF
@@ -38,6 +39,13 @@ class PLAData:
                                         "x")
         self.output_names = _plane_names(".ob", output_names, num_outputs,
                                          "y")
+        inputs = set(self.input_names)
+        clash = next((n for n in self.output_names if n in inputs), None)
+        if clash is not None:
+            # A netlist output of that name would drive the primary
+            # input a second time.
+            raise PLAError(".ob name %r is also an .ilb input name"
+                           % clash)
         if pla_type not in ("f", "fd", "fr"):
             raise PLAError("unsupported PLA type %r" % pla_type)
         self.pla_type = pla_type
@@ -221,18 +229,12 @@ def read_pla(path):
         return parse_pla(handle.read())
 
 
-def write_pla(specs, input_names, path=None, shared=False):
+def write_pla(specs, input_names, path=None):
     """Serialise ``{output_name: ISF}`` to espresso type-fd text.
 
-    With ``shared=False`` (default) each output contributes its own
-    irredundant on-set cover (output symbol ``1``) plus, when
-    non-empty, its don't-care cover (symbol ``-``).  With
-    ``shared=True`` the multi-output espresso engine minimises one
-    shared AND-plane first, so product terms feed several outputs (the
-    row count — PLA area — drops accordingly); note the shared writer
-    realises each output's *cover* exactly, so re-reading gives a
-    completely specified refinement of the interval rather than the
-    interval itself.
+    Each output contributes its own irredundant on-set cover (output
+    symbol ``1``) plus, when non-empty, its don't-care cover (symbol
+    ``-``).
 
     Returns the text; also writes it to *path* when given.
     """
@@ -248,38 +250,19 @@ def write_pla(specs, input_names, path=None, shared=False):
              ".ob %s" % " ".join(output_names),
              ".type fd"]
     cube_lines = []
-    if shared:
-        from repro.baselines.espresso_multi import espresso_multi
-        lowers = {name: specs[name].on.node for name in output_names}
-        uppers = {name: specs[name].upper.node for name in output_names}
-        mo_cubes, _covers = espresso_multi(mgr, lowers, uppers)
-        position = {name: j for j, name in enumerate(output_names)}
-        for cube in mo_cubes:
-            symbols = ["0"] * len(output_names)
-            for name in cube.outputs:
-                symbols[position[name]] = "1"
-            from repro.bdd.isop import Cube as _Cube
-            cube_lines.append((_cube_text(_Cube(cube.literals), var_of,
-                                          len(input_names)),
-                               "".join(symbols)))
-    else:
-        for j, name in enumerate(output_names):
-            isf = specs[name]
-            _cover, on_cubes = isf.cover_cubes()
-            for cube in on_cubes:
+    for j, name in enumerate(output_names):
+        isf = specs[name]
+        _cover, on_cubes = isf.cover_cubes()
+        for cube in on_cubes:
+            cube_lines.append((_cube_text(cube, var_of, len(input_names)),
+                               _output_text(j, len(output_names), "1")))
+        dc = isf.dc
+        if not dc.is_false():
+            _node, dc_cubes = isop(mgr, dc.node, dc.node)
+            for cube in dc_cubes:
                 cube_lines.append((_cube_text(cube, var_of,
                                               len(input_names)),
-                                   _output_text(j, len(output_names),
-                                                "1")))
-            dc = isf.dc
-            if not dc.is_false():
-                from repro.bdd.isop import isop as _isop_fn
-                _node, dc_cubes = _isop_fn(mgr, dc.node, dc.node)
-                for cube in dc_cubes:
-                    cube_lines.append((_cube_text(cube, var_of,
-                                                  len(input_names)),
-                                       _output_text(j, len(output_names),
-                                                    "-")))
+                                   _output_text(j, len(output_names), "-")))
     lines.append(".p %d" % len(cube_lines))
     lines.extend("%s %s" % row for row in cube_lines)
     lines.append(".e")

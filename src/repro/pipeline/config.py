@@ -40,7 +40,10 @@ class PipelineConfig:
         when omitted).
     flow:
         ``"bidecomp"`` (the paper's program), ``"sis"`` or ``"bds"``
-        (the comparison baselines).
+        (the comparison baselines, each in the one configuration its
+        table runs: ``"sis"`` maps an ISOP cover onto balanced AND/OR
+        trees with no factoring (Table 2), ``"bds"`` takes structural
+        BDD cuts with the XOR cut on (Table 3)).
     verify:
         Run the BDD verifier on every synthesised netlist.
     check_contracts:
@@ -75,10 +78,6 @@ class PipelineConfig:
         :class:`~repro.pipeline.NodeLimitExceeded`.
     model:
         BLIF ``.model`` name used by the emit stage.
-    flow_options:
-        Extra keyword arguments forwarded to the baseline synthesiser
-        (e.g. ``{"factor": True, "minimizer": "espresso"}`` for the sis
-        flow, ``{"use_xor": False}`` for bds).  Ignored by bidecomp.
     cache_path:
         Path of a component-cache store file
         (:mod:`repro.decomp.cache_store`), or None.  When set, a run
@@ -114,7 +113,7 @@ class PipelineConfig:
 
     def __init__(self, decomposition=None, flow="bidecomp", verify=True,
                  check_contracts=False, time_limit=None, max_nodes=None,
-                 model="bidecomp", flow_options=None, cache_path=None,
+                 model="bidecomp", cache_path=None,
                  cache_readonly=False,
                  sweep_store=False, budget_scope="run", jobs=1,
                  emit_certificates=False):
@@ -143,10 +142,6 @@ class PipelineConfig:
         self.time_limit = time_limit
         self.max_nodes = max_nodes
         self.model = model
-        if flow_options is not None and not isinstance(flow_options, dict):
-            raise ValueError("flow_options must be a dict, got %r"
-                             % (flow_options,))
-        self.flow_options = dict(flow_options or {})
         if cache_path is not None and not isinstance(cache_path, str):
             raise ValueError("cache_path must be a path string or None, "
                              "got %r" % (cache_path,))

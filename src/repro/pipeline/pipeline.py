@@ -172,13 +172,10 @@ def stage_decompose(session, run, record):
     else:
         from repro.baselines import (bds_like_synthesize,
                                      sis_like_synthesize)
-        options = session.config.flow_options
         if flow == "sis":
-            run.result = sis_like_synthesize(run.specs, session=session,
-                                             **options)
+            run.result = sis_like_synthesize(run.specs, session=session)
         else:
-            run.result = bds_like_synthesize(run.specs, session=session,
-                                             **options)
+            run.result = bds_like_synthesize(run.specs, session=session)
         run.netlist = run.result.netlist
     stats = run.netlist_stats()
     record["flow"] = flow

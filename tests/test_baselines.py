@@ -2,59 +2,12 @@
 
 from hypothesis import given, settings
 
-from repro.baselines import (bds_like_synthesize, factor_cubes,
-                             sis_like_synthesize, tree_to_netlist)
-from repro.baselines.factor import FactorTree
-from repro.bdd import BDD, Cube, isop
-from repro.boolfn import ISF, from_truth_table, parse, weight_set
-from repro.network import (Netlist, compute_stats, gates as G,
-                           verify_against_isfs)
-from repro.network.extract import node_functions
+from repro.baselines import bds_like_synthesize, sis_like_synthesize
+from repro.bdd import BDD
+from repro.boolfn import ISF, parse, weight_set
+from repro.network import gates as G, verify_against_isfs
 
 from conftest import build_isf, isf_strategy, make_mgr, tt_strategy
-
-
-class TestFactoring:
-    @settings(max_examples=40, deadline=None)
-    @given(tt_strategy(4))
-    def test_factored_tree_equals_cover(self, table):
-        mgr = make_mgr(4)
-        f = from_truth_table(mgr, [0, 1, 2, 3], table)
-        _cover, cubes = isop(mgr, f, f)
-        tree = factor_cubes(cubes)
-        nl = Netlist(mgr.var_names)
-        var_nodes = {v: nl.input_node(mgr.var_name(v)) for v in range(4)}
-        node = tree_to_netlist(tree, nl, var_nodes)
-        bdds = node_functions(nl, mgr, restrict_to={node})
-        assert bdds[node] == f
-
-    def test_factoring_reduces_literals(self):
-        # a&b | a&c | a&d factors to a & (b | c | d): 6 -> 4 literals.
-        cubes = [Cube({0: 1, 1: 1}), Cube({0: 1, 2: 1}),
-                 Cube({0: 1, 3: 1})]
-        tree = factor_cubes(cubes)
-        assert tree.literal_count() == 4
-
-    def test_constants(self):
-        assert factor_cubes([]).payload == 0
-        assert factor_cubes([Cube()]).payload == 1
-        assert factor_cubes([Cube({0: 1}), Cube()]).payload == 1
-
-    def test_tree_repr_and_cost(self):
-        tree = FactorTree("and", [FactorTree.literal(0, 1),
-                                  FactorTree.literal(1, 0)])
-        assert tree.literal_count() == 2
-        assert "x0" in repr(tree)
-
-    def test_balanced_mapping_depth(self):
-        # A 16-cube single-literal OR should map to a depth-4 OR tree.
-        cubes = [Cube({i: 1}) for i in range(16)]
-        tree = factor_cubes(cubes)
-        nl = Netlist(["x%d" % i for i in range(16)])
-        var_nodes = {v: nl.input_node("x%d" % v) for v in range(16)}
-        node = tree_to_netlist(tree, nl, var_nodes)
-        nl.set_output("y", node)
-        assert compute_stats(nl).cascades == 4
 
 
 class TestSisLike:
@@ -63,9 +16,8 @@ class TestSisLike:
     def test_correct_on_random_isfs(self, pair):
         mgr = make_mgr(4)
         specs = {"f": build_isf(mgr, [0, 1, 2, 3], *pair)}
-        for factor in (True, False):
-            result = sis_like_synthesize(specs, factor=factor)
-            verify_against_isfs(result.netlist, specs)
+        result = sis_like_synthesize(specs)
+        verify_against_isfs(result.netlist, specs)
 
     def test_never_emits_exor_gates(self):
         mgr = make_mgr(6)
@@ -73,13 +25,35 @@ class TestSisLike:
         result = sis_like_synthesize(specs)
         assert result.netlist_stats().exors == 0
 
-    def test_factoring_beats_flat_sop(self):
-        mgr = make_mgr(6)
-        specs = {"f": parse(mgr, "x0&x1&x2 | x0&x1&x3 | x0&x1&x4"
-                                 "| x0&x1&x5")}
-        factored = sis_like_synthesize(specs, factor=True)
-        flat = sis_like_synthesize(specs, factor=False)
-        assert factored.netlist_stats().gates <= flat.netlist_stats().gates
+    def test_balanced_mapping_depth(self):
+        # A 16-cube single-literal OR maps to a depth-4 OR tree, and a
+        # 16-literal cube to a depth-4 AND tree.
+        mgr = make_mgr(16)
+        wide_or = mgr.fn_false()
+        wide_and = mgr.fn_true()
+        for i in range(16):
+            wide_or = wide_or | mgr.fn(mgr.var(i))
+            wide_and = wide_and & mgr.fn(mgr.var(i))
+        for f in (wide_or, wide_and):
+            result = sis_like_synthesize({"y": f})
+            stats = result.netlist_stats()
+            assert stats.gates == 15
+            assert stats.cascades == 4
+
+    def test_constant_covers(self):
+        # An empty cover maps to constant 0; a tautology cube absorbs
+        # the rest of the cover and maps to constant 1.
+        mgr = make_mgr(2)
+        result = sis_like_synthesize({"zero": mgr.fn_false(),
+                                      "one": mgr.fn_true(),
+                                      "dc": ISF.from_interval(
+                                          parse(mgr, "x0"),
+                                          mgr.fn_true())})
+        types = {name: result.netlist.types[node]
+                 for name, node in result.netlist.outputs}
+        assert types == {"zero": G.CONST0, "one": G.CONST1,
+                         "dc": G.CONST1}
+        assert result.extra == {"cubes": 2, "sop_literals": 0}
 
     def test_exploits_dont_cares(self):
         mgr = BDD(["a", "b"])
@@ -119,15 +93,6 @@ class TestBdsLike:
         stats = result.netlist_stats()
         assert stats.exors == 4
         assert stats.gates == 4
-
-    def test_xor_cut_can_be_disabled(self):
-        mgr = make_mgr(5)
-        f = mgr.fn_false()
-        for i in range(5):
-            f = f ^ mgr.fn(mgr.var(i))
-        result = bds_like_synthesize({"f": f}, use_xor=False)
-        verify_against_isfs(result.netlist, {"f": f})
-        assert result.netlist_stats().exors == 0
 
     def test_shared_bdd_nodes_become_shared_gates(self):
         mgr = make_mgr(4)

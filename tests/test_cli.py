@@ -143,6 +143,24 @@ class TestDecomposeBatch:
         assert main(["decompose"] + batch_paths
                     + ["-o", str(tmp_path / "out.blif")]) == 2
 
+    def test_inputs_sharing_a_stem_are_rejected(self, tmp_path, capsys):
+        # x/a.pla and y/a.pla both map to out/a.blif (and a.cert.json):
+        # the second would silently overwrite the first.
+        paths = []
+        for sub in ("x", "y"):
+            (tmp_path / sub).mkdir()
+            path = tmp_path / sub / "a.pla"
+            path.write_text(PLA)
+            paths.append(str(path))
+        out_dir = tmp_path / "out"
+        assert main(["decompose"] + paths
+                    + ["--output-dir", str(out_dir), "--certificates"],
+                    stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert paths[0] in err and paths[1] in err
+        assert not out_dir.exists()
+
     def test_batch_without_output_dir_streams_to_stdout(self,
                                                         batch_paths):
         out = io.StringIO()
@@ -231,8 +249,9 @@ class TestBadInputExitCode:
         ".i 2\n.o 1\n.ilb a\n11 1\n.e\n",
         ".i 2\n.o 1\n.ilb a a\n11 1\n.e\n",
         ".i\n.o 1\n11 1\n.e\n",
+        ".i 2\n.o 2\n.ilb a b\n.ob f b\n11 11\n.e\n",
     ], ids=["ob-duplicate", "ob-short", "ilb-short", "ilb-duplicate",
-            "bare-i"])
+            "bare-i", "ob-is-ilb"])
     def test_malformed_pla_header_is_one_error_line(self, text, tmp_path,
                                                     capsys):
         path = tmp_path / "bad.pla"
@@ -259,6 +278,31 @@ class TestBadInputExitCode:
         err = capsys.readouterr().err
         assert err.startswith("error: BLIF input %r " % bad), err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("extra", [
+        ".names c a\n1 1\n",
+        ".names a z\n1 1\n.names b z\n1 1\n",
+    ], ids=["drives-input", "drives-twice"])
+    def test_blif_signal_with_two_drivers(self, extra, pla_path, tmp_path,
+                                          capsys):
+        # A .names table that drives a primary input, or a signal some
+        # table already drives, is invalid BLIF: verify and lint reject
+        # it as bad input, certify rejects the claim.
+        blif = tmp_path / "in.blif"
+        assert main(["decompose", pla_path, "-o", str(blif),
+                     "--certificates"]) == 0
+        blif.write_text(blif.read_text().replace(".end\n",
+                                                 extra + ".end\n"))
+        capsys.readouterr()
+        for argv, code in (
+                (["verify", pla_path, str(blif)], 2),
+                (["lint", str(blif), "--spec", pla_path], 2),
+                (["certify", pla_path, str(blif),
+                  str(tmp_path / "in.cert.json")], 1)):
+            assert main(argv, stdout=io.StringIO()) == code, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), err
+            assert ".names drives " in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("size", ("0", "-3"))
     def test_weak_xa_size_below_one_rejected(self, pla_path, size, capsys):
@@ -308,11 +352,6 @@ class TestOtherCommands:
                         stdout=out) == 0
             assert "gates=" in out.getvalue()
 
-    def test_baseline_espresso_minimizer(self, pla_path):
-        out = io.StringIO()
-        assert main(["baseline", pla_path, "--minimizer", "espresso",
-                     "--factor"], stdout=out) == 0
-
     @pytest.mark.parametrize("flags", [
         ["--cache-dir", "{dir}"], ["--check"], ["--cache-readonly"],
         ["--sweep-store"], ["--budget-scope", "batch"],
@@ -336,12 +375,17 @@ class TestOtherCommands:
         ["--factor", "--minimizer", "espresso"],
     ], ids=["factor", "minimizer", "both"])
     def test_baseline_bds_rejects_sis_flags(self, pla_path, flags, capsys):
-        # The BDS-like flow has no factoring step and no two-level
-        # minimizer: the flags would be silently ignored.
-        argv = ["baseline", pla_path, "--flow", "bds"] + flags
-        assert main(argv, stdout=io.StringIO()) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
+        # Each flow runs the one configuration its table uses, so the
+        # factoring and minimizer knobs are gone: usage errors for the
+        # BDS-like flow and the SIS-like flow alike.
+        for flow in ("bds", "sis"):
+            argv = ["baseline", pla_path, "--flow", flow] + flags
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv, stdout=io.StringIO())
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err
+            assert "Traceback" not in err
 
     def test_stats_keeps_the_store_label(self, pla_path, tmp_path):
         # stats has no --model: its store merge keeps the label that

@@ -89,12 +89,11 @@ def test_baseline_golden_metrics_exact(name):
 
     ``tests/golden_baselines.json`` holds both flows' cost columns for
     the same benchmarks; regenerate it like the bidecomp file, calling
-    ``sis_like_synthesize(specs, factor=False)`` and
-    ``bds_like_synthesize(specs)`` in place of ``bi_decompose``.
+    ``sis_like_synthesize(specs)`` and ``bds_like_synthesize(specs)`` in
+    place of ``bi_decompose``.
     """
     _mgr, specs = get(name).build()
-    got = {"sis": _cost_columns(
-               sis_like_synthesize(specs, factor=False).netlist_stats()),
+    got = {"sis": _cost_columns(sis_like_synthesize(specs).netlist_stats()),
            "bds": _cost_columns(bds_like_synthesize(specs).netlist_stats())}
     assert got == GOLDEN_BASELINES[name], (
         "baseline drift on %s — if intentional, regenerate "

@@ -129,6 +129,19 @@ class TestReader:
         with pytest.raises(BLIFError, match=message):
             reader(text)
 
+    @pytest.mark.parametrize("reader", [parse_blif, parse_blif_netlist],
+                             ids=["bdd", "lint"])
+    @pytest.mark.parametrize("tables, message", [
+        (".names a b\n1 1\n.names a y\n1 1\n", "primary input 'b'"),
+        (".names a y\n1 1\n.names b y\n1 1\n", "'y' a second time"),
+    ], ids=["drives-input", "drives-twice"])
+    def test_second_driver_rejected_by_both_readers(self, reader, tables,
+                                                    message):
+        # Either reader used to let the last driver win silently.
+        text = ".model m\n.inputs a b\n.outputs y\n%s.end\n" % tables
+        with pytest.raises(BLIFError, match=message):
+            reader(text)
+
     def test_non_topological_rejected(self):
         text = (".model m\n.inputs a\n.outputs y\n"
                 ".names ghost y\n1 1\n.end\n")

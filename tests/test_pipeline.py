@@ -332,11 +332,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="cache_readonly"):
             PipelineConfig(cache_readonly=True)
 
-    def test_fourteen_fields(self):
+    def test_thirteen_fields(self):
         # recursion_limit and progress_interval are module constants
-        # (repro.pipeline.limits / repro.pipeline.session), not knobs.
+        # (repro.pipeline.limits / repro.pipeline.session), not knobs;
+        # the baseline flows take no options.
         fields = inspect.signature(PipelineConfig).parameters
-        assert len(fields) == 14
+        assert len(fields) == 13
+        assert "flow_options" not in fields
         assert "recursion_limit" not in fields
         assert "progress_interval" not in fields
 
