@@ -49,23 +49,21 @@ FAST = sorted(name for name in GOLDEN
               if name not in ("alu4", "cordic", "16sym8", "cps"))
 
 
+def _cost_columns(stats):
+    return {"gates": stats.gates, "exors": stats.exors,
+            "inverters": stats.inverters, "area": stats.area,
+            "cascades": stats.cascades, "delay": round(stats.delay, 4)}
+
+
 @pytest.mark.parametrize("name", FAST)
 def test_golden_metrics_exact(name):
     expected = GOLDEN[name]
     mgr, specs = get(name).build()
     result = bi_decompose(specs)
-    stats = result.netlist_stats()
-    got = {
-        "gates": stats.gates,
-        "exors": stats.exors,
-        "inverters": stats.inverters,
-        "area": stats.area,
-        "cascades": stats.cascades,
-        "delay": round(stats.delay, 4),
-        "calls": result.stats.calls,
-        "cache_hits": result.stats.cache_hits,
-        "shannon": result.stats.shannon,
-    }
+    got = dict(_cost_columns(result.netlist_stats()),
+               calls=result.stats.calls,
+               cache_hits=result.stats.cache_hits,
+               shannon=result.stats.shannon)
     assert got == expected, (
         "golden drift on %s — if intentional, regenerate "
         "tests/golden_results.json (see module docstring)" % name)
@@ -75,12 +73,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "golden_baselines.json")
 with open(BASELINE_PATH) as _handle:
     GOLDEN_BASELINES = json.load(_handle)
-
-
-def _cost_columns(stats):
-    return {"gates": stats.gates, "exors": stats.exors,
-            "inverters": stats.inverters, "area": stats.area,
-            "cascades": stats.cascades, "delay": round(stats.delay, 4)}
 
 
 @pytest.mark.parametrize("name", FAST)
