@@ -26,7 +26,7 @@ style preprocessing.
 
 import time
 
-from repro.baselines.sis_like import BaselineResult, _as_isf
+from repro.baselines.sis_like import BaselineResult, _as_isfs
 from repro.bdd.node import FALSE, TRUE
 from repro.network.netlist import Netlist
 
@@ -38,8 +38,7 @@ def bds_like_synthesize(specs, session=None):
     :class:`repro.pipeline.Session` (growth hooks, time budget, one
     ``flow_progress`` event per output).
     """
-    specs = {name: _as_isf(spec) for name, spec in specs.items()}
-    mgr = next(iter(specs.values())).mgr
+    mgr, specs = _as_isfs(specs, "bds_like_synthesize")
     if session is not None:
         session.adopt_manager(mgr)
     netlist = Netlist(mgr.var_names)

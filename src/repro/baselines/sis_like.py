@@ -50,8 +50,7 @@ def sis_like_synthesize(specs, session=None):
     wall-clock budget apply, and one ``flow_progress`` event is
     published per synthesised output.
     """
-    specs = {name: _as_isf(spec) for name, spec in specs.items()}
-    mgr = next(iter(specs.values())).mgr
+    mgr, specs = _as_isfs(specs, "sis_like_synthesize")
     if session is not None:
         session.adopt_manager(mgr)
     netlist = Netlist(mgr.var_names)
@@ -101,6 +100,16 @@ def _balanced(nodes, combine):
             paired.append(nodes[-1])
         nodes = paired
     return nodes[0]
+
+
+def _as_isfs(specs, flow):
+    """``(mgr, {name: ISF})`` for a flow's specs; ValueError when empty."""
+    specs = {name: _as_isf(spec) for name, spec in specs.items()}
+    if not specs:
+        raise ValueError(
+            "%s: empty specification dict — pass at least one output "
+            "name mapped to an ISF or Function" % flow)
+    return next(iter(specs.values())).mgr, specs
 
 
 def _as_isf(spec):

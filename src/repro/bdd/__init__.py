@@ -19,7 +19,7 @@ from repro.bdd.function import Function, fn_vars
 from repro.bdd.node import FALSE, TRUE, TERMINAL_LEVEL
 from repro.bdd.types import Edge, Level, NodeId, SuffixId, VarId
 from repro.bdd.quantify import (exists, forall, and_exists, or_forall,
-                                 exor_propagation)
+                                 exor_propagation, variable_grouping)
 from repro.bdd.cubes import (sat_count, pick_cube, pick_minterm,
                              cube_to_bdd, iter_cubes, iter_minterms)
 from repro.bdd.isop import Cube, isop, cover_to_bdd, cover_literal_count
@@ -32,6 +32,7 @@ __all__ = [
     "FALSE", "TRUE", "TERMINAL_LEVEL",
     "Edge", "NodeId", "Level", "VarId", "SuffixId",
     "exists", "forall", "and_exists", "or_forall", "exor_propagation",
+    "variable_grouping",
     "sat_count", "pick_cube", "pick_minterm", "cube_to_bdd",
     "iter_cubes", "iter_minterms",
     "Cube", "isop", "cover_to_bdd", "cover_literal_count",

@@ -13,13 +13,17 @@
  * explicit-stack walk of ``repro.bdd.isop.isop``: cofactor splits, its
  * AND / OR / DIFF steps, the ``var`` node and ``ite(var, f1, f0)`` merge
  * of each split (the ``_ct_ite`` dict included) and the cube lists.
- * All four work through the CPython C API on the manager's own
- * structures -- the ``_level`` / ``_lo`` / ``_hi`` lists, the per-level
- * ``_unique`` tables, the ``_free`` list, the ``_ct_and`` table and the
- * caller's exists memo -- and repeat the Python
- * loops step for step: the same probe order, node-creation order,
- * counter increments, ``_peak_live`` updates, growth-hook firing and
- * computed-table cap.  Node indices, counters and every module that
+ * A fifth entry runs ``repro.decomp.grouping.group_variables`` for one
+ * gate (Figs. 5 and 6): the pair scan, then the greedy growth, with the
+ * Theorem 1 and 2 checks, the EXOR growth's pairwise filter, its Fig. 4
+ * check (the third entry's loop) and the ``CheckContext`` memos and
+ * counters they read and write.  All five work through the CPython C
+ * API on the manager's own structures -- the ``_level`` / ``_lo`` /
+ * ``_hi`` lists, the per-level ``_unique`` tables, the ``_free`` list,
+ * the ``_ct_and`` table and the caller's exists memo -- and repeat the
+ * Python loops step for step: the same probe order, node-creation
+ * order, counter increments, ``_peak_live`` updates, growth-hook firing
+ * and computed-table cap.  Node indices, counters and every module that
  * reads the arena therefore see exactly what the Python loops leave.
  *
  * The tables are ``Table`` objects (below): exact, insertion-ordered
@@ -39,8 +43,9 @@
  * Python loops) and when the top-level call returns.
  *
  * repro.bdd.native compiles and loads this file; repro.bdd.manager,
- * repro.bdd.quantify and repro.bdd.isop keep the Python loops as the
- * fallback and as the differential tests' reference.
+ * repro.bdd.quantify, repro.bdd.isop, repro.decomp.exor and
+ * repro.decomp.grouping keep the Python loops as the fallback and as the
+ * differential tests' reference.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -57,7 +62,8 @@ static PyObject *s_level, *s_lo, *s_hi, *s_unique, *s_free, *s_ct_and,
     *s_ct_lookups, *s_ct_hits, *s_uniq_lookups, *s_uniq_hits,
     *s_peak_live, *s_q_steps, *s_q_calls, *s_growth_hook,
     *s_growth_countdown, *s_growth_interval, *s_ct_ite, *s_level_to_var,
-    *s_literals;
+    *s_literals, *s_check_calls, *s_cache_hits, *s_exists_calls,
+    *s_var_to_level;
 
 /* ------------------------------------------------------------------ */
 /* Growable stacks with inline storage                                 */
@@ -508,9 +514,9 @@ static PyTypeObject TableType = {
 /* Manager state                                                       */
 /* ------------------------------------------------------------------ */
 
-/* The AND and exists entries keep the first N_WALK counters; only the
- * EXOR propagation counts quantifier calls, which Python counts around
- * the other two. */
+/* The AND, exists and ISOP entries keep the first N_WALK counters; only
+ * the EXOR propagation and the grouping count quantifier calls, which
+ * Python counts around the others. */
 enum { C_CT_LOOKUPS, C_CT_HITS, C_UNIQ_LOOKUPS, C_UNIQ_HITS, C_PEAK_LIVE,
        C_Q_STEPS, C_COUNTDOWN, C_Q_CALLS, N_COUNTERS };
 #define N_WALK C_Q_CALLS
@@ -1129,23 +1135,43 @@ error:
 /* Fig. 4's EXOR propagation                                           */
 /* ------------------------------------------------------------------ */
 
-/* One side's quantified variable set.  It is interned through the
- * caller's callback at its first projection, where quantify.exists
- * would intern it, so suffix ids come out in the Python loop's order. */
+/* A quantified variable set.  It is interned through the caller's
+ * callback at its first projection, where quantify.exists would intern
+ * it, so suffix ids come out in the Python loops' order. */
 typedef struct {
-    PyObject *vars;                 /* borrowed: the variable list */
+    PyObject *vars;                 /* new ref: the list passed to intern */
+    PyObject *key;                  /* new ref: its frozenset (grouping) */
     long long *levels, *sids;       /* PyMem, one block; NULL until then */
     Py_ssize_t n;                   /* -1 until interned */
 } VarSet;
 
-/* intern(vars) -> (levels, suffix ids), as the quantify helpers give. */
+static void
+varset_clear(VarSet *s)
+{
+    Py_CLEAR(s->vars);
+    Py_CLEAR(s->key);
+    PyMem_Free(s->levels);
+    s->levels = s->sids = NULL;
+    s->n = -1;
+}
+
+/* intern(vars) -> (levels, suffix ids), as the quantify helpers give.
+ * A set known only by its frozenset is passed as CheckContext.exists
+ * passes it: sorted(key). */
 static int
 varset_intern(VarSet *s, PyObject *intern)
 {
-    PyObject *res = PyObject_CallOneArg(intern, s->vars);
+    PyObject *res;
     Py_ssize_t n;
     int rc = -1;
 
+    if (s->vars == NULL) {
+        if ((s->vars = PySequence_List(s->key)) == NULL)
+            return -1;
+        if (PyList_Sort(s->vars) < 0)
+            return -1;
+    }
+    res = PyObject_CallOneArg(intern, s->vars);
     if (res == NULL)
         return -1;
     if (!PyTuple_Check(res) || PyTuple_GET_SIZE(res) != 2)
@@ -1163,13 +1189,64 @@ varset_intern(VarSet *s, PyObject *intern)
 /* The state of one propagation: the kernel plus what quantify.exists
  * reads on each call. */
 typedef struct {
-    Kernel k;
+    Kernel *k;                      /* borrowed: the open kernel */
     VarSet a, b;
     PyObject *intern;               /* borrowed */
     Table *cache;                   /* borrowed: the exists memo */
     char *drop;                     /* PyMem: 1 at the levels of XB */
     Py_ssize_t ndrop;               /* levels known at entry */
 } Exor;
+
+/* A propagation on the open kernel *k* with the variable lists xa and
+ * xb (passed to intern as given) and *drop*, the levels of xb. */
+static int
+exor_init(Exor *x, Kernel *k, PyObject *intern, Table *cache, PyObject *xa,
+          PyObject *xb, PyObject *drop)
+{
+    PyObject *seq;
+    Py_ssize_t i, n;
+    long long lv;
+    int rc = -1;
+
+    memset(x, 0, sizeof(*x));
+    x->k = k;
+    x->a.n = x->b.n = -1;
+    x->a.vars = Py_NewRef(xa);
+    x->b.vars = Py_NewRef(xb);
+    x->intern = intern;
+    x->cache = cache;
+    x->ndrop = PyList_GET_SIZE(k->unique);
+    if ((x->drop = PyMem_Calloc((size_t)x->ndrop + 1, 1)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if ((seq = PySequence_Fast(drop, "drop must be a sequence")) == NULL)
+        return -1;
+    n = PySequence_Fast_GET_SIZE(seq);
+    for (i = 0; i < n; i++) {
+        lv = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (lv == -1 && PyErr_Occurred())
+            goto out;
+        if (lv < 0 || lv >= x->ndrop) {
+            PyErr_SetString(PyExc_IndexError, "BDD level out of range");
+            goto out;
+        }
+        x->drop[lv] = 1;
+    }
+    rc = 0;
+out:
+    Py_DECREF(seq);
+    return rc;
+}
+
+static void
+exor_release(Exor *x)
+{
+    PyMem_Free(x->drop);
+    x->drop = NULL;
+    varset_clear(&x->a);
+    varset_clear(&x->b);
+}
 
 /* propagate_exor's _forced: exists(vars, (u & pu) | (v & pv)), built
  * in the Python expression's order; the exists call is quantify.exists,
@@ -1179,16 +1256,16 @@ forced(Exor *x, VarSet *s, edge_t u, edge_t pu, edge_t v, edge_t pv,
        edge_t *out)
 {
     edge_t up, vp, either;
-    if (and_top(&x->k, u, pu, &up) < 0 || and_top(&x->k, v, pv, &vp) < 0
-        || and_top(&x->k, up ^ 1, vp ^ 1, &either) < 0
+    if (and_top(x->k, u, pu, &up) < 0 || and_top(x->k, v, pv, &vp) < 0
+        || and_top(x->k, up ^ 1, vp ^ 1, &either) < 0
         || (s->n < 0 && varset_intern(s, x->intern) < 0))
         return -1;
     if (s->n == 0) {
         *out = either ^ 1;
         return 0;
     }
-    x->k.val[C_Q_CALLS]++;
-    return exists_walk(&x->k, either ^ 1, s->levels, s->sids, s->n,
+    x->k->val[C_Q_CALLS]++;
+    return exists_walk(x->k, either ^ 1, s->levels, s->sids, s->n,
                        x->cache, out);
 }
 
@@ -1200,7 +1277,7 @@ static int
 seed_cube(Exor *x, edge_t q, edge_t *out)
 {
     STACK(edge_t, 64) path;             /* level << 1 | value, top first */
-    Kernel *k = &x->k;
+    Kernel *k = x->k;
     edge_t e = q, lv, lo, hi, lit, acc = 1, item;
     Py_ssize_t nlevels = PyList_GET_SIZE(k->unique);
 
@@ -1236,7 +1313,7 @@ error:
 }
 
 #define AND(f_, g_, out_) \
-    do { if (and_top(&x->k, (f_), (g_), &(out_)) < 0) goto error; } while (0)
+    do { if (and_top(x->k, (f_), (g_), &(out_)) < 0) goto error; } while (0)
 #define OR(f_, g_, out_) \
     do { AND((f_) ^ 1, (g_) ^ 1, out_); (out_) ^= 1; } while (0)
 #define DIFF(f_, g_, out_) AND((f_), (g_) ^ 1, out_)
@@ -1305,6 +1382,562 @@ error:
 #undef DIFF
 #undef FORCED
 #undef REFUTE_IF_OVERLAP
+
+/* ------------------------------------------------------------------ */
+/* Figs. 5 and 6: variable grouping                                    */
+/* ------------------------------------------------------------------ */
+
+/* The state of one repro.decomp.grouping.group_variables call: the
+ * kernel, the CheckContext caches it reads and fills, and the context's
+ * counter deltas. */
+typedef struct {
+    Kernel k;
+    edge_t q, r;                    /* the ISF (complemented for AND) */
+    PyObject *qr[2];                /* new refs: q and r as memo keys */
+    PyObject *intern;               /* borrowed */
+    Table *cache;                   /* borrowed: the exists memo */
+    PyObject *varsets;              /* borrowed: _cache_ctx_varset */
+    PyObject *exists_memo;          /* borrowed: _cache_ctx_exists */
+    PyObject *verdicts;             /* borrowed: _cache_ctx_or / _exor1 */
+    PyObject *exor_memo;            /* borrowed: _cache_ctx_exor */
+    PyObject *propagate;            /* borrowed; NULL for OR and AND */
+    PyObject *var_to_level;         /* new ref */
+    VarSet *single;                 /* {v} per variable index v */
+    Py_ssize_t nsingle;
+    long long check_calls, cache_hits, exists_calls;
+} Group;
+
+/* CheckContext._varset: the frozenset of the variable indices in *vars*
+ * (a sequence of them), memoised per argument tuple.  A new ref. */
+static PyObject *
+ctx_varset(Group *g, PyObject *vars)
+{
+    PyObject *key = PySequence_Tuple(vars), *fs;
+    if (key == NULL)
+        return NULL;
+    fs = Py_XNewRef(PyDict_GetItemWithError(g->varsets, key));
+    if (fs == NULL && !PyErr_Occurred()
+        && (fs = PyFrozenSet_New(key)) != NULL
+        && PyDict_SetItem(g->varsets, key, fs) < 0)
+        Py_CLEAR(fs);
+    Py_DECREF(key);
+    if (fs != NULL && !PyFrozenSet_CheckExact(fs)) {
+        PyErr_SetString(PyExc_TypeError, "variable sets must be frozensets");
+        Py_CLEAR(fs);
+    }
+    return fs;
+}
+
+/* The singleton set {var} of a support variable, normalised at its
+ * first use as the checks' [var] argument is. */
+static VarSet *
+singleton(Group *g, PyObject *var)
+{
+    Py_ssize_t v = PyLong_AsSsize_t(var);
+    VarSet *s;
+    PyObject *items;
+    if (v == -1 && PyErr_Occurred())
+        return NULL;
+    if (v < 0 || v >= g->nsingle) {
+        PyErr_SetString(PyExc_IndexError, "variable index out of range");
+        return NULL;
+    }
+    s = &g->single[v];
+    if (s->key == NULL) {
+        if ((items = PyTuple_Pack(1, var)) == NULL)
+            return NULL;
+        s->key = ctx_varset(g, items);
+        Py_DECREF(items);
+        if (s->key == NULL)
+            return NULL;
+    }
+    return s;
+}
+
+/* CheckContext.exists(node, s): the context memo, else quantify.exists
+ * (intern the set, count the call, walk) and a memo entry. */
+static int
+ctx_exists(Group *g, edge_t node, VarSet *s, edge_t *out)
+{
+    PyObject *e, *key, *hit, *v;
+    int rc = -1;
+
+    if (PySet_GET_SIZE(s->key) == 0) {
+        *out = node;
+        return 0;
+    }
+    if ((e = PyLong_FromUnsignedLongLong(node)) == NULL)
+        return -1;
+    key = PyTuple_Pack(2, e, s->key);
+    Py_DECREF(e);
+    if (key == NULL)
+        return -1;
+    hit = PyDict_GetItemWithError(g->exists_memo, key);
+    if (hit != NULL) {
+        g->cache_hits++;
+        rc = as_edge(hit, out);
+        goto done;
+    }
+    if (PyErr_Occurred())
+        goto done;
+    g->exists_calls++;
+    if (s->n < 0 && varset_intern(s, g->intern) < 0)
+        goto done;
+    if (s->n == 0)
+        *out = node;
+    else {
+        g->k.val[C_Q_CALLS]++;
+        if (exists_walk(&g->k, node, s->levels, s->sids, s->n, g->cache,
+                        out) < 0)
+            goto done;
+    }
+    if ((v = PyLong_FromUnsignedLongLong(*out)) == NULL)
+        goto done;
+    rc = PyDict_SetItem(g->exists_memo, key, v);
+    Py_DECREF(v);
+done:
+    Py_DECREF(key);
+    return rc;
+}
+
+/* CheckContext.check_memo's probe of *memo*: *key* gets a new ref to
+ * (Q, R, A, B) and *hit* a new ref to the memoised verdict, which is
+ * counted, or NULL on a miss.  -1 on error. */
+static int
+memo_probe(Group *g, PyObject *memo, VarSet *a, VarSet *b, PyObject **key,
+           PyObject **hit)
+{
+    *hit = NULL;
+    *key = PyTuple_Pack(4, g->qr[0], g->qr[1], a->key, b->key);
+    if (*key == NULL)
+        return -1;
+    *hit = PyDict_GetItemWithError(memo, *key);
+    if (*hit == NULL || *hit == Py_None) {
+        *hit = NULL;
+        if (PyErr_Occurred()) {
+            Py_CLEAR(*key);
+            return -1;
+        }
+        return 0;
+    }
+    Py_INCREF(*hit);
+    g->cache_hits++;
+    return 0;
+}
+
+/* Store *value* (a new ref or NULL) under *key* in *memo*, dropping both
+ * references; returns *verdict*, or -1 on error. */
+static int
+memo_store(PyObject *memo, PyObject *key, PyObject *value, int verdict)
+{
+    if (verdict >= 0 && (value == NULL || PyDict_SetItem(memo, key,
+                                                         value) < 0))
+        verdict = -1;
+    Py_DECREF(key);
+    Py_XDECREF(value);
+    return verdict;
+}
+
+/* A bool verdict memo hit (1 / 0), or -1 when *hit* is NULL. */
+static int
+verdict_of(PyObject *key, PyObject *hit)
+{
+    int rc = hit != NULL ? PyObject_IsTrue(hit) : -1;
+    Py_DECREF(key);
+    Py_XDECREF(hit);
+    return rc;
+}
+
+/* checks.or_decomposable on (q, r): Theorem 1,
+ * Q & exists(A, R) & exists(B, R) == 0.  1 / 0 / -1. */
+static int
+or_check(Group *g, VarSet *a, VarSet *b)
+{
+    PyObject *key, *hit;
+    edge_t ea, eb, t;
+    int rc;
+
+    g->check_calls++;
+    if (memo_probe(g, g->verdicts, a, b, &key, &hit) < 0)
+        return -1;
+    if (hit != NULL)
+        return verdict_of(key, hit);
+    rc = (ctx_exists(g, g->r, a, &ea) < 0 || and_top(&g->k, g->q, ea, &t) < 0
+          || ctx_exists(g, g->r, b, &eb) < 0
+          || and_top(&g->k, t, eb, &t) < 0) ? -1 : t == 0;
+    return memo_store(g->verdicts, key, Py_NewRef(rc ? Py_True : Py_False),
+                      rc);
+}
+
+/* Theorem 2 on the derivative ISF w.r.t. the set x, as derivative_isf
+ * and exor._set_derivative_filter build it: Q_D & exists(y, R_D) == 0
+ * with Q_D = exists(x, Q) & exists(x, R) and R_D = forall(x, Q) |
+ * forall(x, R), the complement of exists(x, ~Q) & exists(x, ~R)
+ * (BDD.or_ and CheckContext.forall go through complements).
+ * 1 / 0 / -1. */
+static int
+theorem2(Group *g, VarSet *x, VarSet *y)
+{
+    edge_t eq, er, q_d, nfq, nfr, nr_d, ey, t;
+    if (ctx_exists(g, g->q, x, &eq) < 0 || ctx_exists(g, g->r, x, &er) < 0
+        || and_top(&g->k, eq, er, &q_d) < 0
+        || ctx_exists(g, g->q ^ 1, x, &nfq) < 0
+        || ctx_exists(g, g->r ^ 1, x, &nfr) < 0
+        || and_top(&g->k, nfq, nfr, &nr_d) < 0
+        || ctx_exists(g, nr_d ^ 1, y, &ey) < 0
+        || and_top(&g->k, q_d, ey, &t) < 0)
+        return -1;
+    return t == 0;
+}
+
+/* checks.exor_decomposable_single(isf, x, y).  1 / 0 / -1. */
+static int
+exor1_check(Group *g, VarSet *x, VarSet *y)
+{
+    PyObject *key, *hit;
+    int rc;
+
+    g->check_calls++;
+    if (memo_probe(g, g->verdicts, x, y, &key, &hit) < 0)
+        return -1;
+    if (hit != NULL)
+        return verdict_of(key, hit);
+    rc = theorem2(g, x, y);
+    return memo_store(g->verdicts, key, Py_NewRef(rc ? Py_True : Py_False),
+                      rc);
+}
+
+/* The four component edges of a propagation result *seq*. */
+static int
+read_components(PyObject *seq, edge_t comp[4])
+{
+    PyObject *items = PySequence_Fast(seq, "components must be a sequence");
+    int i, rc = -1;
+    if (items == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(items) != 4)
+        PyErr_SetString(PyExc_ValueError, "four component edges needed");
+    else {
+        for (i = 0; i < 4; i++)
+            if (as_edge(PySequence_Fast_GET_ITEM(items, i), &comp[i]) < 0)
+                break;
+        rc = i == 4 ? 0 : -1;
+    }
+    Py_DECREF(items);
+    return rc;
+}
+
+/* The ISF constructor's overlap test on (on, off): 1 consistent,
+ * 0 overlapping, -1 on error. */
+static int
+consistent(Group *g, edge_t on, edge_t off)
+{
+    edge_t t;
+    return and_top(&g->k, on, off, &t) < 0 ? -1 : t == 0;
+}
+
+/* exor._components: the propagation's final step on its loop's result
+ * out[] = (r, acc_qa, acc_ra, acc_qb, acc_rb).  1 with comp[] set, 0 for
+ * None, -1 on error. */
+static int
+components(Group *g, VarSet *a, VarSet *b, const edge_t out[5],
+           edge_t comp[4])
+{
+    edge_t r = out[0], qa = out[1], ra = out[2], qb = out[3], rb = out[4];
+    edge_t e;
+    int rc;
+
+    if (r != 0) {
+        /* Untouched off-set points force both components to 0. */
+        if (ctx_exists(g, r, b, &e) < 0
+            || and_top(&g->k, ra ^ 1, e ^ 1, &ra) < 0)
+            return -1;
+        ra ^= 1;
+        if (ctx_exists(g, r, a, &e) < 0
+            || and_top(&g->k, rb ^ 1, e ^ 1, &rb) < 0)
+            return -1;
+        rb ^= 1;
+        if ((rc = consistent(g, qa, ra)) <= 0
+            || (rc = consistent(g, qb, rb)) <= 0)
+            return rc;
+    }
+    /* ISF(acc_qa, acc_ra), then ISF(acc_qb, acc_rb). */
+    if ((rc = consistent(g, qa, ra)) <= 0
+        || (rc = consistent(g, qb, rb)) <= 0)
+        return rc;
+    comp[0] = qa;
+    comp[1] = ra;
+    comp[2] = qb;
+    comp[3] = rb;
+    return 1;
+}
+
+/* The levels of the variables in *vars* (a list of indices). */
+static PyObject *
+levels_of(Group *g, PyObject *vars)
+{
+    Py_ssize_t n = PyList_GET_SIZE(vars), i, v;
+    PyObject *out = PyList_New(n);
+    for (i = 0; out != NULL && i < n; i++) {
+        v = PyLong_AsSsize_t(PyList_GET_ITEM(vars, i));
+        if (v < 0 || v >= PyList_GET_SIZE(g->var_to_level)) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_IndexError,
+                                "variable index out of range");
+            Py_CLEAR(out);
+            break;
+        }
+        PyList_SET_ITEM(out, i,
+                        Py_NewRef(PyList_GET_ITEM(g->var_to_level, v)));
+    }
+    return out;
+}
+
+/* exor._propagate(isf, xa, xb): the kernel's Fig. 4 loop and
+ * _components for an incompletely specified interval with a non-empty
+ * on-set, else propagate_exor through the caller's callback, with the
+ * manager as the Python loops leave it.  1 with comp[] set, 0 for None,
+ * -1 on error. */
+static int
+propagate(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b,
+          edge_t comp[4])
+{
+    PyObject *la = NULL, *lb = NULL, *drop = NULL, *res;
+    edge_t dc = 0, out[5];
+    Exor x;
+    int rc = -1;
+
+    if (g->q != 0 && and_top(&g->k, g->q ^ 1, g->r ^ 1, &dc) < 0)
+        return -1;
+    if (g->q == 0 || dc == 0) {
+        if (sync_out(&g->k) < 0)
+            return -1;
+        res = PyObject_CallFunctionObjArgs(g->propagate, xa, xb, NULL);
+        if (res == NULL)
+            return -1;
+        rc = res == Py_None ? 0 : read_components(res, comp) < 0 ? -1 : 1;
+        Py_DECREF(res);
+        return (rc < 0 || sync_in(&g->k) < 0) ? -1 : rc;
+    }
+    if ((la = PySequence_List(xa)) == NULL
+        || (lb = PySequence_List(xb)) == NULL
+        || (drop = levels_of(g, lb)) == NULL)
+        goto out;
+    if (exor_init(&x, &g->k, g->intern, g->cache, la, lb, drop) == 0
+        && (rc = exor_loop(&x, g->q, g->r, out)) == 1)
+        rc = components(g, a, b, out, comp);
+    exor_release(&x);
+out:
+    Py_XDECREF(la);
+    Py_XDECREF(lb);
+    Py_XDECREF(drop);
+    return rc;
+}
+
+/* Raise the ISF constructor's InconsistentISF. */
+static void
+raise_inconsistent(void)
+{
+    PyObject *mod = PyImport_ImportModule("repro.boolfn.isf"), *exc;
+    if (mod == NULL)
+        return;
+    exc = PyObject_GetAttrString(mod, "InconsistentISF");
+    Py_DECREF(mod);
+    if (exc != NULL) {
+        PyErr_SetString(exc, "on-set and off-set overlap");
+        Py_DECREF(exc);
+    }
+}
+
+/* exor.check_exor_bidecomp(isf, xa, xb) for a growth candidate: the
+ * verdict memo (a hit rebuilds the two component ISFs), the set-lifted
+ * Theorem 2 filter for an incompletely specified ISF, then Fig. 4.
+ * 1 decomposable, 0 not, -1 on error. */
+static int
+exor_bidecomp(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b)
+{
+    PyObject *key, *hit;
+    edge_t dc, comp[4];
+    int rc;
+
+    g->check_calls++;
+    if (memo_probe(g, g->exor_memo, a, b, &key, &hit) < 0)
+        return -1;
+    if (hit != NULL) {
+        rc = 0;
+        if (hit != Py_False) {
+            rc = read_components(hit, comp);
+            if (rc == 0 && (rc = consistent(g, comp[0], comp[1])) == 1)
+                rc = consistent(g, comp[2], comp[3]);
+            if (rc == 0) {
+                raise_inconsistent();
+                rc = -1;
+            }
+        }
+        Py_DECREF(key);
+        Py_DECREF(hit);
+        return rc;
+    }
+    rc = and_top(&g->k, g->q ^ 1, g->r ^ 1, &dc) < 0 ? -1 : 1;
+    if (rc == 1 && dc != 0 && (rc = theorem2(g, a, b)) == 1)
+        rc = theorem2(g, b, a);
+    if (rc == 1)
+        rc = propagate(g, xa, xb, a, b, comp);
+    if (rc < 0) {
+        Py_DECREF(key);
+        return -1;
+    }
+    return memo_store(g->exor_memo, key,
+                      rc ? Py_BuildValue("(KKKK)", (unsigned long long)comp[0],
+                                         (unsigned long long)comp[1],
+                                         (unsigned long long)comp[2],
+                                         (unsigned long long)comp[3])
+                         : Py_NewRef(Py_False), rc);
+}
+
+/* exor.exor_decomposable(isf, xa, xb): for an incompletely specified
+ * ISF the pairwise Theorem 2 filter, in the sets' iteration order, then
+ * check_exor_bidecomp, which normalises the sets. */
+static int
+exor_set_check(Group *g, PyObject *xa, PyObject *xb)
+{
+    VarSet a = {NULL, NULL, NULL, NULL, -1}, b = {NULL, NULL, NULL, NULL, -1};
+    PyObject *la = NULL, *lb = NULL;
+    Py_ssize_t i, j;
+    edge_t dc;
+    int rc = -1;
+
+    /* isf.is_completely_specified(): Q | R == 1. */
+    if (and_top(&g->k, g->q ^ 1, g->r ^ 1, &dc) < 0)
+        return -1;
+    if (dc != 0) {
+        if ((la = PySequence_List(xa)) == NULL
+            || (lb = PySequence_List(xb)) == NULL)
+            goto done;
+        for (i = 0; i < PyList_GET_SIZE(la); i++) {
+            for (j = 0; j < PyList_GET_SIZE(lb); j++) {
+                VarSet *x = singleton(g, PyList_GET_ITEM(la, i));
+                VarSet *y = x ? singleton(g, PyList_GET_ITEM(lb, j)) : NULL;
+                if (y == NULL || (rc = exor1_check(g, x, y)) <= 0)
+                    goto done;
+            }
+        }
+    }
+    rc = -1;
+    if ((a.key = ctx_varset(g, xa)) != NULL
+        && (b.key = ctx_varset(g, xb)) != NULL)
+        rc = exor_bidecomp(g, xa, xb, &a, &b);
+done:
+    Py_XDECREF(la);
+    Py_XDECREF(lb);
+    varset_clear(&a);
+    varset_clear(&b);
+    return rc;
+}
+
+/* The gate's check on the variable sets xa and xb (Python sets). */
+static int
+set_check(Group *g, PyObject *xa, PyObject *xb)
+{
+    VarSet a = {NULL, NULL, NULL, NULL, -1}, b = {NULL, NULL, NULL, NULL, -1};
+    int rc = -1;
+
+    if (g->propagate != NULL)
+        return exor_set_check(g, xa, xb);
+    if ((a.key = ctx_varset(g, xa)) != NULL
+        && (b.key = ctx_varset(g, xb)) != NULL)
+        rc = or_check(g, &a, &b);
+    varset_clear(&a);
+    varset_clear(&b);
+    return rc;
+}
+
+/* find_initial_grouping's scan (Fig. 5): the first pair (x, y) whose
+ * singletons pass the gate's pair check, x before y for OR and AND.
+ * 1 with *ix / *iy set, 0 when none does, -1 on error. */
+static int
+pair_scan(Group *g, PyObject *support, const Py_ssize_t *var,
+          Py_ssize_t *ix, Py_ssize_t *iy)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(support), i, j;
+    VarSet *x, *y;
+    int rc;
+
+    for (i = 0; i < n; i++) {
+        for (j = g->propagate != NULL ? 0 : i + 1; j < n; j++) {
+            if (var[j] == var[i])
+                continue;
+            if ((x = singleton(g, PyTuple_GET_ITEM(support, i))) == NULL
+                || (y = singleton(g, PyTuple_GET_ITEM(support, j))) == NULL)
+                return -1;
+            rc = g->propagate != NULL ? exor1_check(g, x, y)
+                                      : or_check(g, x, y);
+            if (rc != 0) {
+                *ix = i;
+                *iy = j;
+                return rc;
+            }
+        }
+    }
+    return 0;
+}
+
+/* s | {z}, as the Python expression builds it. */
+static PyObject *
+with_var(PyObject *s, PyObject *z)
+{
+    PyObject *zs = PySet_New(NULL), *res = NULL;
+    if (zs != NULL && PySet_Add(zs, z) == 0)
+        res = PyNumber_Or(s, zs);
+    Py_XDECREF(zs);
+    return res;
+}
+
+/* group_variables' growth (Fig. 6) from the seeds xa and xb: each
+ * remaining variable goes to the smaller set first, else the other. */
+static int
+grow_sets(Group *g, PyObject *support, PyObject *xa, PyObject *xb)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(support), i;
+    PyObject *z, *first, *second, *grown;
+    int rc;
+
+    for (i = 0; i < n; i++) {
+        z = PyTuple_GET_ITEM(support, i);
+        if ((rc = PySet_Contains(xa, z)) == 0)
+            rc = PySet_Contains(xb, z);
+        if (rc < 0)
+            return -1;
+        if (rc)
+            continue;
+        if (PySet_GET_SIZE(xa) <= PySet_GET_SIZE(xb)) {
+            first = xa;
+            second = xb;
+        }
+        else {
+            first = xb;
+            second = xa;
+        }
+        if ((grown = with_var(first, z)) == NULL)
+            return -1;
+        rc = set_check(g, grown, second);
+        Py_DECREF(grown);
+        if (rc < 0)
+            return -1;
+        if (rc) {
+            if (PySet_Add(first, z) < 0)
+                return -1;
+            continue;
+        }
+        if ((grown = with_var(second, z)) == NULL)
+            return -1;
+        rc = set_check(g, first, grown);
+        Py_DECREF(grown);
+        if (rc < 0 || (rc && PySet_Add(second, z) < 0))
+            return -1;
+    }
+    return 0;
+}
 
 /* ------------------------------------------------------------------ */
 /* Minato-Morreale ISOP                                                */
@@ -1795,11 +2428,11 @@ PyDoc_STRVAR(exor_doc,
 static PyObject *
 py_propagate_exor(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    Kernel k;
     Exor x;
     edge_t q, r, out[5];
-    Py_ssize_t ct_max, i, n;
-    PyObject *drop_seq = NULL, *result = NULL;
-    long long lv;
+    Py_ssize_t ct_max;
+    PyObject *result = NULL;
     int rc;
 
     (void)self;
@@ -1816,49 +2449,22 @@ py_propagate_exor(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     ct_max = PyLong_AsSsize_t(args[8]);
     if (ct_max == -1 && PyErr_Occurred())
         return NULL;
-    memset(&x, 0, sizeof(x));
-    x.a.vars = args[3];
-    x.b.vars = args[4];
-    x.a.n = x.b.n = -1;
-    x.intern = args[6];
-    x.cache = (Table *)args[7];
-    if (kernel_open(&x.k, args[0], ct_max, N_COUNTERS) < 0)
+    if (kernel_open(&k, args[0], ct_max, N_COUNTERS) < 0)
         return NULL;
-    x.ndrop = PyList_GET_SIZE(x.k.unique);
-    x.drop = PyMem_Calloc((size_t)x.ndrop + 1, 1);
-    drop_seq = PySequence_Fast(args[5], "drop must be a sequence");
-    if (x.drop == NULL || drop_seq == NULL) {
-        if (x.drop == NULL)
-            PyErr_NoMemory();
-        goto out;
+    if (exor_init(&x, &k, args[6], (Table *)args[7], args[3], args[4],
+                  args[5]) == 0) {
+        rc = exor_loop(&x, q, r, out);
+        if (rc == 1)
+            result = Py_BuildValue("(KKKKK)", (unsigned long long)out[0],
+                                   (unsigned long long)out[1],
+                                   (unsigned long long)out[2],
+                                   (unsigned long long)out[3],
+                                   (unsigned long long)out[4]);
+        else if (rc == 0)
+            result = Py_NewRef(Py_None);
     }
-    n = PySequence_Fast_GET_SIZE(drop_seq);
-    for (i = 0; i < n; i++) {
-        lv = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(drop_seq, i));
-        if (lv == -1 && PyErr_Occurred())
-            goto out;
-        if (lv < 0 || lv >= x.ndrop) {
-            PyErr_SetString(PyExc_IndexError, "BDD level out of range");
-            goto out;
-        }
-        x.drop[lv] = 1;
-    }
-    rc = exor_loop(&x, q, r, out);
-    if (rc == 1)
-        result = Py_BuildValue("(KKKKK)", (unsigned long long)out[0],
-                               (unsigned long long)out[1],
-                               (unsigned long long)out[2],
-                               (unsigned long long)out[3],
-                               (unsigned long long)out[4]);
-    else if (rc == 0)
-        result = Py_NewRef(Py_None);
-out:
-    result = kernel_close(&x.k, result);
-    PyMem_Free(x.drop);
-    Py_XDECREF(drop_seq);
-    PyMem_Free(x.a.levels);
-    PyMem_Free(x.b.levels);
-    return result;
+    exor_release(&x);
+    return kernel_close(&k, result);
 }
 
 PyDoc_STRVAR(isop_doc,
@@ -1928,6 +2534,159 @@ out:
     return result;
 }
 
+/* Add the context counter deltas to *counters*, keeping a pending
+ * exception: the Python loops count a probe before it can raise. */
+static int
+add_counts(Group *g, PyObject *counters)
+{
+    PyObject *names[3] = {s_check_calls, s_cache_hits, s_exists_calls};
+    long long delta[3] = {g->check_calls, g->cache_hits, g->exists_calls};
+    PyObject *type, *value, *tb, *v;
+    long long old;
+    int i, rc = 0;
+
+    PyErr_Fetch(&type, &value, &tb);
+    for (i = 0; i < 3 && rc == 0; i++) {
+        if (delta[i] == 0)
+            continue;
+        rc = get_ll(counters, names[i], &old);
+        if (rc == 0 && (v = PyLong_FromLongLong(old + delta[i])) != NULL) {
+            rc = PyObject_SetAttr(counters, names[i], v);
+            Py_DECREF(v);
+        }
+        else
+            rc = -1;
+    }
+    if (type != NULL) {
+        if (rc < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, tb);
+    }
+    return rc;
+}
+
+PyDoc_STRVAR(group_doc,
+"group_variables(mgr, q, r, support, intern, cache, memos, propagate,\n"
+"                counters, ct_max)\n\n"
+"repro.decomp.grouping.group_variables for the ISF (q, r), complemented\n"
+"for AND: the Fig. 5 pair scan and the Fig. 6 growth.  *support* is a\n"
+"tuple of variable indices, *intern* and *cache* as for propagate_exor.\n"
+"*memos* holds the CheckContext dicts it reads and fills: the variable\n"
+"sets, the exists memo, the Theorem 1 (OR, AND) or Theorem 2 (EXOR)\n"
+"verdicts and, for EXOR, the Fig. 4 verdicts (else None).  For EXOR,\n"
+"propagate(xa, xb) runs propagate_exor where the kernel loop does not\n"
+"apply and returns None or the four component edges; it is None for OR\n"
+"and AND.  Returns (xa, xb) frozensets or None, and adds its\n"
+"check_calls, cache_hits and exists_calls to *counters*, also when it\n"
+"raises.");
+
+static PyObject *
+py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Group g;
+    PyObject *support, *memos, *xa = NULL, *xb = NULL, *result = NULL;
+    Py_ssize_t ct_max, n, i, ix, iy, *var = NULL;
+    int rc;
+
+    (void)self;
+    if (nargs != 10) {
+        PyErr_SetString(PyExc_TypeError, "group_variables takes 10 arguments");
+        return NULL;
+    }
+    support = args[3];
+    memos = args[6];
+    if (!PyTuple_Check(support)) {
+        PyErr_SetString(PyExc_TypeError, "support must be a tuple");
+        return NULL;
+    }
+    if (Py_TYPE(args[5]) != &TableType) {
+        PyErr_SetString(PyExc_TypeError, "exists memo must be a Table");
+        return NULL;
+    }
+    if (!PyTuple_Check(memos) || PyTuple_GET_SIZE(memos) != 4) {
+        PyErr_SetString(PyExc_TypeError, "memos must be a 4-tuple");
+        return NULL;
+    }
+    for (i = 0; i < 4; i++) {
+        if (!PyDict_Check(PyTuple_GET_ITEM(memos, i))
+            && (i < 3 || args[7] != Py_None)) {
+            PyErr_SetString(PyExc_TypeError, "context memos must be dicts");
+            return NULL;
+        }
+    }
+    memset(&g, 0, sizeof(g));
+    if (arg_edge(args[1], &g.q) < 0 || arg_edge(args[2], &g.r) < 0)
+        return NULL;
+    ct_max = PyLong_AsSsize_t(args[9]);
+    if (ct_max == -1 && PyErr_Occurred())
+        return NULL;
+    n = PyTuple_GET_SIZE(support);
+    var = PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)(n + 1));
+    if (var == NULL)
+        return PyErr_NoMemory();
+    for (i = 0; i < n; i++) {
+        var[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(support, i));
+        if (var[i] == -1 && PyErr_Occurred()) {
+            PyMem_Free(var);
+            return NULL;
+        }
+        if (var[i] < 0) {
+            PyMem_Free(var);
+            PyErr_SetString(PyExc_IndexError, "variable index out of range");
+            return NULL;
+        }
+        if (var[i] >= g.nsingle)
+            g.nsingle = var[i] + 1;
+    }
+    g.intern = args[4];
+    g.cache = (Table *)args[5];
+    g.varsets = PyTuple_GET_ITEM(memos, 0);
+    g.exists_memo = PyTuple_GET_ITEM(memos, 1);
+    g.verdicts = PyTuple_GET_ITEM(memos, 2);
+    g.exor_memo = PyTuple_GET_ITEM(memos, 3);
+    g.propagate = args[7] == Py_None ? NULL : args[7];
+    g.single = PyMem_Calloc((size_t)g.nsingle + 1, sizeof(VarSet));
+    if (g.single == NULL) {
+        PyMem_Free(var);
+        return PyErr_NoMemory();
+    }
+    for (i = 0; i < g.nsingle; i++)
+        g.single[i].n = -1;
+    if ((g.qr[0] = PyLong_FromUnsignedLongLong(g.q)) == NULL
+        || (g.qr[1] = PyLong_FromUnsignedLongLong(g.r)) == NULL
+        || (g.var_to_level = get_typed(args[0], s_var_to_level,
+                                       &PyList_Type)) == NULL
+        || kernel_open(&g.k, args[0], ct_max, N_COUNTERS) < 0)
+        goto out;
+    rc = pair_scan(&g, support, var, &ix, &iy);
+    if (rc == 0)
+        result = Py_NewRef(Py_None);
+    else if (rc > 0
+             && (xa = PySet_New(g.single[var[ix]].key)) != NULL
+             && (xb = PySet_New(g.single[var[iy]].key)) != NULL
+             && grow_sets(&g, support, xa, xb) == 0) {
+        /* frozenset(xa), frozenset(xb) */
+        Py_SETREF(xa, PyFrozenSet_New(xa));
+        Py_SETREF(xb, xa != NULL ? PyFrozenSet_New(xb) : NULL);
+        if (xb != NULL)
+            result = PyTuple_Pack(2, xa, xb);
+    }
+    result = kernel_close(&g.k, result);
+out:
+    if (add_counts(&g, args[8]) < 0)
+        Py_CLEAR(result);
+    Py_XDECREF(g.var_to_level);
+    Py_XDECREF(xa);
+    Py_XDECREF(xb);
+    Py_XDECREF(g.qr[0]);
+    Py_XDECREF(g.qr[1]);
+    for (i = 0; i < g.nsingle; i++)
+        varset_clear(&g.single[i]);
+    PyMem_Free(g.single);
+    PyMem_Free(var);
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"and_", (PyCFunction)(void (*)(void))py_and, METH_FASTCALL, and_doc},
     {"exists", (PyCFunction)(void (*)(void))py_exists, METH_FASTCALL,
@@ -1935,6 +2694,8 @@ static PyMethodDef kernel_methods[] = {
     {"propagate_exor", (PyCFunction)(void (*)(void))py_propagate_exor,
      METH_FASTCALL, exor_doc},
     {"isop", (PyCFunction)(void (*)(void))py_isop, METH_FASTCALL, isop_doc},
+    {"group_variables", (PyCFunction)(void (*)(void))py_group_variables,
+     METH_FASTCALL, group_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1960,6 +2721,9 @@ PyInit__kernel(void)
         {&s_growth_interval, "_growth_interval"},
         {&s_ct_ite, "_ct_ite"}, {&s_level_to_var, "_level_to_var"},
         {&s_literals, "literals"},
+        {&s_check_calls, "check_calls"}, {&s_cache_hits, "cache_hits"},
+        {&s_exists_calls, "exists_calls"},
+        {&s_var_to_level, "_var_to_level"},
     };
     PyObject *module;
     size_t i;

@@ -1,9 +1,10 @@
 """Loader for the BDD kernel's C inner loops and tables (``_kernel.c``).
 
 ``BDD.and_``'s miss path, ``quantify._exists_iter``, Fig. 4's EXOR
-propagation and the ISOP walk of ``repro.bdd.isop`` run in C when this
+propagation, the ISOP walk of ``repro.bdd.isop`` and the variable
+grouping of ``repro.decomp.grouping`` (Figs. 5 and 6) run in C when this
 module could build and load ``_kernel.c``; otherwise they run as Python
-loops, which produce the same edges, arena and counters.  The
+loops, which produce the same edges, arena, counters and caches.  The
 manager's unique tables, its AND / XOR computed tables and the exists
 memo are then :data:`Table` objects, which the C walks probe without
 boxing a key; on the fallback they are dicts.

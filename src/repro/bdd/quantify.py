@@ -32,7 +32,9 @@ extension (the fused ``and_exists`` walk stays in Python); the Python
 loop in :func:`_exists_iter` is the fallback and the differential
 tests' reference, and both leave the same memo entries and counters.
 :func:`exor_propagation` hands the whole loop of Fig. 4's EXOR
-propagation, its exists calls included, to the C kernel in one call.
+propagation, its exists calls included, to the C kernel in one call,
+and :func:`variable_grouping` does the same for the variable grouping
+of Figs. 5 and 6.
 Its memo ``_cache_exists`` is a :data:`repro.bdd.native.Table` (int
 keys, edge values), which the C walk probes without boxing; the fused
 walk's memo keeps a dict, because its keys outgrow 64 bits.
@@ -180,13 +182,47 @@ def exor_propagation(mgr, q: Edge, r: Edge, xa, xb):
     projection, so edges, arena, counters and suffix ids come out the
     same.  Only for a manager with :attr:`BDD.native` set.
     """
+    return mgr._kernel.propagate_exor(
+        mgr, q, r, xa, xb, [mgr.level_of_var(v) for v in xb],
+        _interner(mgr), _cache(mgr, "_cache_exists", native.Table),
+        _manager._CT_MAX)
+
+
+def variable_grouping(mgr, q: Edge, r: Edge, support, memos, counters,
+                      propagate=None):
+    """Figs. 5 and 6's variable grouping as one C kernel call.
+
+    Runs :func:`repro.decomp.grouping.group_variables` on the ISF with
+    on-set *q* and off-set *r* (the complemented ISF's for the AND
+    gate): the pair scan, then the greedy growth.  *support* is a tuple
+    of variable indices.  *memos* holds the
+    :class:`~repro.decomp.context.CheckContext` dicts the checks read
+    and fill, in the order variable sets, quantifications, Theorem 1
+    (OR, AND) or Theorem 2 (EXOR) verdicts, and for EXOR Fig. 4
+    verdicts (else ``None``); the kernel probes and fills them as the
+    Python checks do.  For EXOR, *propagate(xa, xb)* runs
+    :func:`repro.decomp.exor.propagate_exor` where the kernel's loop
+    does not apply (an empty on-set or no don't-cares), returning
+    ``None`` or the four component edges.  Returns ``(xa, xb)``
+    frozensets or ``None`` and adds the probes' ``check_calls``,
+    ``cache_hits`` and ``exists_calls`` to *counters*, also when a
+    growth hook raises.  The C loop repeats the Python one call for
+    call, so edges, arena, counters, suffix ids and memo entries come
+    out the same.  Only for a manager with :attr:`BDD.native` set.
+    """
+    return mgr._kernel.group_variables(
+        mgr, q, r, support, _interner(mgr),
+        _cache(mgr, "_cache_exists", native.Table), memos, propagate,
+        counters, _manager._CT_MAX)
+
+
+def _interner(mgr):
+    """``intern(variables) -> (levels, suffix ids)`` for the C entries,
+    interning a set as :func:`exists` does on its first call."""
     def intern(variables):
         levels = _levels_token(mgr, variables)
         return levels, (_suffixes(mgr, levels)[1] if levels else ())
-
-    return mgr._kernel.propagate_exor(
-        mgr, q, r, xa, xb, [mgr.level_of_var(v) for v in xb], intern,
-        _cache(mgr, "_cache_exists", native.Table), _manager._CT_MAX)
+    return intern
 
 
 def forall(mgr, variables, f: Edge) -> Edge:

@@ -33,6 +33,13 @@ ecosystem, and DESIGN.md section 9 records the measurement where the
 fused ``and_exists`` walks lost to them.  The closed forms are restated
 independently in :func:`repro.analysis.certify.theorem_residue`, which
 the ``--check`` contracts and the offline certifier re-prove through.
+
+:func:`or_decomposable`, :func:`and_decomposable` and
+:func:`exor_decomposable_single` are also restated in C: on a manager
+that runs the C inner loops, variable grouping makes these same calls,
+on the same context caches and in the same order, inside one kernel
+call (:func:`repro.bdd.variable_grouping`), so during grouping the
+functions here run only on the Python loops.
 """
 
 from repro.bdd.function import Function

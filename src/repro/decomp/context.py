@@ -18,10 +18,12 @@ makes the probes share work at two levels:
 
 2. **Check-result caches.**  The checks themselves are pure functions
    of ``(Q, R, XA, XB)`` packed edges and variable sets, so their
-   outcomes memoise exactly: the Theorem 2 singleton verdicts that
-   Fig. 5 scans and :func:`repro.decomp.exor.exor_decomposable`'s
-   pairwise filter keep re-testing, the Theorem 1 verdicts, and —
-   the big one on EXOR-heavy benchmarks — the entire Fig. 4
+   outcomes memoise exactly: the Theorem 2 singleton verdicts, which
+   :func:`repro.decomp.exor.exor_decomposable`'s pairwise filter keeps
+   re-testing during the growth (Fig. 5's scan probes each pair once),
+   the Theorem 1 verdicts (which only a repeated grouping, under
+   ``exhaustive_grouping`` or with the component cache off, hits), and
+   — the big one on EXOR-heavy benchmarks — the entire Fig. 4
    propagation result, which the greedy growth loop probes and
    :meth:`DecompositionEngine._find_strong_step` then re-runs
    verbatim on the chosen grouping.
@@ -47,6 +49,11 @@ the win is measurable by deterministic operation counts.
 The AND dual needs no special handling: ``and_decomposable`` checks the
 complemented ISF, whose on/off nodes are the same edges with roles
 swapped, so OR and AND probes share cache entries automatically.
+
+On a manager that runs the C inner loops,
+:func:`repro.decomp.grouping.group_variables` runs its checks in one C
+kernel call that reads and fills these same dicts (:meth:`memo`) in the
+same order and adds its probes to the same three counters.
 """
 
 from repro.bdd import exists as _exists
@@ -86,6 +93,13 @@ class CheckContext:
             setattr(self.mgr, name, cache)
         return cache
 
+    def memo(self, kind):
+        """The manager-hosted cache ``_cache_ctx_<kind>``: ``varset``
+        (normalised variable sets), ``exists`` (quantifications) or the
+        verdict memo of a check kind (``or``, ``exor1``, ``exor``),
+        created on first use."""
+        return self._dict("_cache_ctx_" + kind)
+
     def _varset(self, variables):
         """Frozenset of the variable indices in *variables*.
 
@@ -94,7 +108,7 @@ class CheckContext:
         normalises the same few variable sets.
         """
         key = tuple(variables)
-        cache = self._dict("_cache_ctx_varset")
+        cache = self.memo("varset")
         varset = cache.get(key)
         if varset is None:
             mgr = self.mgr
@@ -108,7 +122,7 @@ class CheckContext:
         vs = self._varset(variables)
         if not vs:
             return node
-        cache = self._dict("_cache_ctx_exists")
+        cache = self.memo("exists")
         key = (node, vs)
         result = cache.get(key)
         if result is not None:
@@ -135,7 +149,7 @@ class CheckContext:
         verdict and returns it.
         """
         key = (q, r, self._varset(xa), self._varset(xb))
-        cache = self._dict("_cache_ctx_" + kind)
+        cache = self.memo(kind)
         value = cache.get(key)
         if value is not None:
             self.cache_hits += 1

@@ -18,6 +18,11 @@ loop to one C kernel call (:func:`repro.bdd.exor_propagation`), which
 repeats it call for call, so edges, nodes and counters do not depend on
 which one ran; :func:`propagate_exor` stays the fallback, the
 differential tests' reference and the path of the ``--check`` contract.
+Variable grouping's growth on such a manager repeats
+:func:`exor_decomposable` and :func:`check_exor_bidecomp` in its own
+kernel call (:func:`repro.bdd.variable_grouping`) and calls back into
+:func:`propagate_exor` only where the check would not hand the loop to
+the kernel.
 
 The propagation is exact for the check; the recursive decomposition
 re-derives component B from the chosen CSF f_A afterwards (see

@@ -13,12 +13,21 @@ bi-decomposition feasible:
    more variables in ``XA | XB`` is better, balance breaks ties, and
    the fixed gate order OR, AND, EXOR breaks exact ties (Fig. 7's
    FindBestVariableGrouping).
+
+On a manager that runs the C inner loops, :func:`group_variables`
+hands the pair scan and the growth of one gate to a single C kernel
+call (:func:`repro.bdd.variable_grouping`), which repeats the Python
+loops below call for call on the same context caches and counters.
+The Python loops stay the fallback, the differential tests' reference
+and the path of a support given by variable names;
+:func:`improve_grouping` always runs them.
 """
 
+from repro.bdd import variable_grouping
 from repro.decomp import checks
 from repro.decomp.context import CheckContext
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
-from repro.decomp.exor import exor_decomposable
+from repro.decomp.exor import exor_decomposable, propagate_exor
 
 
 def _set_checker(isf, gate, ctx):
@@ -77,9 +86,16 @@ def group_variables(isf, support, gate, ctx=None):
     Returns ``(xa, xb)`` frozensets or ``None``.  Each remaining
     variable is offered to the currently smaller set first, keeping the
     sets balanced; a variable that fits neither set is dropped into the
-    common set XC (implicitly, by not being added).
+    common set XC (implicitly, by not being added).  A support of
+    variable indices on a C manager runs as one kernel call
+    (:func:`_group_variables_native`).
     """
     ctx = ctx or CheckContext(isf.mgr)
+    support = tuple(support)  # scanned by the pair seed, then grown over
+    mgr = isf.mgr
+    if mgr.native and all(type(v) is int and 0 <= v < mgr.num_vars
+                          for v in support):
+        return _group_variables_native(isf, support, gate, ctx)
     initial = find_initial_grouping(isf, support, gate, ctx)
     if initial is None:
         return None
@@ -99,6 +115,39 @@ def group_variables(isf, support, gate, ctx=None):
     return frozenset(xa), frozenset(xb)
 
 
+def _group_variables_native(isf, support, gate, ctx):
+    """:func:`group_variables` as one C kernel call.
+
+    :func:`repro.bdd.variable_grouping` repeats the pair scan and the
+    growth call for call on *ctx*'s caches and counters, the EXOR
+    growth's :func:`exor_decomposable` included; it calls back into
+    :func:`propagate_exor` only where :func:`check_exor_bidecomp` would
+    not hand Fig. 4's loop to the kernel.
+    """
+    exor_memo = propagate = None
+    if gate == EXOR_GATE:
+        kind, exor_memo = "exor1", ctx.memo("exor")
+
+        def propagate(xa, xb):
+            result = propagate_exor(isf, xa, xb, ctx)
+            if result is None:
+                return None
+            isf_a, isf_b = result
+            return (isf_a.on.node, isf_a.off.node,
+                    isf_b.on.node, isf_b.off.node)
+    elif gate in (OR_GATE, AND_GATE):
+        kind = "or"
+        if gate == AND_GATE and len(set(support)) > 1:
+            # and_decomposable's first probe builds the complement.
+            isf = isf.complement()
+    else:
+        raise ValueError("unknown gate %r" % gate)
+    memos = (ctx.memo("varset"), ctx.memo("exists"), ctx.memo(kind),
+             exor_memo)
+    return variable_grouping(isf.mgr, isf.on.node, isf.off.node, support,
+                             memos, ctx, propagate)
+
+
 def improve_grouping(isf, support, gate, xa, xb, ctx=None):
     """Section 5's experimental refinement: exclude-one, add-many.
 
@@ -110,6 +159,7 @@ def improve_grouping(isf, support, gate, xa, xb, ctx=None):
     so the ablation benchmark can reproduce the trade-off.
     """
     ctx = ctx or CheckContext(isf.mgr)
+    support = tuple(support)  # re-scanned for every excluded variable
     check = _set_checker(isf, gate, ctx)
     xa, xb = set(xa), set(xb)
     improved = True

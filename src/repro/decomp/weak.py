@@ -30,6 +30,7 @@ def find_weak_grouping(isf, support, max_vars=1, ctx=None):
     ablation benchmark that reproduces that finding.
     """
     ctx = ctx or CheckContext(isf.mgr)
+    support = tuple(support)  # read once per candidate and per round
     best = _best_single(isf, support, ctx)
     if best is None or max_vars <= 1:
         return best

@@ -1,5 +1,6 @@
 """Tests for the SIS-like and BDS-like baseline synthesisers."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.baselines import bds_like_synthesize, sis_like_synthesize
@@ -116,3 +117,13 @@ class TestBdsLike:
         f = parse(mgr, "s & a | ~s & b")
         result = bds_like_synthesize({"f": f})
         verify_against_isfs(result.netlist, {"f": f})
+
+
+@pytest.mark.parametrize("flow", [sis_like_synthesize, bds_like_synthesize],
+                         ids=["sis", "bds"])
+def test_empty_specs_raise_value_error(flow):
+    # As bi_decompose does: an empty dict names the flow, rather than
+    # escaping as a StopIteration from picking the first spec's manager.
+    with pytest.raises(ValueError, match=flow.__name__):
+        flow({})
+

@@ -387,6 +387,18 @@ class TestOtherCommands:
             assert "unrecognized arguments" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flow", ["sis", "bds"])
+    def test_baseline_with_no_outputs_exits_2(self, tmp_path, flow, capsys):
+        # A PLA with `.o 0` parses to an empty spec dict: one error
+        # line and exit 2, not a StopIteration traceback.
+        pla = tmp_path / "zero.pla"
+        pla.write_text(".i 2\n.o 0\n.e\n")
+        assert main(["baseline", str(pla), "--flow", flow],
+                    stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_stats_keeps_the_store_label(self, pla_path, tmp_path):
         # stats has no --model: its store merge keeps the label that
         # decompose --model wrote.

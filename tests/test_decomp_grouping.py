@@ -1,13 +1,15 @@
 """Tests for variable grouping (Figs. 5 and 6) and grouping selection."""
 
+import pytest
 from hypothesis import given, settings
 
-from repro.bdd import BDD
+from repro.bdd import BDD, native
 from repro.boolfn import ISF, parse, weight_set
 from repro.decomp import (AND_GATE, EXOR_GATE, OR_GATE, and_decomposable,
                           exor_decomposable, find_best_grouping,
                           find_initial_grouping, group_variables,
-                          grouping_score, or_decomposable)
+                          grouping_score, improve_grouping,
+                          or_decomposable)
 
 from conftest import build_isf, isf_strategy, make_mgr
 
@@ -83,6 +85,34 @@ class TestGroupVariables:
         xa, xb = group_variables(isf, isf.structural_support(), EXOR_GATE)
         assert len(xa) + len(xb) == 6
         assert abs(len(xa) - len(xb)) <= 1
+
+    @pytest.mark.parametrize("python_loops", [False, True],
+                             ids=["native", "python-loops"])
+    @pytest.mark.parametrize("wrap", [tuple, iter, set],
+                             ids=["tuple", "iterator", "set"])
+    def test_support_is_read_once(self, wrap, python_loops):
+        # The pair scan and the growth both walk the support: an
+        # iterator must not leave the growth with nothing to add.
+        mgr = make_mgr(4)
+        if python_loops:
+            native._python_loops(mgr)
+        a, b, c, d = (mgr.fn(mgr.var(v)) for v in range(4))
+        isf = ISF.from_csf(a | b | c | d)
+        assert (group_variables(isf, wrap((0, 1, 2, 3)), OR_GATE)
+                == ({0, 2}, {1, 3}))
+
+    @pytest.mark.parametrize("wrap", [iter, set], ids=["iterator", "set"])
+    def test_improve_grouping_reads_support_once(self, wrap):
+        # Each excluded variable re-scans the support; with an iterator
+        # only the first exclusion would see any candidate.
+        mgr = make_mgr(5)
+        isf = build_isf(mgr, list(range(5)), 0x1173fd5f, 0x660c0020)
+        support = (0, 1, 2, 3, 4)
+        seed = group_variables(isf, support, OR_GATE)
+        assert seed == ({0, 1}, {2})
+        improved = improve_grouping(isf, wrap(support), OR_GATE, *seed)
+        assert improved == ({0}, {2, 3, 4})
+        assert improved == improve_grouping(isf, support, OR_GATE, *seed)
 
 
 class TestBestGrouping:

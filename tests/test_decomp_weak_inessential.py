@@ -1,9 +1,12 @@
 """Tests for weak-step selection and inessential-variable removal."""
 
+import pytest
+
 from repro.bdd import BDD
 from repro.boolfn import ISF, parse
 from repro.decomp import (AND_GATE, OR_GATE, find_weak_grouping,
                           is_inessential, remove_inessential)
+from repro.decomp.context import CheckContext
 
 
 class TestWeakGrouping:
@@ -44,6 +47,23 @@ class TestWeakGrouping:
         support = isf.structural_support()
         assert find_weak_grouping(isf, support) == \
             find_weak_grouping(isf, support)
+
+    @pytest.mark.parametrize("wrap", [iter, set], ids=["iterator", "set"])
+    def test_support_is_read_once(self, wrap):
+        # The single-variable pick and every growth round walk the
+        # support: an iterator must give the growth the same candidates
+        # (and so the same probes) as a tuple.
+        probes = []
+        for wrapped in (False, True):
+            mgr = BDD(["a", "b", "c", "d"])
+            isf = ISF.from_csf(parse(mgr, "a&b | b&c | c&d | a&d"))
+            support = isf.structural_support()
+            ctx = CheckContext(mgr)
+            weak = find_weak_grouping(isf, wrap(support) if wrapped
+                                      else support, max_vars=3, ctx=ctx)
+            probes.append((weak, ctx.check_calls, ctx.cache_hits,
+                           ctx.exists_calls))
+        assert probes[0] == probes[1]
 
 
 class TestInessential:

@@ -122,9 +122,12 @@ _KERNEL_CALL = {
     "and_": ("and_", "return self._kernel.and_(self, f, g, _CT_MAX)"),
     "exists": ("_exists_iter",
                "return mgr._kernel.exists(mgr, f, levels, sids, cache,"),
+    "grouping": ("variable_grouping",
+                 "return mgr._kernel.group_variables("),
 } if native.ACTIVE else {
     "and_": ("and_", "self._growth_hook(self)"),
     "exists": ("and_", "self._growth_hook(self)"),
+    "grouping": ("and_", "self._growth_hook(self)"),
 }
 
 
@@ -156,14 +159,15 @@ class TestLimits:
 
     def test_node_limit_trips_inside_the_kernel_walk(self):
         # One node over the built specs: the first growth-hook check
-        # fires inside an AND walk — the C loop where it is loaded.
+        # fires inside an AND walk of the first variable grouping — the
+        # grouping's C entry where it is loaded, else the Python AND loop.
         mgr, specs = get("9sym").build()
         session = Session(PipelineConfig(max_nodes=mgr.live_count() + 1),
                           mgr=mgr)
         with pytest.raises(NodeLimitExceeded) as info:
             Pipeline.standard().run(
                 session, PipelineInput(mgr=mgr, specs=specs))
-        assert _hook_caller(info) == _KERNEL_CALL["and_"]
+        assert _hook_caller(info) == _KERNEL_CALL["grouping"]
         assert info.value.stage == "decompose"
 
     @pytest.mark.parametrize("op", ["and_", "exists"])
