@@ -135,7 +135,7 @@ def test_exor_gates_pay_for_themselves(strong_weak, name):
     assert row["full"]["area"] <= row["no_exor"]["area"]
 
 
-# -- Sections 5 and 7: tuning knobs -----------------------------------
+# -- Section 5: grouping refinement -----------------------------------
 @pytest.mark.parametrize("name", ("9sym", "rd84", "misex1", "alu2"))
 def test_grouping_refinement_moves_area_little(tuning, name):
     # Section 5: "<3 %" in the paper; within 10 % on our stand-ins.
@@ -143,11 +143,3 @@ def test_grouping_refinement_moves_area_little(tuning, name):
     refined = tuning[name]["refined_grouping"]["area"]
     assert abs(refined - base) <= 0.10 * base + 10
 
-
-@pytest.mark.parametrize("name", ("9sym", "rd84", "misex1", "alu2"))
-def test_single_variable_weak_xa_is_best(tuning, name):
-    # Section 7: wider weak XA sets improve neither area nor delay.
-    base = tuning[name]["base"]
-    for column in ("weak_xa2", "weak_xa3"):
-        assert tuning[name][column]["area"] >= base["area"]
-        assert tuning[name][column]["delay"] >= base["delay"]

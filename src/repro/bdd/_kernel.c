@@ -1139,7 +1139,7 @@ error:
  * callback at its first projection, where quantify.exists would intern
  * it, so suffix ids come out in the Python loops' order. */
 typedef struct {
-    PyObject *vars;                 /* new ref: the list passed to intern */
+    PyObject *vars;                 /* new ref: the sequence intern gets */
     PyObject *key;                  /* new ref: its frozenset (grouping) */
     long long *levels, *sids;       /* PyMem, one block; NULL until then */
     Py_ssize_t n;                   /* -1 until interned */
@@ -1398,7 +1398,7 @@ typedef struct {
     Table *cache;                   /* borrowed: the exists memo */
     PyObject *varsets;              /* borrowed: _cache_ctx_varset */
     PyObject *exists_memo;          /* borrowed: _cache_ctx_exists */
-    PyObject *verdicts;             /* borrowed: _cache_ctx_or / _exor1 */
+    PyObject *exor1_memo;           /* borrowed: _cache_ctx_exor1 */
     PyObject *exor_memo;            /* borrowed: _cache_ctx_exor */
     PyObject *propagate;            /* borrowed; NULL for OR and AND */
     PyObject *var_to_level;         /* new ref */
@@ -1428,14 +1428,20 @@ ctx_varset(Group *g, PyObject *vars)
     return fs;
 }
 
-/* The singleton set {var} of a support variable, normalised at its
- * first use as the checks' [var] argument is. */
+/* s's key: *vars* normalised by ctx_varset, at the set's first use. */
+static int
+set_key(Group *g, VarSet *s, PyObject *vars)
+{
+    return s->key != NULL || (s->key = ctx_varset(g, vars)) != NULL ? 0 : -1;
+}
+
+/* The singleton set {var} of a support variable.  Its vars is the
+ * checks' argument (var,); set_key normalises it where they do. */
 static VarSet *
 singleton(Group *g, PyObject *var)
 {
     Py_ssize_t v = PyLong_AsSsize_t(var);
     VarSet *s;
-    PyObject *items;
     if (v == -1 && PyErr_Occurred())
         return NULL;
     if (v < 0 || v >= g->nsingle) {
@@ -1443,14 +1449,8 @@ singleton(Group *g, PyObject *var)
         return NULL;
     }
     s = &g->single[v];
-    if (s->key == NULL) {
-        if ((items = PyTuple_Pack(1, var)) == NULL)
-            return NULL;
-        s->key = ctx_varset(g, items);
-        Py_DECREF(items);
-        if (s->key == NULL)
-            return NULL;
-    }
+    if (s->vars == NULL && (s->vars = PyTuple_Pack(1, var)) == NULL)
+        return NULL;
     return s;
 }
 
@@ -1548,25 +1548,21 @@ verdict_of(PyObject *key, PyObject *hit)
     return rc;
 }
 
-/* checks.or_decomposable on (q, r): Theorem 1,
- * Q & exists(A, R) & exists(B, R) == 0.  1 / 0 / -1. */
+/* checks.or_decomposable(isf, xa, xb) on (q, r): Theorem 1,
+ * Q & exists(A, R) & exists(B, R) == 0, with each set normalised from
+ * xa / xb at its projection.  1 / 0 / -1. */
 static int
-or_check(Group *g, VarSet *a, VarSet *b)
+or_check(Group *g, VarSet *a, PyObject *xa, VarSet *b, PyObject *xb)
 {
-    PyObject *key, *hit;
-    edge_t ea, eb, t;
-    int rc;
+    edge_t e, t;
 
     g->check_calls++;
-    if (memo_probe(g, g->verdicts, a, b, &key, &hit) < 0)
+    if (set_key(g, a, xa) < 0 || ctx_exists(g, g->r, a, &e) < 0
+        || and_top(&g->k, g->q, e, &t) < 0
+        || set_key(g, b, xb) < 0 || ctx_exists(g, g->r, b, &e) < 0
+        || and_top(&g->k, t, e, &t) < 0)
         return -1;
-    if (hit != NULL)
-        return verdict_of(key, hit);
-    rc = (ctx_exists(g, g->r, a, &ea) < 0 || and_top(&g->k, g->q, ea, &t) < 0
-          || ctx_exists(g, g->r, b, &eb) < 0
-          || and_top(&g->k, t, eb, &t) < 0) ? -1 : t == 0;
-    return memo_store(g->verdicts, key, Py_NewRef(rc ? Py_True : Py_False),
-                      rc);
+    return t == 0;
 }
 
 /* Theorem 2 on the derivative ISF w.r.t. the set x, as derivative_isf
@@ -1598,13 +1594,14 @@ exor1_check(Group *g, VarSet *x, VarSet *y)
     int rc;
 
     g->check_calls++;
-    if (memo_probe(g, g->verdicts, x, y, &key, &hit) < 0)
+    if (set_key(g, x, x->vars) < 0 || set_key(g, y, y->vars) < 0
+        || memo_probe(g, g->exor1_memo, x, y, &key, &hit) < 0)
         return -1;
     if (hit != NULL)
         return verdict_of(key, hit);
     rc = theorem2(g, x, y);
-    return memo_store(g->verdicts, key, Py_NewRef(rc ? Py_True : Py_False),
-                      rc);
+    return memo_store(g->exor1_memo, key,
+                      Py_NewRef(rc ? Py_True : Py_False), rc);
 }
 
 /* The four component edges of a propagation result *seq*. */
@@ -1840,13 +1837,11 @@ static int
 set_check(Group *g, PyObject *xa, PyObject *xb)
 {
     VarSet a = {NULL, NULL, NULL, NULL, -1}, b = {NULL, NULL, NULL, NULL, -1};
-    int rc = -1;
+    int rc;
 
     if (g->propagate != NULL)
         return exor_set_check(g, xa, xb);
-    if ((a.key = ctx_varset(g, xa)) != NULL
-        && (b.key = ctx_varset(g, xb)) != NULL)
-        rc = or_check(g, &a, &b);
+    rc = or_check(g, &a, xa, &b, xb);
     varset_clear(&a);
     varset_clear(&b);
     return rc;
@@ -1871,7 +1866,7 @@ pair_scan(Group *g, PyObject *support, const Py_ssize_t *var,
                 || (y = singleton(g, PyTuple_GET_ITEM(support, j))) == NULL)
                 return -1;
             rc = g->propagate != NULL ? exor1_check(g, x, y)
-                                      : or_check(g, x, y);
+                                      : or_check(g, x, x->vars, y, y->vars);
             if (rc != 0) {
                 *ix = i;
                 *iy = j;
@@ -2572,13 +2567,12 @@ PyDoc_STRVAR(group_doc,
 "for AND: the Fig. 5 pair scan and the Fig. 6 growth.  *support* is a\n"
 "tuple of variable indices, *intern* and *cache* as for propagate_exor.\n"
 "*memos* holds the CheckContext dicts it reads and fills: the variable\n"
-"sets, the exists memo, the Theorem 1 (OR, AND) or Theorem 2 (EXOR)\n"
-"verdicts and, for EXOR, the Fig. 4 verdicts (else None).  For EXOR,\n"
-"propagate(xa, xb) runs propagate_exor where the kernel loop does not\n"
-"apply and returns None or the four component edges; it is None for OR\n"
-"and AND.  Returns (xa, xb) frozensets or None, and adds its\n"
-"check_calls, cache_hits and exists_calls to *counters*, also when it\n"
-"raises.");
+"sets, the exists memo and, for EXOR, the Theorem 2 and the Fig. 4\n"
+"verdicts (else None and None).  For EXOR, propagate(xa, xb) runs\n"
+"propagate_exor where the kernel loop does not apply and returns None\n"
+"or the four component edges; it is None for OR and AND.  Returns\n"
+"(xa, xb) frozensets or None, and adds its check_calls, cache_hits and\n"
+"exists_calls to *counters*, also when it raises.");
 
 static PyObject *
 py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -2609,7 +2603,7 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     for (i = 0; i < 4; i++) {
         if (!PyDict_Check(PyTuple_GET_ITEM(memos, i))
-            && (i < 3 || args[7] != Py_None)) {
+            && (i < 2 || args[7] != Py_None)) {
             PyErr_SetString(PyExc_TypeError, "context memos must be dicts");
             return NULL;
         }
@@ -2642,7 +2636,7 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     g.cache = (Table *)args[5];
     g.varsets = PyTuple_GET_ITEM(memos, 0);
     g.exists_memo = PyTuple_GET_ITEM(memos, 1);
-    g.verdicts = PyTuple_GET_ITEM(memos, 2);
+    g.exor1_memo = PyTuple_GET_ITEM(memos, 2);
     g.exor_memo = PyTuple_GET_ITEM(memos, 3);
     g.propagate = args[7] == Py_None ? NULL : args[7];
     g.single = PyMem_Calloc((size_t)g.nsingle + 1, sizeof(VarSet));

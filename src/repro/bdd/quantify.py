@@ -197,10 +197,10 @@ def variable_grouping(mgr, q: Edge, r: Edge, support, memos, counters,
     gate): the pair scan, then the greedy growth.  *support* is a tuple
     of variable indices.  *memos* holds the
     :class:`~repro.decomp.context.CheckContext` dicts the checks read
-    and fill, in the order variable sets, quantifications, Theorem 1
-    (OR, AND) or Theorem 2 (EXOR) verdicts, and for EXOR Fig. 4
-    verdicts (else ``None``); the kernel probes and fills them as the
-    Python checks do.  For EXOR, *propagate(xa, xb)* runs
+    and fill, in the order variable sets, quantifications, and for EXOR
+    the Theorem 2 and Fig. 4 verdicts (else ``None`` and ``None``:
+    Theorem 1 keeps no verdict memo); the kernel probes and fills them
+    as the Python checks do.  For EXOR, *propagate(xa, xb)* runs
     :func:`repro.decomp.exor.propagate_exor` where the kernel's loop
     does not apply (an empty on-set or no don't-cares), returning
     ``None`` or the four component edges.  Returns ``(xa, xb)``

@@ -44,7 +44,6 @@ def _config_from_args(args):
         use_weak=not args.no_weak,
         use_cache=not args.no_cache,
         exhaustive_grouping=args.exhaustive_grouping,
-        weak_xa_size=args.weak_xa_size,
     )
 
 
@@ -115,8 +114,6 @@ def _add_config_flags(parser):
                         help="disable the component-reuse cache")
     parser.add_argument("--exhaustive-grouping", action="store_true",
                         help="Section 5's exclude-one/add-many refinement")
-    parser.add_argument("--weak-xa-size", type=int, default=1,
-                        help="variables in the weak step's XA (paper: 1)")
 
 
 def _add_budget_flags(parser):

@@ -58,15 +58,14 @@ class DecompositionConfig:
     * ``use_cache`` — component-reuse cache of Section 6;
     * ``exhaustive_grouping`` — Section 5's exclude-one/add-many
       grouping refinement (the paper measured <3 % area gain for 2x
-      CPU; off by default, the ablation bench reproduces the claim);
-    * ``weak_xa_size`` — how many variables the weak step's XA may
-      hold (the paper settled on 1 after experimentation).
+      CPU; off by default, the ablation bench reproduces the claim).
 
     The rest of Fig. 7 is fixed, as in the paper: inessential variables
     are always removed first, groupings are scored by coverage then
-    balance (:func:`~repro.decomp.grouping.grouping_score`), and exact
+    balance (:func:`~repro.decomp.grouping.grouping_score`), exact
     ties go to the cheaper gate (OR, then AND, then EXOR; see
-    :meth:`enabled_gates`).
+    :meth:`enabled_gates`), and the weak step's XA is one variable
+    (:func:`~repro.decomp.weak.find_weak_grouping`).
 
     Checking every synthesised component against its interval is the
     ``--check`` mode's job (``bi_decompose(..., check=True)``), not a
@@ -74,18 +73,13 @@ class DecompositionConfig:
     """
 
     def __init__(self, use_or=True, use_and=True, use_exor=True,
-                 use_weak=True, use_cache=True, exhaustive_grouping=False,
-                 weak_xa_size=1):
+                 use_weak=True, use_cache=True, exhaustive_grouping=False):
         self.use_or = use_or
         self.use_and = use_and
         self.use_exor = use_exor
         self.use_weak = use_weak
         self.use_cache = use_cache
         self.exhaustive_grouping = exhaustive_grouping
-        if weak_xa_size < 1:
-            raise ValueError("weak_xa_size must be >= 1, got %r"
-                             % (weak_xa_size,))
-        self.weak_xa_size = weak_xa_size
 
     def enabled_gates(self):
         """Strong gate types to try, in Fig. 7's tie-break order: OR,
@@ -105,7 +99,6 @@ class DecompositionConfig:
             "use_weak": self.use_weak,
             "use_cache": self.use_cache,
             "exhaustive_grouping": self.exhaustive_grouping,
-            "weak_xa_size": self.weak_xa_size,
         }
 
 
@@ -321,9 +314,7 @@ class DecompositionEngine:
 
     def _find_weak_step(self, isf, support, ctx):
         """Best weak OR/AND step, or None when nothing makes progress."""
-        weak = find_weak_grouping(isf, support,
-                                  max_vars=self.config.weak_xa_size,
-                                  ctx=ctx)
+        weak = find_weak_grouping(isf, support, ctx=ctx)
         if weak is None:
             return None
         gate, xa = weak

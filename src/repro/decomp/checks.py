@@ -24,13 +24,16 @@ A, which is the paper's termination argument.
 
 Every check runs through a :class:`~repro.decomp.context.CheckContext`
 (a caller that passes none gets a fresh one): every quantification
-comes from a shared per-manager cache and whole check verdicts memoise
-on their ``(Q, R, XA, XB)`` packed-edge keys.  The checks deliberately
-keep the plain apply forms below rather than fusing the conjunction
-into the quantification walk: the manager's global computed tables
-already share every materialised intermediate across the diff/or/and
-ecosystem, and DESIGN.md section 9 records the measurement where the
-fused ``and_exists`` walks lost to them.  The closed forms are restated
+comes from a shared per-manager cache, and the EXOR verdicts (Theorem
+2 here, Fig. 4 in :mod:`repro.decomp.exor`) memoise on their
+``(Q, R, XA, XB)`` packed-edge keys.  Theorem 1's verdicts do not:
+with the default config no OR or AND probe repeats (DESIGN.md section
+9 counts them).  The checks deliberately keep the plain apply forms
+below rather than fusing the conjunction into the quantification walk:
+the manager's global computed tables already share every materialised
+intermediate across the diff/or/and ecosystem, and DESIGN.md section 9
+records the measurement where the fused ``and_exists`` walks lost to
+them.  The closed forms are restated
 independently in :func:`repro.analysis.certify.theorem_residue`, which
 the ``--check`` contracts and the offline certifier re-prove through.
 
@@ -52,13 +55,10 @@ def or_decomposable(isf, xa, xb, ctx=None):
     mgr = isf.mgr
     ctx.check_calls += 1
     q, r = isf.on.node, isf.off.node
-    cached, store = ctx.check_memo("or", q, r, xa, xb)
-    if store is None:
-        return cached
     # Q & (exists XA R) & (exists XB R) == 0; across a pair scan each
     # exists(x, R) is computed once and shared by every pair touching x.
     qa = mgr.and_(q, ctx.exists(r, xa))
-    return store(mgr.and_(qa, ctx.exists(r, xb)) == mgr.false)
+    return mgr.and_(qa, ctx.exists(r, xb)) == mgr.false
 
 
 def and_decomposable(isf, xa, xb, ctx=None):

@@ -18,15 +18,16 @@ makes the probes share work at two levels:
 
 2. **Check-result caches.**  The checks themselves are pure functions
    of ``(Q, R, XA, XB)`` packed edges and variable sets, so their
-   outcomes memoise exactly: the Theorem 2 singleton verdicts, which
-   :func:`repro.decomp.exor.exor_decomposable`'s pairwise filter keeps
-   re-testing during the growth (Fig. 5's scan probes each pair once),
-   the Theorem 1 verdicts (which only a repeated grouping, under
-   ``exhaustive_grouping`` or with the component cache off, hits), and
-   — the big one on EXOR-heavy benchmarks — the entire Fig. 4
-   propagation result, which the greedy growth loop probes and
-   :meth:`DecompositionEngine._find_strong_step` then re-runs
-   verbatim on the chosen grouping.
+   outcomes memoise exactly where a probe repeats: the Theorem 2
+   singleton verdicts, which :func:`repro.decomp.exor.exor_decomposable`'s
+   pairwise filter keeps re-testing during the growth (Fig. 5's scan
+   probes each pair once), and — the big one on EXOR-heavy
+   benchmarks — the entire Fig. 4 propagation result, which the
+   greedy growth loop probes and
+   :meth:`DecompositionEngine._find_strong_step` then re-runs verbatim
+   on the chosen grouping.  Theorem 1 verdicts are not memoised: with
+   the default config no OR or AND probe ever repeats (DESIGN.md
+   section 9).
 
 All cached values are exact canonical BDD edges or booleans derived
 from them (quantifier commutativity plus unique-table canonicity), so
@@ -48,7 +49,8 @@ the win is measurable by deterministic operation counts.
 
 The AND dual needs no special handling: ``and_decomposable`` checks the
 complemented ISF, whose on/off nodes are the same edges with roles
-swapped, so OR and AND probes share cache entries automatically.
+swapped, so OR and AND probes share quantification entries
+automatically.
 
 On a manager that runs the C inner loops,
 :func:`repro.decomp.grouping.group_variables` runs its checks in one C
@@ -96,8 +98,8 @@ class CheckContext:
     def memo(self, kind):
         """The manager-hosted cache ``_cache_ctx_<kind>``: ``varset``
         (normalised variable sets), ``exists`` (quantifications) or the
-        verdict memo of a check kind (``or``, ``exor1``, ``exor``),
-        created on first use."""
+        verdict memo of a check kind (``exor1`` for Theorem 2, ``exor``
+        for Fig. 4), created on first use."""
         return self._dict("_cache_ctx_" + kind)
 
     def _varset(self, variables):

@@ -12,6 +12,8 @@ flows through the same instrumented context (events, recursion guard,
 resource budgets).
 """
 
+import copy
+
 from repro.boolfn.isf import ISF
 from repro.network.stats import compute_stats
 from repro.network.verify import verify_against_isfs
@@ -113,6 +115,8 @@ def bi_decompose(specs, config=None, verify=False, check=False):
     mgr, specs = validate_specs(specs)
     pipeline_config = PipelineConfig.coerce(config)
     if check:
+        # On a copy: the caller's config must not run checked later.
+        pipeline_config = copy.copy(pipeline_config)
         pipeline_config.check_contracts = True
     result = Session(config=pipeline_config, mgr=mgr).decompose_specs(specs)
     if verify:

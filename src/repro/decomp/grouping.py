@@ -20,7 +20,9 @@ call (:func:`repro.bdd.variable_grouping`), which repeats the Python
 loops below call for call on the same context caches and counters.
 The Python loops stay the fallback, the differential tests' reference
 and the path of a support given by variable names;
-:func:`improve_grouping` always runs them.
+:func:`improve_grouping` always runs them.  Fig. 6's growth is one
+loop, which :func:`group_variables` runs from the pair seed and
+:func:`improve_grouping` from each set with one variable excluded.
 """
 
 from repro.bdd import variable_grouping
@@ -100,9 +102,17 @@ def group_variables(isf, support, gate, ctx=None):
     if initial is None:
         return None
     xa, xb = (set(initial[0]), set(initial[1]))
-    check = _set_checker(isf, gate, ctx)
+    _grow(_set_checker(isf, gate, ctx), support, xa, xb)
+    return frozenset(xa), frozenset(xb)
+
+
+def _grow(check, support, xa, xb, skip=None):
+    """Fig. 6's growth of the sets *xa* and *xb*, in place: each support
+    variable in neither set (and not *skip*) is offered to the smaller
+    set first, then to the other, and joins the first whose *check*
+    passes."""
     for z in support:
-        if z in xa or z in xb:
+        if z == skip or z in xa or z in xb:
             continue
         if len(xa) <= len(xb):
             first, second = xa, xb
@@ -112,7 +122,6 @@ def group_variables(isf, support, gate, ctx=None):
             first.add(z)
         elif check(first, second | {z}):
             second.add(z)
-    return frozenset(xa), frozenset(xb)
 
 
 def _group_variables_native(isf, support, gate, ctx):
@@ -124,9 +133,10 @@ def _group_variables_native(isf, support, gate, ctx):
     :func:`propagate_exor` only where :func:`check_exor_bidecomp` would
     not hand Fig. 4's loop to the kernel.
     """
-    exor_memo = propagate = None
+    verdicts = (None, None)
+    propagate = None
     if gate == EXOR_GATE:
-        kind, exor_memo = "exor1", ctx.memo("exor")
+        verdicts = (ctx.memo("exor1"), ctx.memo("exor"))
 
         def propagate(xa, xb):
             result = propagate_exor(isf, xa, xb, ctx)
@@ -136,14 +146,12 @@ def _group_variables_native(isf, support, gate, ctx):
             return (isf_a.on.node, isf_a.off.node,
                     isf_b.on.node, isf_b.off.node)
     elif gate in (OR_GATE, AND_GATE):
-        kind = "or"
         if gate == AND_GATE and len(set(support)) > 1:
             # and_decomposable's first probe builds the complement.
             isf = isf.complement()
     else:
         raise ValueError("unknown gate %r" % gate)
-    memos = (ctx.memo("varset"), ctx.memo("exists"), ctx.memo(kind),
-             exor_memo)
+    memos = (ctx.memo("varset"), ctx.memo("exists")) + verdicts
     return variable_grouping(isf.mgr, isf.on.node, isf.off.node, support,
                              memos, ctx, propagate)
 
@@ -170,17 +178,7 @@ def improve_grouping(isf, support, gate, xa, xb, ctx=None):
             cand_b = set(xb) - {victim}
             if not cand_a or not cand_b:
                 continue  # both sets must stay non-empty (strong step)
-            for z in support:
-                if z == victim or z in cand_a or z in cand_b:
-                    continue
-                if len(cand_a) <= len(cand_b):
-                    first, second = cand_a, cand_b
-                else:
-                    first, second = cand_b, cand_a
-                if check(first | {z}, second):
-                    first.add(z)
-                elif check(first, second | {z}):
-                    second.add(z)
+            _grow(check, support, cand_a, cand_b, skip=victim)
             # Accept only a net gain: one exclusion bought >= two adds.
             if len(cand_a) + len(cand_b) >= len(xa) + len(xb) + 1:
                 xa, xb = cand_a, cand_b

@@ -8,7 +8,7 @@ Usage (CLI)::
     python -m repro.harness testability        # Theorem 5 check
     python -m repro.harness ablation-cache     # Section 6 reuse claim
     python -m repro.harness ablation-strong    # strong-vs-weak claim
-    python -m repro.harness ablation-tuning    # Section 5/7 tuning knobs
+    python -m repro.harness ablation-tuning    # Section 5 grouping refinement
     python -m repro.harness atpg               # integrated ATPG
     python -m repro.harness all
 
@@ -178,24 +178,18 @@ def run_strong_weak_ablation(names=("9sym", "rd84", "t481", "5xp1",
 
 
 def run_tuning_ablation(names=("9sym", "rd84", "misex1", "alu2")):
-    """Sections 5/7: grouping refinement and weak-XA-size sweeps."""
+    """Section 5: the exclude-one/add-many grouping refinement."""
     rows = []
     for name in names:
         base = _synthesize(name).result
         refined = _synthesize(
             name, config=DecompositionConfig(exhaustive_grouping=True)).result
-        row = {
+        rows.append({
             "name": name,
             "base": _stats_row(base.netlist_stats(), base.elapsed),
             "refined_grouping": _stats_row(refined.netlist_stats(),
                                            refined.elapsed),
-        }
-        for size in (2, 3):
-            wide_weak = _synthesize(
-                name, config=DecompositionConfig(weak_xa_size=size)).result
-            row["weak_xa%d" % size] = _stats_row(wide_weak.netlist_stats(),
-                                                 wide_weak.elapsed)
-        rows.append(row)
+        })
     return rows
 
 
@@ -329,9 +323,8 @@ def main(argv=None):
         print_generic(run_strong_weak_ablation(),
                       ("full", "weak_only", "no_exor"))
     if args.experiment in ("ablation-tuning", "all"):
-        print("== Ablation: Section 5/7 tuning knobs ==")
-        print_generic(run_tuning_ablation(),
-                      ("base", "refined_grouping", "weak_xa2", "weak_xa3"))
+        print("== Ablation: Section 5 grouping refinement ==")
+        print_generic(run_tuning_ablation(), ("base", "refined_grouping"))
     if args.experiment in ("atpg", "all"):
         print("== Integrated ATPG (future-work claim) ==")
         print_generic(run_integrated_atpg(),

@@ -8,6 +8,7 @@ nodes) enforced by the session.
 """
 
 from repro.decomp.bidecomp import DecompositionConfig
+from repro.pipeline.limits import budget_seconds
 
 #: Synthesis flows the decompose stage can dispatch to.
 FLOWS = ("bidecomp", "sis", "bds")
@@ -126,10 +127,7 @@ class PipelineConfig:
             raise ValueError("flow must be one of %s, got %r"
                              % ("/".join(FLOWS), flow))
         if time_limit is not None:
-            time_limit = float(time_limit)
-            if time_limit <= 0:
-                raise ValueError("time_limit must be positive, got %r"
-                                 % time_limit)
+            time_limit = budget_seconds(time_limit, "time_limit")
         if max_nodes is not None:
             max_nodes = int(max_nodes)
             if max_nodes <= 0:

@@ -10,6 +10,7 @@ rest of the package so that any layer (BDD manager hooks, the
 decomposition engine, the CLI) can raise these without import cycles.
 """
 
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -47,6 +48,17 @@ class NodeLimitExceeded(PipelineError):
                          % (limit, nodes, where))
 
 
+def budget_seconds(value, name):
+    """*value* as a float number of seconds; ``ValueError`` unless it is
+    finite and positive (a NaN budget would never expire: every
+    ``elapsed >= nan`` comparison is False)."""
+    seconds = float(value)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError("%s must be a finite positive number of seconds, "
+                         "got %r" % (name, value))
+    return seconds
+
+
 class Deadline:
     """A wall-clock budget started at construction time.
 
@@ -61,9 +73,7 @@ class Deadline:
     """
 
     def __init__(self, seconds):
-        if seconds <= 0:
-            raise ValueError("deadline must be positive, got %r" % seconds)
-        self.seconds = seconds
+        self.seconds = budget_seconds(seconds, "deadline")
         self._started = time.perf_counter()
 
     def elapsed(self):

@@ -67,6 +67,15 @@ def brute_force(mgr, node, variables):
     return table
 
 
+def exists_tt(tt, n, xa):
+    """Truth table of exists(XA, f) over *n* variables, by enumerating
+    XA-cofactor classes."""
+    mask = sum(1 << v for v in xa)
+    return sum(1 << i for i in range(1 << n)
+               if any((tt >> j) & 1 for j in range(1 << n)
+                      if (i ^ j) & ~mask == 0))
+
+
 def tt_strategy(n):
     """Hypothesis strategy for packed truth tables over n variables."""
     return st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)

@@ -46,6 +46,16 @@ class TestCheckedCleanRuns:
         result = bi_decompose(specs, verify=True, check=True)
         assert result.functions
 
+    def test_check_leaves_the_callers_config_unchecked(self):
+        # check=True applies to that call only: a later call with the
+        # same config object must not run checked.
+        config = PipelineConfig()
+        before = config.as_dict()
+        mgr = BDD(["a", "b", "c", "d"])
+        assert bi_decompose(_specs(mgr), config=config, check=True).functions
+        assert config.check_contracts is False
+        assert config.as_dict() == before
+
     def test_check_flag_off_uses_plain_engine(self):
         mgr = BDD(["a", "b"])
         session = Session(mgr=mgr)
@@ -170,10 +180,11 @@ class TestWeakStepContracts:
 
 class TestMemoIndependence:
     """Mutation canary: the contracts never read the engine's verdict
-    memo.  Each test poisons the manager-hosted memo with a
+    memos.  The EXOR test poisons the manager-hosted memos with a
     "decomposable" verdict for a grouping that is not decomposable,
     shows the engine's own check now believes it, and expects the
-    contract to fire anyway."""
+    contract to fire anyway.  Theorem 1 keeps no verdict memo, so the
+    OR test hands the contract a non-decomposable grouping directly."""
 
     @staticmethod
     def _poison(mgr, kind, isf, xa, xb, verdict):
@@ -185,8 +196,8 @@ class TestMemoIndependence:
         mgr = BDD(["a", "b"])
         engine = _session(mgr)._ensure_engine()
         isf = ISF.from_csf(parse(mgr, "a ^ b"))
-        self._poison(mgr, "or", isf, [0], [1], True)
-        assert or_decomposable(isf, [0], [1])
+        assert not or_decomposable(isf, [0], [1])
+        assert not hasattr(mgr, "_cache_ctx_or")
         with pytest.raises(ContractViolation) as excinfo:
             engine._on_step(isf, [0, 1], OR_GATE, [0], [1], isf)
         assert excinfo.value.contract == "or-residue"

@@ -304,11 +304,15 @@ class TestBadInputExitCode:
             assert err.startswith("error: "), err
             assert ".names drives " in err and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("size", ("0", "-3"))
-    def test_weak_xa_size_below_one_rejected(self, pla_path, size, capsys):
-        argv = ["decompose", pla_path, "--weak-xa-size", size]
+    @pytest.mark.parametrize("seconds", ("nan", "inf", "0"))
+    def test_time_limit_must_be_finite_and_positive(self, pla_path,
+                                                     seconds, capsys):
+        argv = ["decompose", pla_path, "--time-limit", seconds]
         assert main(argv, stdout=io.StringIO()) == 2
-        assert "weak_xa_size" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: time_limit must be a finite "
+                              "positive number"), err
+        assert err.count("\n") == 1, err
 
 
 class TestVerify:

@@ -16,8 +16,9 @@ from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
 from repro.decomp.exor import check_exor_bidecomp, exor_decomposable
 from repro.decomp.grouping import find_initial_grouping, group_variables
 
-from conftest import (brute_force, build_isf, exor_split_exists,
-                      isf_strategy, make_mgr, or_split_exists)
+from conftest import (brute_force, build_isf, exists_tt,
+                      exor_split_exists, isf_strategy, make_mgr,
+                      or_split_exists)
 
 
 def _parity(mgr, variables):
@@ -96,10 +97,10 @@ class TestCheckMemo:
         mgr = make_mgr(3)
         ctx = CheckContext(mgr)
         q, r = mgr.var(0), mgr.var(1)
-        cached, store = ctx.check_memo("or", q, r, [0], [1])
+        cached, store = ctx.check_memo("exor1", q, r, [0], [1])
         assert cached is None and store is not None
         assert store(True) is True
-        cached, store = ctx.check_memo("or", q, r, [0], [1])
+        cached, store = ctx.check_memo("exor1", q, r, [0], [1])
         assert cached is True and store is None
         assert ctx.cache_hits == 1
 
@@ -116,19 +117,12 @@ class TestCheckMemo:
     def test_kinds_are_separate_namespaces(self):
         mgr = make_mgr(3)
         ctx = CheckContext(mgr)
-        _, store = ctx.check_memo("or", mgr.var(0), mgr.var(1), [0], [1])
+        _, store = ctx.check_memo("exor1", mgr.var(0), mgr.var(1),
+                                  [0], [1])
         store(True)
-        cached, _ = ctx.check_memo("exor1", mgr.var(0), mgr.var(1),
+        cached, _ = ctx.check_memo("exor", mgr.var(0), mgr.var(1),
                                    [0], [1])
         assert cached is None
-
-
-def _exists_tt(tt, n, xa):
-    """Truth table of exists(XA, f) by enumerating XA-cofactor classes."""
-    mask = sum(1 << v for v in xa)
-    return sum(1 << i for i in range(1 << n)
-               if any((tt >> j) & 1 for j in range(1 << n)
-                      if (i ^ j) & ~mask == 0))
 
 
 class TestCachedEqualsUncached:
@@ -157,9 +151,9 @@ class TestCachedEqualsUncached:
                     want
         for xa in ([0], [1], [0, 2]):
             assert checks.weak_or_useful(isf, xa, ctx) == bool(
-                on_tt & ~_exists_tt(off_tt, 3, xa))
+                on_tt & ~exists_tt(off_tt, 3, xa))
             assert checks.weak_and_useful(isf, xa, ctx) == bool(
-                off_tt & ~_exists_tt(on_tt, 3, xa))
+                off_tt & ~exists_tt(on_tt, 3, xa))
         assert ctx.cache_hits > 0
 
     @settings(max_examples=50, deadline=None)
@@ -173,12 +167,12 @@ class TestCachedEqualsUncached:
         for variables in ([0], [1], [0, 1], [1, 2]):
             q_d, r_d = checks.derivative_isf(isf, variables, ctx)
             assert brute_force(mgr, q_d.node, [0, 1, 2]) == (
-                _exists_tt(on_tt, 3, variables)
-                & _exists_tt(off_tt, 3, variables))
+                exists_tt(on_tt, 3, variables)
+                & exists_tt(off_tt, 3, variables))
             # forall(V, f) = ~exists(V, ~f)
             assert brute_force(mgr, r_d.node, [0, 1, 2]) == full & ~(
-                _exists_tt(full & ~on_tt, 3, variables)
-                & _exists_tt(full & ~off_tt, 3, variables))
+                exists_tt(full & ~on_tt, 3, variables)
+                & exists_tt(full & ~off_tt, 3, variables))
             again = checks.derivative_isf(isf, variables, ctx)
             assert (again[0].node, again[1].node) == (q_d.node, r_d.node)
 

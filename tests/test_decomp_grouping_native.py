@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import manager, native, reorder_to
-from repro.decomp import checks, exor, grouping
+from repro.bench import get
+from repro.decomp import bi_decompose, checks, exor, grouping
 from repro.decomp.context import CheckContext
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
 from repro.decomp.grouping import group_variables
@@ -32,7 +33,7 @@ from conftest import (Trip, assert_unique_tables_consistent, build_isf,
                       kernel_state, make_mgr, tripping_hook)
 
 GATES = (OR_GATE, AND_GATE, EXOR_GATE)
-MEMOS = ("varset", "exists", "or", "exor1", "exor")
+MEMOS = ("varset", "exists", "exor1", "exor")
 
 
 def _composed(rng, n, xa, xb, combine, dc_share):
@@ -223,3 +224,17 @@ def test_names_and_unknown_gates_take_the_python_path():
                             for side in by_index)
     with pytest.raises(ValueError, match="unknown gate"):
         group_variables(isf, TRIP_CASE[4], "NAND")
+
+
+@pytest.mark.parametrize("python_loops", [False, True],
+                         ids=["native", "python-loops"])
+def test_no_theorem1_verdict_memo(python_loops):
+    """Theorem 1 verdicts are not memoised: a default run of every gate
+    on either kernel leaves no ``_cache_ctx_or`` on the manager."""
+    mgr, specs = get("rd53").build()
+    if python_loops:
+        native._python_loops(mgr)
+    result = bi_decompose(specs)
+    assert result.stats.grouping_check_calls > 0
+    assert hasattr(mgr, "_cache_ctx_exor1")
+    assert not hasattr(mgr, "_cache_ctx_or")

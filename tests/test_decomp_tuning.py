@@ -1,5 +1,5 @@
-"""Tests for the Section 5 / Section 7 tuning knobs (exhaustive
-grouping refinement and multi-variable weak XA)."""
+"""Tests for the Section 5 tuning knob (the exhaustive grouping
+refinement) and the grouping objective."""
 
 from hypothesis import given, settings
 
@@ -7,9 +7,8 @@ from repro.bdd import BDD
 from repro.boolfn import ISF, parse, weight_set
 from repro.decomp import (AND_GATE, DecompositionConfig, EXOR_GATE,
                           OR_GATE, and_decomposable, bi_decompose,
-                          exor_decomposable, find_weak_grouping,
-                          group_variables, improve_grouping,
-                          or_decomposable)
+                          exor_decomposable, group_variables,
+                          improve_grouping, or_decomposable)
 from repro.network import verify_against_isfs
 
 from conftest import build_isf, isf_strategy, make_mgr
@@ -63,43 +62,3 @@ class TestObjective:
         assert grouping_score({0, 1, 2, 3, 4}, {5}) > \
             grouping_score({0, 1}, {2, 3})
 
-
-class TestWeakXaSize:
-    def test_larger_xa_allowed(self):
-        mgr = BDD(["a", "b", "c", "d"])
-        # A function needing weak steps with plenty of smoothing room.
-        isf = ISF.from_csf(parse(mgr, "a&b | b&c | c&d | a&d"))
-        weak1 = find_weak_grouping(isf, isf.structural_support(),
-                                   max_vars=1)
-        weak2 = find_weak_grouping(isf, isf.structural_support(),
-                                   max_vars=3)
-        assert weak1 is not None and weak2 is not None
-        assert len(weak1[1]) == 1
-        assert len(weak2[1]) >= len(weak1[1])
-        # The gate choice is anchored by the best single variable.
-        assert weak2[0] == weak1[0]
-
-    def test_growth_monotone_in_dc_gain(self):
-        mgr = BDD(["a", "b", "c", "d"])
-        isf = ISF.from_csf(parse(mgr, "a&b | b&c | c&d | a&d"))
-        gate, xa = find_weak_grouping(isf, isf.structural_support(),
-                                      max_vars=4)
-        # Growing XA must never make component A's must-set larger
-        # than the single-variable choice.
-        gate1, xa1 = find_weak_grouping(isf, isf.structural_support(),
-                                        max_vars=1)
-        from repro.bdd import exists, sat_count
-        target = isf.on.node if gate == OR_GATE else isf.off.node
-        other = isf.off.node if gate == OR_GATE else isf.on.node
-        big = sat_count(mgr, mgr.and_(target, exists(mgr, xa, other)))
-        small = sat_count(mgr, mgr.and_(target,
-                                        exists(mgr, xa1, other)))
-        assert big <= small
-
-    def test_engine_with_wide_weak_sets_still_correct(self):
-        mgr = BDD(["a", "b", "c", "d", "e"])
-        specs = {"f": parse(mgr, "a&b | b&c | c&d | d&e | a&e")}
-        for size in (1, 2, 3):
-            config = DecompositionConfig(weak_xa_size=size)
-            result = bi_decompose(specs, config=config)
-            verify_against_isfs(result.netlist, specs)

@@ -1,12 +1,17 @@
 """Tests for weak-step selection and inessential-variable removal."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD
 from repro.boolfn import ISF, parse
 from repro.decomp import (AND_GATE, OR_GATE, find_weak_grouping,
                           is_inessential, remove_inessential)
 from repro.decomp.context import CheckContext
+
+from conftest import build_isf, exists_tt, isf_strategy, make_mgr
 
 
 class TestWeakGrouping:
@@ -50,9 +55,8 @@ class TestWeakGrouping:
 
     @pytest.mark.parametrize("wrap", [iter, set], ids=["iterator", "set"])
     def test_support_is_read_once(self, wrap):
-        # The single-variable pick and every growth round walk the
-        # support: an iterator must give the growth the same candidates
-        # (and so the same probes) as a tuple.
+        # An iterator or a set gives the pick the same candidates (and
+        # so the same probes) as a tuple.
         probes = []
         for wrapped in (False, True):
             mgr = BDD(["a", "b", "c", "d"])
@@ -60,10 +64,40 @@ class TestWeakGrouping:
             support = isf.structural_support()
             ctx = CheckContext(mgr)
             weak = find_weak_grouping(isf, wrap(support) if wrapped
-                                      else support, max_vars=3, ctx=ctx)
+                                      else support, ctx=ctx)
             probes.append((weak, ctx.check_calls, ctx.cache_hits,
                            ctx.exists_calls))
         assert probes[0] == probes[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(st.just(n), isf_strategy(n))))
+    def test_single_variable_gain_is_the_largest(self, case):
+        # Section 7's "X_A of one variable" by brute force: on random
+        # intervals with don't-cares, no XA of up to three support
+        # variables frees more care minterms of component A, for OR
+        # or AND.
+        n, (on_tt, off_tt) = case
+        mgr = make_mgr(n)
+        isf = build_isf(mgr, list(range(n)), on_tt, off_tt)
+        support = isf.structural_support()
+
+        def gain(gate, xa):
+            target, other = ((on_tt, off_tt) if gate == OR_GATE
+                             else (off_tt, on_tt))
+            kept = target & exists_tt(other, n, xa)
+            return bin(target).count("1") - bin(kept).count("1")
+
+        best = max((gain(gate, xa) for gate in (OR_GATE, AND_GATE)
+                    for size in (1, 2, 3)
+                    for xa in itertools.combinations(support, size)),
+                   default=0)
+        weak = find_weak_grouping(isf, support)
+        if weak is None:
+            assert best == 0
+        else:
+            gate, xa = weak
+            assert len(xa) == 1 and gain(gate, xa) == best > 0
 
 
 class TestInessential:

@@ -91,11 +91,9 @@ class TestAblations:
     def test_tuning_ablation(self):
         rows = run_tuning_ablation(("rd53",))
         row = rows[0]
-        for key in ("base", "refined_grouping", "weak_xa2", "weak_xa3"):
+        assert set(row) == {"name", "base", "refined_grouping"}
+        for key in ("base", "refined_grouping"):
             assert row[key]["gates"] > 0
-        # Section 7's verdict: a wider weak XA never beats one variable.
-        for key in ("weak_xa2", "weak_xa3"):
-            assert row[key]["area"] >= row["base"]["area"]
         # Section 5's verdict: the refinement moves area only slightly.
         assert abs(row["refined_grouping"]["area"] - row["base"]["area"]) \
             <= 0.25 * row["base"]["area"] + 10

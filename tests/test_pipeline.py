@@ -315,10 +315,17 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"time_limit": 0}, {"time_limit": -1.0},
         {"max_nodes": 0}, {"max_nodes": -5},
+        {"time_limit": float("nan")}, {"time_limit": float("inf")},
     ])
     def test_rejects_non_positive_budgets(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("seconds", [0, float("nan"), float("inf")])
+    def test_deadline_rejects_non_finite_or_non_positive(self, seconds):
+        # A NaN budget would never expire (elapsed >= nan is False).
+        with pytest.raises(ValueError, match="finite positive"):
+            Deadline(seconds)
 
     def test_rejects_non_string_cache_path(self):
         with pytest.raises(ValueError, match="cache_path"):
@@ -467,14 +474,13 @@ class TestStatsJson:
         stats_path = tmp_path / "stats.json"
         assert main(["decompose", str(pla_path), "-o",
                      str(tmp_path / "out.blif"), "--no-exor",
-                     "--weak-xa-size", "2",
                      "--stats-json", str(stats_path)],
                     stdout=io.StringIO()) == 0
         doc = json.loads(stats_path.read_text())
         assert doc["config"]["decomposition"] == {
             "use_or": True, "use_and": True, "use_exor": False,
             "use_weak": True, "use_cache": True,
-            "exhaustive_grouping": False, "weak_xa_size": 2}
+            "exhaustive_grouping": False}
 
     def test_cli_time_limit_trips_with_exit_code_3(self, tmp_path):
         from repro.cli import main

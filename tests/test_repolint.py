@@ -306,9 +306,9 @@ class TestCacheAttrName:
 
     def test_cache_prefixed_literal_passes(self, tmp_path):
         source = ("def probe(mgr):\n"
-                  "    cache = getattr(mgr, '_cache_ctx_or', None)\n"
+                  "    cache = getattr(mgr, '_cache_ctx_exor', None)\n"
                   "    if cache is None:\n"
-                  "        setattr(mgr, '_cache_ctx_or', {})\n")
+                  "        setattr(mgr, '_cache_ctx_exor', {})\n")
         report = _scan(tmp_path, {"src/repro/bdd/quantify.py": source},
                        rules=["cache-attr-name"])
         assert not report.findings
