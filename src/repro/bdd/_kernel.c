@@ -62,8 +62,7 @@ static PyObject *s_level, *s_lo, *s_hi, *s_unique, *s_free, *s_ct_and,
     *s_ct_lookups, *s_ct_hits, *s_uniq_lookups, *s_uniq_hits,
     *s_peak_live, *s_q_steps, *s_q_calls, *s_growth_hook,
     *s_growth_countdown, *s_growth_interval, *s_ct_ite, *s_level_to_var,
-    *s_literals, *s_check_calls, *s_cache_hits, *s_exists_calls,
-    *s_var_to_level;
+    *s_literals, *s_check_calls, *s_cache_hits, *s_var_to_level;
 
 /* ------------------------------------------------------------------ */
 /* Growable stacks with inline storage                                 */
@@ -1136,14 +1135,18 @@ error:
 /* ------------------------------------------------------------------ */
 
 /* A quantified variable set.  It is interned through the caller's
- * callback at its first projection, where quantify.exists would intern
- * it, so suffix ids come out in the Python loops' order. */
+ * callback at its first use, where quantify.exists (or
+ * quantify.levels_token for a verdict memo key) would intern it, so
+ * suffix ids come out in the Python loops' order. */
 typedef struct {
     PyObject *vars;                 /* new ref: the sequence intern gets */
-    PyObject *key;                  /* new ref: its frozenset (grouping) */
+    PyObject *key;                  /* new ref: its levels tuple; NULL until
+                                     * interned */
     long long *levels, *sids;       /* PyMem, one block; NULL until then */
     Py_ssize_t n;                   /* -1 until interned */
 } VarSet;
+
+#define VARSET(vars_) {(vars_), NULL, NULL, NULL, -1}
 
 static void
 varset_clear(VarSet *s)
@@ -1155,9 +1158,8 @@ varset_clear(VarSet *s)
     s->n = -1;
 }
 
-/* intern(vars) -> (levels, suffix ids), as the quantify helpers give.
- * A set known only by its frozenset is passed as CheckContext.exists
- * passes it: sorted(key). */
+/* intern(vars) -> (levels, suffix ids), as the quantify helpers give,
+ * once per set: its levels tuple becomes its key. */
 static int
 varset_intern(VarSet *s, PyObject *intern)
 {
@@ -1165,12 +1167,8 @@ varset_intern(VarSet *s, PyObject *intern)
     Py_ssize_t n;
     int rc = -1;
 
-    if (s->vars == NULL) {
-        if ((s->vars = PySequence_List(s->key)) == NULL)
-            return -1;
-        if (PyList_Sort(s->vars) < 0)
-            return -1;
-    }
+    if (s->n >= 0)
+        return 0;
     res = PyObject_CallOneArg(intern, s->vars);
     if (res == NULL)
         return -1;
@@ -1178,12 +1176,30 @@ varset_intern(VarSet *s, PyObject *intern)
         PyErr_SetString(PyExc_TypeError, "intern must return (levels, sids)");
     else if (read_levels(PyTuple_GET_ITEM(res, 0), PyTuple_GET_ITEM(res, 1),
                          &s->levels, &n) == 0) {
+        s->key = Py_NewRef(PyTuple_GET_ITEM(res, 0));
         s->sids = s->levels + n;
         s->n = n;
         rc = 0;
     }
     Py_DECREF(res);
     return rc;
+}
+
+/* quantify.exists(vars, node) on the open kernel *k*: intern the set at
+ * its first use, then count the call and walk through the exists memo
+ * *cache*.  An empty set is the identity and counts nothing. */
+static int
+varset_exists(Kernel *k, PyObject *intern, Table *cache, VarSet *s,
+              edge_t node, edge_t *out)
+{
+    if (varset_intern(s, intern) < 0)
+        return -1;
+    if (s->n == 0) {
+        *out = node;
+        return 0;
+    }
+    k->val[C_Q_CALLS]++;
+    return exists_walk(k, node, s->levels, s->sids, s->n, cache, out);
 }
 
 /* The state of one propagation: the kernel plus what quantify.exists
@@ -1249,24 +1265,16 @@ exor_release(Exor *x)
 }
 
 /* propagate_exor's _forced: exists(vars, (u & pu) | (v & pv)), built
- * in the Python expression's order; the exists call is quantify.exists,
- * which interns the set and counts the call before its walk. */
+ * in the Python expression's order. */
 static int
 forced(Exor *x, VarSet *s, edge_t u, edge_t pu, edge_t v, edge_t pv,
        edge_t *out)
 {
     edge_t up, vp, either;
     if (and_top(x->k, u, pu, &up) < 0 || and_top(x->k, v, pv, &vp) < 0
-        || and_top(x->k, up ^ 1, vp ^ 1, &either) < 0
-        || (s->n < 0 && varset_intern(s, x->intern) < 0))
+        || and_top(x->k, up ^ 1, vp ^ 1, &either) < 0)
         return -1;
-    if (s->n == 0) {
-        *out = either ^ 1;
-        return 0;
-    }
-    x->k->val[C_Q_CALLS]++;
-    return exists_walk(x->k, either ^ 1, s->levels, s->sids, s->n,
-                       x->cache, out);
+    return varset_exists(x->k, x->intern, x->cache, s, either ^ 1, out);
 }
 
 /* The seed of component A: cube_to_bdd of pick_cube(q) without the
@@ -1388,55 +1396,25 @@ error:
 /* ------------------------------------------------------------------ */
 
 /* The state of one repro.decomp.grouping.group_variables call: the
- * kernel, the CheckContext caches it reads and fills, and the context's
- * counter deltas. */
+ * kernel, the CheckContext verdict memos it reads and fills, and the
+ * context's counter deltas. */
 typedef struct {
     Kernel k;
     edge_t q, r;                    /* the ISF (complemented for AND) */
     PyObject *qr[2];                /* new refs: q and r as memo keys */
     PyObject *intern;               /* borrowed */
     Table *cache;                   /* borrowed: the exists memo */
-    PyObject *varsets;              /* borrowed: _cache_ctx_varset */
-    PyObject *exists_memo;          /* borrowed: _cache_ctx_exists */
     PyObject *exor1_memo;           /* borrowed: _cache_ctx_exor1 */
     PyObject *exor_memo;            /* borrowed: _cache_ctx_exor */
     PyObject *propagate;            /* borrowed; NULL for OR and AND */
     PyObject *var_to_level;         /* new ref */
     VarSet *single;                 /* {v} per variable index v */
     Py_ssize_t nsingle;
-    long long check_calls, cache_hits, exists_calls;
+    long long check_calls, cache_hits;
 } Group;
 
-/* CheckContext._varset: the frozenset of the variable indices in *vars*
- * (a sequence of them), memoised per argument tuple.  A new ref. */
-static PyObject *
-ctx_varset(Group *g, PyObject *vars)
-{
-    PyObject *key = PySequence_Tuple(vars), *fs;
-    if (key == NULL)
-        return NULL;
-    fs = Py_XNewRef(PyDict_GetItemWithError(g->varsets, key));
-    if (fs == NULL && !PyErr_Occurred()
-        && (fs = PyFrozenSet_New(key)) != NULL
-        && PyDict_SetItem(g->varsets, key, fs) < 0)
-        Py_CLEAR(fs);
-    Py_DECREF(key);
-    if (fs != NULL && !PyFrozenSet_CheckExact(fs)) {
-        PyErr_SetString(PyExc_TypeError, "variable sets must be frozensets");
-        Py_CLEAR(fs);
-    }
-    return fs;
-}
-
-/* s's key: *vars* normalised by ctx_varset, at the set's first use. */
-static int
-set_key(Group *g, VarSet *s, PyObject *vars)
-{
-    return s->key != NULL || (s->key = ctx_varset(g, vars)) != NULL ? 0 : -1;
-}
-
 /* The singleton set {var} of a support variable.  Its vars is the
- * checks' argument (var,); set_key normalises it where they do. */
+ * checks' argument (var,). */
 static VarSet *
 singleton(Group *g, PyObject *var)
 {
@@ -1454,53 +1432,12 @@ singleton(Group *g, PyObject *var)
     return s;
 }
 
-/* CheckContext.exists(node, s): the context memo, else quantify.exists
- * (intern the set, count the call, walk) and a memo entry. */
-static int
-ctx_exists(Group *g, edge_t node, VarSet *s, edge_t *out)
-{
-    PyObject *e, *key, *hit, *v;
-    int rc = -1;
+/* quantify.exists(s, node) during the grouping. */
+#define EXISTS(g_, node_, s_, out_) \
+    varset_exists(&(g_)->k, (g_)->intern, (g_)->cache, (s_), (node_), (out_))
 
-    if (PySet_GET_SIZE(s->key) == 0) {
-        *out = node;
-        return 0;
-    }
-    if ((e = PyLong_FromUnsignedLongLong(node)) == NULL)
-        return -1;
-    key = PyTuple_Pack(2, e, s->key);
-    Py_DECREF(e);
-    if (key == NULL)
-        return -1;
-    hit = PyDict_GetItemWithError(g->exists_memo, key);
-    if (hit != NULL) {
-        g->cache_hits++;
-        rc = as_edge(hit, out);
-        goto done;
-    }
-    if (PyErr_Occurred())
-        goto done;
-    g->exists_calls++;
-    if (s->n < 0 && varset_intern(s, g->intern) < 0)
-        goto done;
-    if (s->n == 0)
-        *out = node;
-    else {
-        g->k.val[C_Q_CALLS]++;
-        if (exists_walk(&g->k, node, s->levels, s->sids, s->n, g->cache,
-                        out) < 0)
-            goto done;
-    }
-    if ((v = PyLong_FromUnsignedLongLong(*out)) == NULL)
-        goto done;
-    rc = PyDict_SetItem(g->exists_memo, key, v);
-    Py_DECREF(v);
-done:
-    Py_DECREF(key);
-    return rc;
-}
-
-/* CheckContext.check_memo's probe of *memo*: *key* gets a new ref to
+/* CheckContext.check_memo's probe of *memo*: a and b are interned (their
+ * levels tuples are quantify.levels_token), *key* gets a new ref to
  * (Q, R, A, B) and *hit* a new ref to the memoised verdict, which is
  * counted, or NULL on a miss.  -1 on error. */
 static int
@@ -1508,6 +1445,9 @@ memo_probe(Group *g, PyObject *memo, VarSet *a, VarSet *b, PyObject **key,
            PyObject **hit)
 {
     *hit = NULL;
+    *key = NULL;
+    if (varset_intern(a, g->intern) < 0 || varset_intern(b, g->intern) < 0)
+        return -1;
     *key = PyTuple_Pack(4, g->qr[0], g->qr[1], a->key, b->key);
     if (*key == NULL)
         return -1;
@@ -1549,18 +1489,15 @@ verdict_of(PyObject *key, PyObject *hit)
 }
 
 /* checks.or_decomposable(isf, xa, xb) on (q, r): Theorem 1,
- * Q & exists(A, R) & exists(B, R) == 0, with each set normalised from
- * xa / xb at its projection.  1 / 0 / -1. */
+ * Q & exists(A, R) & exists(B, R) == 0.  1 / 0 / -1. */
 static int
-or_check(Group *g, VarSet *a, PyObject *xa, VarSet *b, PyObject *xb)
+or_check(Group *g, VarSet *a, VarSet *b)
 {
     edge_t e, t;
 
     g->check_calls++;
-    if (set_key(g, a, xa) < 0 || ctx_exists(g, g->r, a, &e) < 0
-        || and_top(&g->k, g->q, e, &t) < 0
-        || set_key(g, b, xb) < 0 || ctx_exists(g, g->r, b, &e) < 0
-        || and_top(&g->k, t, e, &t) < 0)
+    if (EXISTS(g, g->r, a, &e) < 0 || and_top(&g->k, g->q, e, &t) < 0
+        || EXISTS(g, g->r, b, &e) < 0 || and_top(&g->k, t, e, &t) < 0)
         return -1;
     return t == 0;
 }
@@ -1569,18 +1506,17 @@ or_check(Group *g, VarSet *a, PyObject *xa, VarSet *b, PyObject *xb)
  * and exor._set_derivative_filter build it: Q_D & exists(y, R_D) == 0
  * with Q_D = exists(x, Q) & exists(x, R) and R_D = forall(x, Q) |
  * forall(x, R), the complement of exists(x, ~Q) & exists(x, ~R)
- * (BDD.or_ and CheckContext.forall go through complements).
- * 1 / 0 / -1. */
+ * (BDD.or_ and quantify.forall go through complements).  1 / 0 / -1. */
 static int
 theorem2(Group *g, VarSet *x, VarSet *y)
 {
     edge_t eq, er, q_d, nfq, nfr, nr_d, ey, t;
-    if (ctx_exists(g, g->q, x, &eq) < 0 || ctx_exists(g, g->r, x, &er) < 0
+    if (EXISTS(g, g->q, x, &eq) < 0 || EXISTS(g, g->r, x, &er) < 0
         || and_top(&g->k, eq, er, &q_d) < 0
-        || ctx_exists(g, g->q ^ 1, x, &nfq) < 0
-        || ctx_exists(g, g->r ^ 1, x, &nfr) < 0
+        || EXISTS(g, g->q ^ 1, x, &nfq) < 0
+        || EXISTS(g, g->r ^ 1, x, &nfr) < 0
         || and_top(&g->k, nfq, nfr, &nr_d) < 0
-        || ctx_exists(g, nr_d ^ 1, y, &ey) < 0
+        || EXISTS(g, nr_d ^ 1, y, &ey) < 0
         || and_top(&g->k, q_d, ey, &t) < 0)
         return -1;
     return t == 0;
@@ -1594,8 +1530,7 @@ exor1_check(Group *g, VarSet *x, VarSet *y)
     int rc;
 
     g->check_calls++;
-    if (set_key(g, x, x->vars) < 0 || set_key(g, y, y->vars) < 0
-        || memo_probe(g, g->exor1_memo, x, y, &key, &hit) < 0)
+    if (memo_probe(g, g->exor1_memo, x, y, &key, &hit) < 0)
         return -1;
     if (hit != NULL)
         return verdict_of(key, hit);
@@ -1646,11 +1581,11 @@ components(Group *g, VarSet *a, VarSet *b, const edge_t out[5],
 
     if (r != 0) {
         /* Untouched off-set points force both components to 0. */
-        if (ctx_exists(g, r, b, &e) < 0
+        if (EXISTS(g, r, b, &e) < 0
             || and_top(&g->k, ra ^ 1, e ^ 1, &ra) < 0)
             return -1;
         ra ^= 1;
-        if (ctx_exists(g, r, a, &e) < 0
+        if (EXISTS(g, r, a, &e) < 0
             || and_top(&g->k, rb ^ 1, e ^ 1, &rb) < 0)
             return -1;
         rb ^= 1;
@@ -1696,8 +1631,7 @@ levels_of(Group *g, PyObject *vars)
  * manager as the Python loops leave it.  1 with comp[] set, 0 for None,
  * -1 on error. */
 static int
-propagate(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b,
-          edge_t comp[4])
+propagate(Group *g, VarSet *a, VarSet *b, edge_t comp[4])
 {
     PyObject *la = NULL, *lb = NULL, *drop = NULL, *res;
     edge_t dc = 0, out[5];
@@ -1709,15 +1643,16 @@ propagate(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b,
     if (g->q == 0 || dc == 0) {
         if (sync_out(&g->k) < 0)
             return -1;
-        res = PyObject_CallFunctionObjArgs(g->propagate, xa, xb, NULL);
+        res = PyObject_CallFunctionObjArgs(g->propagate, a->vars, b->vars,
+                                           NULL);
         if (res == NULL)
             return -1;
         rc = res == Py_None ? 0 : read_components(res, comp) < 0 ? -1 : 1;
         Py_DECREF(res);
         return (rc < 0 || sync_in(&g->k) < 0) ? -1 : rc;
     }
-    if ((la = PySequence_List(xa)) == NULL
-        || (lb = PySequence_List(xb)) == NULL
+    if ((la = PySequence_List(a->vars)) == NULL
+        || (lb = PySequence_List(b->vars)) == NULL
         || (drop = levels_of(g, lb)) == NULL)
         goto out;
     if (exor_init(&x, &g->k, g->intern, g->cache, la, lb, drop) == 0
@@ -1751,7 +1686,7 @@ raise_inconsistent(void)
  * Theorem 2 filter for an incompletely specified ISF, then Fig. 4.
  * 1 decomposable, 0 not, -1 on error. */
 static int
-exor_bidecomp(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b)
+exor_bidecomp(Group *g, VarSet *a, VarSet *b)
 {
     PyObject *key, *hit;
     edge_t dc, comp[4];
@@ -1779,7 +1714,7 @@ exor_bidecomp(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b)
     if (rc == 1 && dc != 0 && (rc = theorem2(g, a, b)) == 1)
         rc = theorem2(g, b, a);
     if (rc == 1)
-        rc = propagate(g, xa, xb, a, b, comp);
+        rc = propagate(g, a, b, comp);
     if (rc < 0) {
         Py_DECREF(key);
         return -1;
@@ -1794,11 +1729,10 @@ exor_bidecomp(Group *g, PyObject *xa, PyObject *xb, VarSet *a, VarSet *b)
 
 /* exor.exor_decomposable(isf, xa, xb): for an incompletely specified
  * ISF the pairwise Theorem 2 filter, in the sets' iteration order, then
- * check_exor_bidecomp, which normalises the sets. */
+ * check_exor_bidecomp. */
 static int
-exor_set_check(Group *g, PyObject *xa, PyObject *xb)
+exor_set_check(Group *g, VarSet *a, VarSet *b)
 {
-    VarSet a = {NULL, NULL, NULL, NULL, -1}, b = {NULL, NULL, NULL, NULL, -1};
     PyObject *la = NULL, *lb = NULL;
     Py_ssize_t i, j;
     edge_t dc;
@@ -1808,8 +1742,8 @@ exor_set_check(Group *g, PyObject *xa, PyObject *xb)
     if (and_top(&g->k, g->q ^ 1, g->r ^ 1, &dc) < 0)
         return -1;
     if (dc != 0) {
-        if ((la = PySequence_List(xa)) == NULL
-            || (lb = PySequence_List(xb)) == NULL)
+        if ((la = PySequence_List(a->vars)) == NULL
+            || (lb = PySequence_List(b->vars)) == NULL)
             goto done;
         for (i = 0; i < PyList_GET_SIZE(la); i++) {
             for (j = 0; j < PyList_GET_SIZE(lb); j++) {
@@ -1820,15 +1754,10 @@ exor_set_check(Group *g, PyObject *xa, PyObject *xb)
             }
         }
     }
-    rc = -1;
-    if ((a.key = ctx_varset(g, xa)) != NULL
-        && (b.key = ctx_varset(g, xb)) != NULL)
-        rc = exor_bidecomp(g, xa, xb, &a, &b);
+    rc = exor_bidecomp(g, a, b);
 done:
     Py_XDECREF(la);
     Py_XDECREF(lb);
-    varset_clear(&a);
-    varset_clear(&b);
     return rc;
 }
 
@@ -1836,12 +1765,9 @@ done:
 static int
 set_check(Group *g, PyObject *xa, PyObject *xb)
 {
-    VarSet a = {NULL, NULL, NULL, NULL, -1}, b = {NULL, NULL, NULL, NULL, -1};
-    int rc;
-
-    if (g->propagate != NULL)
-        return exor_set_check(g, xa, xb);
-    rc = or_check(g, &a, xa, &b, xb);
+    VarSet a = VARSET(Py_NewRef(xa)), b = VARSET(Py_NewRef(xb));
+    int rc = g->propagate != NULL ? exor_set_check(g, &a, &b)
+                                  : or_check(g, &a, &b);
     varset_clear(&a);
     varset_clear(&b);
     return rc;
@@ -1866,7 +1792,7 @@ pair_scan(Group *g, PyObject *support, const Py_ssize_t *var,
                 || (y = singleton(g, PyTuple_GET_ITEM(support, j))) == NULL)
                 return -1;
             rc = g->propagate != NULL ? exor1_check(g, x, y)
-                                      : or_check(g, x, x->vars, y, y->vars);
+                                      : or_check(g, x, y);
             if (rc != 0) {
                 *ix = i;
                 *iy = j;
@@ -2534,14 +2460,14 @@ out:
 static int
 add_counts(Group *g, PyObject *counters)
 {
-    PyObject *names[3] = {s_check_calls, s_cache_hits, s_exists_calls};
-    long long delta[3] = {g->check_calls, g->cache_hits, g->exists_calls};
+    PyObject *names[2] = {s_check_calls, s_cache_hits};
+    long long delta[2] = {g->check_calls, g->cache_hits};
     PyObject *type, *value, *tb, *v;
     long long old;
     int i, rc = 0;
 
     PyErr_Fetch(&type, &value, &tb);
-    for (i = 0; i < 3 && rc == 0; i++) {
+    for (i = 0; i < 2 && rc == 0; i++) {
         if (delta[i] == 0)
             continue;
         rc = get_ll(counters, names[i], &old);
@@ -2566,13 +2492,13 @@ PyDoc_STRVAR(group_doc,
 "repro.decomp.grouping.group_variables for the ISF (q, r), complemented\n"
 "for AND: the Fig. 5 pair scan and the Fig. 6 growth.  *support* is a\n"
 "tuple of variable indices, *intern* and *cache* as for propagate_exor.\n"
-"*memos* holds the CheckContext dicts it reads and fills: the variable\n"
-"sets, the exists memo and, for EXOR, the Theorem 2 and the Fig. 4\n"
-"verdicts (else None and None).  For EXOR, propagate(xa, xb) runs\n"
+"*memos* holds the CheckContext verdict dicts it reads and fills, keyed\n"
+"on interned level tuples: for EXOR the Theorem 2 and the Fig. 4\n"
+"verdicts, else None and None.  For EXOR, propagate(xa, xb) runs\n"
 "propagate_exor where the kernel loop does not apply and returns None\n"
 "or the four component edges; it is None for OR and AND.  Returns\n"
-"(xa, xb) frozensets or None, and adds its check_calls, cache_hits and\n"
-"exists_calls to *counters*, also when it raises.");
+"(xa, xb) frozensets or None, and adds its check_calls and cache_hits\n"
+"to *counters*, also when it raises.");
 
 static PyObject *
 py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -2597,14 +2523,13 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "exists memo must be a Table");
         return NULL;
     }
-    if (!PyTuple_Check(memos) || PyTuple_GET_SIZE(memos) != 4) {
-        PyErr_SetString(PyExc_TypeError, "memos must be a 4-tuple");
+    if (!PyTuple_Check(memos) || PyTuple_GET_SIZE(memos) != 2) {
+        PyErr_SetString(PyExc_TypeError, "memos must be a 2-tuple");
         return NULL;
     }
-    for (i = 0; i < 4; i++) {
-        if (!PyDict_Check(PyTuple_GET_ITEM(memos, i))
-            && (i < 2 || args[7] != Py_None)) {
-            PyErr_SetString(PyExc_TypeError, "context memos must be dicts");
+    for (i = 0; i < 2; i++) {
+        if (!PyDict_Check(PyTuple_GET_ITEM(memos, i)) && args[7] != Py_None) {
+            PyErr_SetString(PyExc_TypeError, "verdict memos must be dicts");
             return NULL;
         }
     }
@@ -2634,10 +2559,8 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     g.intern = args[4];
     g.cache = (Table *)args[5];
-    g.varsets = PyTuple_GET_ITEM(memos, 0);
-    g.exists_memo = PyTuple_GET_ITEM(memos, 1);
-    g.exor1_memo = PyTuple_GET_ITEM(memos, 2);
-    g.exor_memo = PyTuple_GET_ITEM(memos, 3);
+    g.exor1_memo = PyTuple_GET_ITEM(memos, 0);
+    g.exor_memo = PyTuple_GET_ITEM(memos, 1);
     g.propagate = args[7] == Py_None ? NULL : args[7];
     g.single = PyMem_Calloc((size_t)g.nsingle + 1, sizeof(VarSet));
     if (g.single == NULL) {
@@ -2656,8 +2579,8 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (rc == 0)
         result = Py_NewRef(Py_None);
     else if (rc > 0
-             && (xa = PySet_New(g.single[var[ix]].key)) != NULL
-             && (xb = PySet_New(g.single[var[iy]].key)) != NULL
+             && (xa = PySet_New(g.single[var[ix]].vars)) != NULL
+             && (xb = PySet_New(g.single[var[iy]].vars)) != NULL
              && grow_sets(&g, support, xa, xb) == 0) {
         /* frozenset(xa), frozenset(xb) */
         Py_SETREF(xa, PyFrozenSet_New(xa));
@@ -2716,7 +2639,6 @@ PyInit__kernel(void)
         {&s_ct_ite, "_ct_ite"}, {&s_level_to_var, "_level_to_var"},
         {&s_literals, "literals"},
         {&s_check_calls, "check_calls"}, {&s_cache_hits, "cache_hits"},
-        {&s_exists_calls, "exists_calls"},
         {&s_var_to_level, "_var_to_level"},
     };
     PyObject *module;

@@ -196,19 +196,20 @@ def variable_grouping(mgr, q: Edge, r: Edge, support, memos, counters,
     on-set *q* and off-set *r* (the complemented ISF's for the AND
     gate): the pair scan, then the greedy growth.  *support* is a tuple
     of variable indices.  *memos* holds the
-    :class:`~repro.decomp.context.CheckContext` dicts the checks read
-    and fill, in the order variable sets, quantifications, and for EXOR
-    the Theorem 2 and Fig. 4 verdicts (else ``None`` and ``None``:
-    Theorem 1 keeps no verdict memo); the kernel probes and fills them
-    as the Python checks do.  For EXOR, *propagate(xa, xb)* runs
+    :class:`~repro.decomp.context.CheckContext` verdict dicts the EXOR
+    checks read and fill, Theorem 2's then Fig. 4's (``None`` and
+    ``None`` for OR and AND: Theorem 1 keeps no verdict memo); the
+    kernel probes and fills them as the Python checks do, keyed on
+    :func:`levels_token` sets, and projects straight through the exists
+    memo.  For EXOR, *propagate(xa, xb)* runs
     :func:`repro.decomp.exor.propagate_exor` where the kernel's loop
     does not apply (an empty on-set or no don't-cares), returning
     ``None`` or the four component edges.  Returns ``(xa, xb)``
-    frozensets or ``None`` and adds the probes' ``check_calls``,
-    ``cache_hits`` and ``exists_calls`` to *counters*, also when a
-    growth hook raises.  The C loop repeats the Python one call for
-    call, so edges, arena, counters, suffix ids and memo entries come
-    out the same.  Only for a manager with :attr:`BDD.native` set.
+    frozensets or ``None`` and adds the probes' ``check_calls`` and
+    ``cache_hits`` to *counters*, also when a growth hook raises.  The C
+    loop repeats the Python one call for call, so edges, arena,
+    counters, suffix ids and memo entries come out the same.  Only for
+    a manager with :attr:`BDD.native` set.
     """
     return mgr._kernel.group_variables(
         mgr, q, r, support, _interner(mgr),
@@ -216,13 +217,28 @@ def variable_grouping(mgr, q: Edge, r: Edge, support, memos, counters,
         counters, _manager._CT_MAX)
 
 
+def levels_token(mgr, variables):
+    """The sorted tuple of the levels of *variables*, interned as
+    :func:`exists` interns a set on its first call (its level suffixes
+    get their ids too).
+
+    The tuple is the key of a variable set in the EXOR verdict memos of
+    :class:`repro.decomp.context.CheckContext`; the C grouping interns
+    a set at the same point through :func:`_interner`.
+    """
+    return _intern(mgr, variables)[0]
+
+
+def _intern(mgr, variables):
+    """``(levels, suffix ids)`` of *variables*, interned as :func:`exists`
+    interns a set on its first call."""
+    levels = _levels_token(mgr, variables)
+    return levels, (_suffixes(mgr, levels)[1] if levels else ())
+
+
 def _interner(mgr):
-    """``intern(variables) -> (levels, suffix ids)`` for the C entries,
-    interning a set as :func:`exists` does on its first call."""
-    def intern(variables):
-        levels = _levels_token(mgr, variables)
-        return levels, (_suffixes(mgr, levels)[1] if levels else ())
-    return intern
+    """``intern(variables) -> (levels, suffix ids)`` for the C entries."""
+    return lambda variables: _intern(mgr, variables)
 
 
 def forall(mgr, variables, f: Edge) -> Edge:

@@ -103,7 +103,12 @@ class DecompositionConfig:
 
 
 class DecompositionStats:
-    """Counters the paper quotes in prose (Sections 6 and 7)."""
+    """Counters the paper quotes in prose (Sections 6 and 7), plus the
+    grouping's :class:`~repro.decomp.context.CheckContext` counters:
+    ``grouping_check_calls`` (checks probed) and ``quantify_cache_hits``
+    (probes answered from its EXOR verdict memos; the name predates the
+    move of every projection to the kernel's exists memo, whose repeats
+    ``cache_stats()`` counts as ``quantify_calls``)."""
 
     def __init__(self):
         self.calls = 0
@@ -113,9 +118,7 @@ class DecompositionStats:
         self.weak = {OR_GATE: 0, AND_GATE: 0}
         self.shannon = 0
         self.inessential_removed = 0
-        # CheckContext counters, summed over every recursion step:
-        # decomposability checks probed during grouping and
-        # quantification probes answered from the context cache.
+        # CheckContext counters, summed over every recursion step.
         self.grouping_check_calls = 0
         self.quantify_cache_hits = 0
 
@@ -273,7 +276,7 @@ class DecompositionEngine:
         ctx = CheckContext(self.mgr)
         step = self._find_strong_step(isf, support, ctx)
         if step is None and self.config.use_weak:
-            step = self._find_weak_step(isf, support, ctx)
+            step = self._find_weak_step(isf, support)
         stats = self.stats
         stats.grouping_check_calls += ctx.check_calls
         stats.quantify_cache_hits += ctx.cache_hits
@@ -312,9 +315,9 @@ class DecompositionEngine:
         self._on_step(isf, support, gate, xa, xb, isf_a)
         return gate, xa, isf_a
 
-    def _find_weak_step(self, isf, support, ctx):
+    def _find_weak_step(self, isf, support):
         """Best weak OR/AND step, or None when nothing makes progress."""
-        weak = find_weak_grouping(isf, support, ctx=ctx)
+        weak = find_weak_grouping(isf, support)
         if weak is None:
             return None
         gate, xa = weak

@@ -23,28 +23,30 @@ worth taking when it strictly enlarges the don't-care set of component
 A, which is the paper's termination argument.
 
 Every check runs through a :class:`~repro.decomp.context.CheckContext`
-(a caller that passes none gets a fresh one): every quantification
-comes from a shared per-manager cache, and the EXOR verdicts (Theorem
-2 here, Fig. 4 in :mod:`repro.decomp.exor`) memoise on their
-``(Q, R, XA, XB)`` packed-edge keys.  Theorem 1's verdicts do not:
-with the default config no OR or AND probe repeats (DESIGN.md section
-9 counts them).  The checks deliberately keep the plain apply forms
-below rather than fusing the conjunction into the quantification walk:
-the manager's global computed tables already share every materialised
-intermediate across the diff/or/and ecosystem, and DESIGN.md section 9
-records the measurement where the fused ``and_exists`` walks lost to
-them.  The closed forms are restated
+(a caller that passes none gets a fresh one), which counts it; the EXOR
+verdicts (Theorem 2 here, Fig. 4 in :mod:`repro.decomp.exor`) memoise
+there on ``(Q, R, XA, XB)`` keys.  Every quantification is a plain
+:func:`repro.bdd.exists` / :func:`repro.bdd.forall` call, whose kernel
+memo answers a repeated projection at the root.  Theorem 1's verdicts
+are not memoised: with the default config no OR or AND probe repeats
+(DESIGN.md section 9 counts them).  The checks deliberately keep the
+plain apply forms below rather than fusing the conjunction into the
+quantification walk: the manager's global computed tables already share
+every materialised intermediate across the diff/or/and ecosystem, and
+DESIGN.md section 9 records the measurement where the fused
+``and_exists`` walks lost to them.  The closed forms are restated
 independently in :func:`repro.analysis.certify.theorem_residue`, which
 the ``--check`` contracts and the offline certifier re-prove through.
 
 :func:`or_decomposable`, :func:`and_decomposable` and
 :func:`exor_decomposable_single` are also restated in C: on a manager
 that runs the C inner loops, variable grouping makes these same calls,
-on the same context caches and in the same order, inside one kernel
+on the same context memos and in the same order, inside one kernel
 call (:func:`repro.bdd.variable_grouping`), so during grouping the
 functions here run only on the Python loops.
 """
 
+from repro.bdd import exists, forall
 from repro.bdd.function import Function
 from repro.decomp.context import CheckContext
 
@@ -56,9 +58,9 @@ def or_decomposable(isf, xa, xb, ctx=None):
     ctx.check_calls += 1
     q, r = isf.on.node, isf.off.node
     # Q & (exists XA R) & (exists XB R) == 0; across a pair scan each
-    # exists(x, R) is computed once and shared by every pair touching x.
-    qa = mgr.and_(q, ctx.exists(r, xa))
-    return mgr.and_(qa, ctx.exists(r, xb)) == mgr.false
+    # exists(x, R) is walked once and then answered by the kernel memo.
+    qa = mgr.and_(q, exists(mgr, xa, r))
+    return mgr.and_(qa, exists(mgr, xb, r)) == mgr.false
 
 
 def and_decomposable(isf, xa, xb, ctx=None):
@@ -66,22 +68,21 @@ def and_decomposable(isf, xa, xb, ctx=None):
     return or_decomposable(isf.complement(), xa, xb, ctx)
 
 
-def derivative_isf(isf, variables, ctx=None):
+def derivative_isf(isf, variables):
     """The ISF of the Boolean derivative of F w.r.t. *variables*.
 
     For a compatible CSF f, the derivative ``df/dXA`` must be 1 exactly
     where two XA-cofactor points are forced to opposite values, and 0
     where two are forced to equal values (Theorem 2's Q_D / R_D).
-    Returns ``(q_d, r_d)`` as Functions.  All four quantifications come
-    from the context cache (the forall dual shares it via complement
-    edges) — the Fig. 5 EXOR pair scan re-derives these per-x building
-    blocks for every partner variable.
+    Returns ``(q_d, r_d)`` as Functions.  The Fig. 5 EXOR pair scan
+    re-derives these per-x building blocks for every partner variable;
+    the kernel's exists memo (which the forall dual shares through
+    complement edges) answers each repeat at the root.
     """
-    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
     q, r = isf.on.node, isf.off.node
-    q_d = mgr.and_(ctx.exists(q, variables), ctx.exists(r, variables))
-    r_d = mgr.or_(ctx.forall(q, variables), ctx.forall(r, variables))
+    q_d = mgr.and_(exists(mgr, variables, q), exists(mgr, variables, r))
+    r_d = mgr.or_(forall(mgr, variables, q), forall(mgr, variables, r))
     return Function(mgr, q_d), Function(mgr, r_d)
 
 
@@ -98,9 +99,9 @@ def exor_decomposable_single(isf, xa_var, xb_var, ctx=None):
                                    [xa_var], [xb_var])
     if store is None:
         return cached
-    q_d, r_d = derivative_isf(isf, [xa_var], ctx)
+    q_d, r_d = derivative_isf(isf, [xa_var])
     return store(mgr.and_(q_d.node,
-                          ctx.exists(r_d.node, [xb_var])) == mgr.false)
+                          exists(mgr, [xb_var], r_d.node)) == mgr.false)
 
 
 def weak_or_useful(isf, xa, ctx=None):
@@ -112,7 +113,7 @@ def weak_or_useful(isf, xa, ctx=None):
     ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
     ctx.check_calls += 1
-    return mgr.diff(isf.on.node, ctx.exists(isf.off.node, xa)) != mgr.false
+    return mgr.diff(isf.on.node, exists(mgr, xa, isf.off.node)) != mgr.false
 
 
 def weak_and_useful(isf, xa, ctx=None):

@@ -29,7 +29,7 @@ re-derives component B from the chosen CSF f_A afterwards (see
 :mod:`repro.decomp.derive`), mirroring what Theorem 4 does for OR.
 """
 
-from repro.bdd import (cube_to_bdd, exists as _exists, exor_propagation,
+from repro.bdd import (cube_to_bdd, exists, exor_propagation, forall,
                        pick_cube)
 from repro.bdd.function import Function
 from repro.boolfn.isf import ISF, InconsistentISF
@@ -50,10 +50,9 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
         The :class:`~repro.decomp.context.CheckContext` to run in (a
         fresh one when omitted).  The whole propagation outcome
         memoises on its ``(Q, R, XA, XB)`` key (the engine re-runs the
-        winning grouping verbatim to derive the components), the
+        winning grouping verbatim to derive the components), and the
         set-lifted Theorem 2 filter of :func:`_set_derivative_filter`
-        prunes infeasible groupings before any propagation runs, and
-        the projection steps share the context's quantification cache.
+        prunes infeasible groupings before any propagation runs.
 
     Returns ``(isf_a, isf_b)`` — the accumulated must-sets of the two
     components as ISFs — or ``None`` when no EXOR bi-decomposition with
@@ -76,10 +75,10 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
         return (ISF(Function(mgr, q_a), Function(mgr, r_a)),
                 ISF(Function(mgr, q_b), Function(mgr, r_b)))
     if not isf.is_completely_specified() and not _set_derivative_filter(
-            isf, xa, xb, ctx):
+            isf, xa, xb):
         store(False)
         return None
-    result = _propagate(isf, xa, xb, ctx)
+    result = _propagate(isf, xa, xb)
     if result is None:
         store(False)
         return None
@@ -88,7 +87,7 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
     return result
 
 
-def _set_derivative_filter(isf, xa, xb, ctx):
+def _set_derivative_filter(isf, xa, xb):
     """Theorem 2 lifted to variable *sets*, as a necessary condition.
 
     If ``F = A(XA, XC) ^ B(XB, XC)`` for some compatible extension f,
@@ -104,30 +103,29 @@ def _set_derivative_filter(isf, xa, xb, ctx):
 
     must hold (and symmetrically with XA and XB swapped).  For
     singleton sets this is exactly Theorem 2 and also sufficient; for
-    larger sets it is only necessary — but every quantification here
-    comes from the context cache, so the filter prunes failing Fig. 4
-    propagations (the expensive part of the growth scan) for almost
-    free.  Returns False only when no EXOR bi-decomposition with these
+    larger sets it is only necessary — but the kernel's exists memo has
+    most of its quantifications already, so the filter prunes failing
+    Fig. 4 propagations (the expensive part of the growth scan) for
+    almost free.  Returns False only when no EXOR bi-decomposition with these
     sets can exist, so filtered verdicts are exact.
     """
     mgr = isf.mgr
     q, r = isf.on.node, isf.off.node
     for va, vb in ((xa, xb), (xb, xa)):
-        q_d = mgr.and_(ctx.exists(q, va), ctx.exists(r, va))
-        r_d = mgr.or_(ctx.forall(q, va), ctx.forall(r, va))
-        if mgr.and_(q_d, ctx.exists(r_d, vb)) != mgr.false:
+        q_d = mgr.and_(exists(mgr, va, q), exists(mgr, va, r))
+        r_d = mgr.or_(forall(mgr, va, q), forall(mgr, va, r))
+        if mgr.and_(q_d, exists(mgr, vb, r_d)) != mgr.false:
             return False
     return True
 
 
-def propagate_exor(isf, xa, xb, ctx=None):
+def propagate_exor(isf, xa, xb):
     """Fig. 4's propagation itself, with no verdict memo and no filter.
 
     Returns ``(isf_a, isf_b)`` or ``None`` like
-    :func:`check_exor_bidecomp`, computed afresh on every call; only the
-    projections go through *ctx*'s quantification cache.  The ``--check``
-    contracts re-prove EXOR steps here, so they never read back a
-    verdict the engine memoised.
+    :func:`check_exor_bidecomp`, computed afresh on every call.  The
+    ``--check`` contracts re-prove EXOR steps here, so they never read
+    back a verdict the engine memoised.
 
     For completely specified intervals the exact cofactor ("rank-1")
     test replaces the cube propagation: F decomposes iff
@@ -138,15 +136,14 @@ def propagate_exor(isf, xa, xb, ctx=None):
     cofactors *are* the components.  This is orders of magnitude faster
     and bitwise-equivalent in outcome.
     """
-    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
     if isf.is_completely_specified():
         return _csf_exor_components(isf, xa, xb)
     xa = [mgr.var_index(v) for v in xa]
     xb = [mgr.var_index(v) for v in xb]
     def _forced(vars_, u, pu, v, pv):
-        return _exists(mgr, vars_, mgr.or_(mgr.and_(u, pu),
-                                           mgr.and_(v, pv)))
+        return exists(mgr, vars_, mgr.or_(mgr.and_(u, pu),
+                                          mgr.and_(v, pv)))
 
     false = mgr.false
     q = isf.on.node
@@ -191,10 +188,10 @@ def propagate_exor(isf, xa, xb, ctx=None):
             r_a = mgr.diff(r_a, acc_ra)
             if mgr.and_(mgr.or_(acc_qa, q_a), mgr.or_(acc_ra, r_a)) != false:
                 return None
-    return _components(mgr, xa, xb, ctx, r, acc_qa, acc_ra, acc_qb, acc_rb)
+    return _components(mgr, xa, xb, r, acc_qa, acc_ra, acc_qb, acc_rb)
 
 
-def _propagate(isf, xa, xb, ctx):
+def _propagate(isf, xa, xb):
     """:func:`propagate_exor`, with its loop as one C kernel call.
 
     On a manager that runs the C inner loops, an incompletely specified
@@ -206,23 +203,23 @@ def _propagate(isf, xa, xb, ctx):
     mgr = isf.mgr
     q = isf.on.node
     if not mgr.native or q == mgr.false or isf.is_completely_specified():
-        return propagate_exor(isf, xa, xb, ctx)
+        return propagate_exor(isf, xa, xb)
     xa = [mgr.var_index(v) for v in xa]
     xb = [mgr.var_index(v) for v in xb]
     loop = exor_propagation(mgr, q, isf.off.node, xa, xb)
     if loop is None:
         return None
-    return _components(mgr, xa, xb, ctx, *loop)
+    return _components(mgr, xa, xb, *loop)
 
 
-def _components(mgr, xa, xb, ctx, r, acc_qa, acc_ra, acc_qb, acc_rb):
+def _components(mgr, xa, xb, r, acc_qa, acc_ra, acc_qb, acc_rb):
     """The propagation's final step: the component ISFs, or ``None``."""
     false = mgr.false
     # Untouched off-set points: force both components to 0 there
     # (0 EXOR 0 = 0), per the paper's final step.
     if r != false:
-        acc_ra = mgr.or_(acc_ra, ctx.exists(r, xb))
-        acc_rb = mgr.or_(acc_rb, ctx.exists(r, xa))
+        acc_ra = mgr.or_(acc_ra, exists(mgr, xb, r))
+        acc_rb = mgr.or_(acc_rb, exists(mgr, xa, r))
         if mgr.and_(acc_qa, acc_ra) != false:
             return None
         if mgr.and_(acc_qb, acc_rb) != false:

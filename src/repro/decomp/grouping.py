@@ -17,7 +17,7 @@ bi-decomposition feasible:
 On a manager that runs the C inner loops, :func:`group_variables`
 hands the pair scan and the growth of one gate to a single C kernel
 call (:func:`repro.bdd.variable_grouping`), which repeats the Python
-loops below call for call on the same context caches and counters.
+loops below call for call on the same context memos and counters.
 The Python loops stay the fallback, the differential tests' reference
 and the path of a support given by variable names;
 :func:`improve_grouping` always runs them.  Fig. 6's growth is one
@@ -62,10 +62,10 @@ def find_initial_grouping(isf, support, gate, ctx=None):
     not strongly bi-decomposable with this gate under any pair.
 
     The :class:`~repro.decomp.context.CheckContext` (a fresh one when
-    omitted) caches the per-variable quantification family across
-    probes, so the O(n^2) pair scan issues only O(n) kernel
-    quantifications — lazily, which keeps an early exit from paying for
-    variables it never probed.
+    omitted) counts the probes.  The kernel's exists memo answers every
+    repeat of the per-variable quantification family at the root, so
+    the O(n^2) pair scan walks only O(n) quantifications — lazily, which
+    keeps an early exit from paying for variables it never probed.
     """
     ctx = ctx or CheckContext(isf.mgr)
     check = _pair_checker(isf, gate, ctx)
@@ -128,7 +128,7 @@ def _group_variables_native(isf, support, gate, ctx):
     """:func:`group_variables` as one C kernel call.
 
     :func:`repro.bdd.variable_grouping` repeats the pair scan and the
-    growth call for call on *ctx*'s caches and counters, the EXOR
+    growth call for call on *ctx*'s verdict memos and counters, the EXOR
     growth's :func:`exor_decomposable` included; it calls back into
     :func:`propagate_exor` only where :func:`check_exor_bidecomp` would
     not hand Fig. 4's loop to the kernel.
@@ -139,7 +139,7 @@ def _group_variables_native(isf, support, gate, ctx):
         verdicts = (ctx.memo("exor1"), ctx.memo("exor"))
 
         def propagate(xa, xb):
-            result = propagate_exor(isf, xa, xb, ctx)
+            result = propagate_exor(isf, xa, xb)
             if result is None:
                 return None
             isf_a, isf_b = result
@@ -151,9 +151,8 @@ def _group_variables_native(isf, support, gate, ctx):
             isf = isf.complement()
     else:
         raise ValueError("unknown gate %r" % gate)
-    memos = (ctx.memo("varset"), ctx.memo("exists")) + verdicts
     return variable_grouping(isf.mgr, isf.on.node, isf.off.node, support,
-                             memos, ctx, propagate)
+                             verdicts, ctx, propagate)
 
 
 def improve_grouping(isf, support, gate, xa, xb, ctx=None):

@@ -11,12 +11,11 @@ XA does better: quantifying more variables can only enlarge
 keeps with any one variable of XA.
 """
 
-from repro.bdd import sat_count
-from repro.decomp.context import CheckContext
+from repro.bdd import exists, sat_count
 from repro.decomp.derive import AND_GATE, OR_GATE
 
 
-def find_weak_grouping(isf, support, ctx=None):
+def find_weak_grouping(isf, support):
     """Choose the best weak step.
 
     Returns ``(gate, frozenset((x,)))`` where *gate* is OR or AND and
@@ -27,21 +26,20 @@ def find_weak_grouping(isf, support, ctx=None):
     confirm the fallback virtually never fires).  Exact gain ties go to
     the earlier variable of *support*, and OR before AND.
     """
-    ctx = ctx or CheckContext(isf.mgr)
     mgr = isf.mgr
     best = None
     best_gain = 0
     q, r = isf.on.node, isf.off.node
     for x in support:
         # Weak OR: Q_A = Q & exists(x, R); gain = |Q| - |Q_A|.
-        r_no_x = ctx.exists(r, [x])
+        r_no_x = exists(mgr, [x], r)
         q_a = mgr.and_(q, r_no_x)
         gain_or = sat_count(mgr, q) - sat_count(mgr, q_a)
         if gain_or > best_gain:
             best_gain = gain_or
             best = (OR_GATE, frozenset((x,)))
         # Weak AND (dual): R_A = R & exists(x, Q); gain = |R| - |R_A|.
-        q_no_x = ctx.exists(q, [x])
+        q_no_x = exists(mgr, [x], q)
         r_a = mgr.and_(r, q_no_x)
         gain_and = sat_count(mgr, r) - sat_count(mgr, r_a)
         if gain_and > best_gain:

@@ -7,6 +7,8 @@ verify, and the two resource budgets (wall-clock seconds and live BDD
 nodes) enforced by the session.
 """
 
+import numbers
+
 from repro.decomp.bidecomp import DecompositionConfig
 from repro.pipeline.limits import budget_seconds
 
@@ -29,6 +31,14 @@ STAGE_NAMES = (
     "map",
     "emit",
 )
+
+
+def _count(value, name):
+    """*value* as an int; ``ValueError`` for a bool or a non-integral
+    number, which ``int()`` would silently truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 class PipelineConfig:
@@ -129,7 +139,7 @@ class PipelineConfig:
         if time_limit is not None:
             time_limit = budget_seconds(time_limit, "time_limit")
         if max_nodes is not None:
-            max_nodes = int(max_nodes)
+            max_nodes = _count(max_nodes, "max_nodes")
             if max_nodes <= 0:
                 raise ValueError("max_nodes must be positive, got %r"
                                  % max_nodes)
@@ -158,7 +168,7 @@ class PipelineConfig:
             raise ValueError("budget_scope must be one of %s, got %r"
                              % ("/".join(BUDGET_SCOPES), budget_scope))
         self.budget_scope = budget_scope
-        jobs = int(jobs)
+        jobs = _count(jobs, "jobs")
         if jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = auto), got %r" % jobs)
         self.jobs = jobs

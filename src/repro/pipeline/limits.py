@@ -11,6 +11,7 @@ decomposition engine, the CLI) can raise these without import cycles.
 """
 
 import math
+import numbers
 import sys
 import time
 from contextlib import contextmanager
@@ -50,8 +51,11 @@ class NodeLimitExceeded(PipelineError):
 
 def budget_seconds(value, name):
     """*value* as a float number of seconds; ``ValueError`` unless it is
-    finite and positive (a NaN budget would never expire: every
-    ``elapsed >= nan`` comparison is False)."""
+    a real number (not a bool), finite and positive (a NaN budget would
+    never expire: every ``elapsed >= nan`` comparison is False)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number of seconds, got %r"
+                         % (name, value))
     seconds = float(value)
     if not (math.isfinite(seconds) and seconds > 0):
         raise ValueError("%s must be a finite positive number of seconds, "

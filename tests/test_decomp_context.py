@@ -1,15 +1,17 @@
 """Tests for the shared decomposability-check context (CheckContext).
 
-The context is an exactness-preserving cache: everything it stores is
-a canonical BDD edge or a boolean derived from one, so every check must
-agree with the brute-force truth-table oracles, replay the same answer
-from its memo, and the caches must die with ``clear_caches()`` like the
-kernel's own computed tables.
+The context counts the checks and memoises the EXOR verdicts; every
+projection goes straight to the kernel's exists memo.  Everything
+memoised is a canonical BDD edge or a boolean derived from one, so
+every check must agree with the brute-force truth-table oracles, replay
+the same answer from a memo, and the memos must die with
+``clear_caches()`` like the kernel's own computed tables.
 """
 
 from hypothesis import given, settings
 
-from repro.bdd import exists as kernel_exists
+from repro.bdd import exists, forall, native
+from repro.bdd.quantify import levels_token
 from repro.decomp import CheckContext, bi_decompose
 from repro.decomp import checks
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
@@ -28,67 +30,96 @@ def _parity(mgr, variables):
     return acc
 
 
+def _managers(n):
+    """A manager on the C loops (where they are compiled) and one held on
+    the Python loops, with variables x0..x{n-1}."""
+    c_mgr, py_mgr = make_mgr(n), make_mgr(n)
+    native._python_loops(py_mgr)
+    return c_mgr, py_mgr
+
+
+def _quantify(mgr):
+    stats = mgr.cache_stats()
+    return stats["quantify_calls"], stats["quantify_steps"]
+
+
+def _arena(mgr):
+    return len(mgr._level), list(mgr._free)
+
+
 class TestQuantificationCache:
+    """The checks project through the kernel's exists memo, which
+    answers a repeated ``exists`` / ``forall`` at the root: one call and
+    one step, and no node."""
+
     def test_exists_cached_second_call_is_a_hit(self):
-        mgr = make_mgr(4)
-        ctx = CheckContext(mgr)
-        f = mgr.or_(mgr.and_(mgr.var(0), mgr.var(1)), mgr.var(2))
-        first = ctx.exists(f, [0, 2])
-        assert ctx.exists_calls == 1 and ctx.cache_hits == 0
-        second = ctx.exists(f, [2, 0])     # order must not matter
-        assert second == first
-        assert ctx.exists_calls == 1 and ctx.cache_hits == 1
-        assert first == kernel_exists(mgr, [0, 2], f)
+        for mgr in _managers(4):
+            f = mgr.or_(mgr.and_(mgr.var(0), mgr.var(1)), mgr.var(2))
+            first = exists(mgr, [0, 2], f)
+            calls, steps = _quantify(mgr)
+            arena = _arena(mgr)
+            second = exists(mgr, [2, 0], f)    # order must not matter
+            assert second == first
+            assert _quantify(mgr) == (calls + 1, steps + 1)
+            assert _arena(mgr) == arena
 
     def test_empty_variable_set_is_identity_without_caching(self):
-        mgr = make_mgr(2)
-        ctx = CheckContext(mgr)
-        f = mgr.var(0)
-        assert ctx.exists(f, []) == f
-        assert ctx.exists_calls == 0 and ctx.cache_hits == 0
+        for mgr in _managers(2):
+            f = mgr.var(0)
+            before = _quantify(mgr)
+            assert exists(mgr, [], f) == f
+            assert forall(mgr, [], f) == f
+            assert _quantify(mgr) == before
+            assert not getattr(mgr, "_cache_exists", None)
 
     def test_forall_shares_the_cache_through_complement_edges(self):
-        mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        f = mgr.ite(mgr.var(0), mgr.var(1), mgr.var(2))
-        got = ctx.forall(f, [1])
-        from repro.bdd import forall as kernel_forall
-        assert got == kernel_forall(mgr, [1], f)
-        assert ctx.exists_calls == 1
-        # forall(V, f) was served by exists(V, ~f); asking for that
-        # exists directly must now be a pure cache hit.
-        ctx.exists(mgr.not_(f), [1])
-        assert ctx.exists_calls == 1 and ctx.cache_hits == 1
+        for mgr in _managers(3):
+            f = mgr.ite(mgr.var(0), mgr.var(1), mgr.var(2))
+            got = forall(mgr, [1], f)
+            calls, steps = _quantify(mgr)
+            arena = _arena(mgr)
+            # forall(V, f) walked exists(V, ~f); that exists and the
+            # forall again are both root hits.
+            assert exists(mgr, [1], mgr.not_(f)) == mgr.not_(got)
+            assert forall(mgr, [1], f) == got
+            assert _quantify(mgr) == (calls + 2, steps + 2)
+            assert _arena(mgr) == arena
 
     def test_caches_are_dropped_by_clear_caches(self):
-        mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        f = mgr.and_(mgr.var(0), mgr.var(1))
-        ctx.exists(f, [0])
-        assert mgr._cache_ctx_exists and mgr._cache_ctx_varset
-        mgr.clear_caches()
-        assert not mgr._cache_ctx_exists and not mgr._cache_ctx_varset
-        ctx.exists(f, [0])
-        assert ctx.exists_calls == 2   # recomputed, not replayed
+        for mgr in _managers(3):
+            f = mgr.and_(mgr.var(0), mgr.var(1))
+            exists(mgr, [0], f)
+            assert mgr._cache_exists
+            mgr.clear_caches()
+            assert not mgr._cache_exists
+            calls, steps = _quantify(mgr)
+            exists(mgr, [0], f)
+            # Recomputed, not replayed: the walk goes below the root.
+            assert _quantify(mgr)[1] > steps + 1
 
     def test_variable_sets_are_interned_per_argument(self):
+        # A verdict memo key is the set's interned level tuple, which the
+        # quantifier itself uses.
         mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        first = ctx._varset(["x0", 2])
-        assert first == frozenset({0, 2})
-        assert ctx._varset(["x0", 2]) is first
-        assert ctx._varset((2, 0)) == first
+        first = levels_token(mgr, ["x0", 2])
+        assert first == (0, 2)
+        assert levels_token(mgr, ["x0", 2]) is first
+        assert levels_token(mgr, (2, 0)) == first
+        assert levels_token(mgr, []) == ()
 
     def test_contexts_on_different_managers_are_isolated(self):
         mgr_a, mgr_b = make_mgr(3), make_mgr(3)
-        ctx_a, ctx_b = CheckContext(mgr_a), CheckContext(mgr_b)
         f_a = mgr_a.and_(mgr_a.var(0), mgr_a.var(1))
         f_b = mgr_b.and_(mgr_b.var(0), mgr_b.var(1))
         assert f_a == f_b              # same packed edge value...
-        ctx_a.exists(f_a, [0])
-        ctx_b.exists(f_b, [0])
-        # ...but each manager misses once: nothing leaked across.
-        assert ctx_a.exists_calls == 1 and ctx_b.exists_calls == 1
+        exists(mgr_a, [0], f_a)
+        exists(mgr_b, [0], f_b)
+        # ...but each manager walks it: nothing leaked across.
+        assert _quantify(mgr_a) == _quantify(mgr_b)
+        assert _quantify(mgr_b)[1] > 1
+        ctx_a, ctx_b = CheckContext(mgr_a), CheckContext(mgr_b)
+        ctx_a.check_memo("exor1", f_a, f_a, [0], [1])[1](True)
+        assert ctx_b.check_memo("exor1", f_b, f_b, [0], [1])[0] is None
         assert ctx_b.cache_hits == 0
 
 
@@ -162,10 +193,9 @@ class TestCachedEqualsUncached:
         on_tt, off_tt = pair
         mgr = make_mgr(3)
         isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
-        ctx = CheckContext(mgr)
         full = 0xFF
         for variables in ([0], [1], [0, 1], [1, 2]):
-            q_d, r_d = checks.derivative_isf(isf, variables, ctx)
+            q_d, r_d = checks.derivative_isf(isf, variables)
             assert brute_force(mgr, q_d.node, [0, 1, 2]) == (
                 exists_tt(on_tt, 3, variables)
                 & exists_tt(off_tt, 3, variables))
@@ -173,7 +203,7 @@ class TestCachedEqualsUncached:
             assert brute_force(mgr, r_d.node, [0, 1, 2]) == full & ~(
                 exists_tt(full & ~on_tt, 3, variables)
                 & exists_tt(full & ~off_tt, 3, variables))
-            again = checks.derivative_isf(isf, variables, ctx)
+            again = checks.derivative_isf(isf, variables)
             assert (again[0].node, again[1].node) == (q_d.node, r_d.node)
 
     @settings(max_examples=40, deadline=None)
@@ -223,52 +253,89 @@ class TestCachedEqualsUncached:
                 assert oracle(on_tt, off_tt, 3, xa, xb)
 
 
+def _projection_log(monkeypatch):
+    """Log every projection the checks make as ``(key, steps)``: the
+    exists memo's view of the call (``forall(V, f)`` is
+    ``exists(V, ~f)``) and the ``quantify_steps`` it cost."""
+    log = []
+    for name, flip in (("exists", 0), ("forall", 1)):
+        def spy(mgr, variables, f, _real=getattr(checks, name), _flip=flip):
+            before = _quantify(mgr)[1]
+            result = _real(mgr, variables, f)
+            log.append(((levels_token(mgr, variables), f ^ _flip),
+                        _quantify(mgr)[1] - before))
+            return result
+        monkeypatch.setattr(checks, name, spy)
+    return log
+
+
+def _walks(log):
+    """Distinct projections of *log*, after checking that every repeat
+    was one root hit."""
+    seen = set()
+    for key, steps in log:
+        if key in seen:
+            assert steps == 1
+        seen.add(key)
+    return seen
+
+
 class TestPairScanIsLinear:
     def test_or_pair_scan_issues_one_quantification_per_variable(self):
         # Parity is OR-bi-decomposable for no pair, so Fig. 5 probes
         # every one of the n*(n-1)/2 pairs — but each probe only needs
-        # exists(x, R) for its two variables, so the context serves the
-        # whole scan with exactly n kernel quantifications.
+        # exists(x, R) for its two variables, so the scan walks exactly
+        # n quantifications and every other call is a one-step root hit.
         n = 6
-        mgr = make_mgr(n)
+        pairs = n * (n - 1) // 2
         from repro.boolfn.isf import ISF
-        isf = ISF.from_csf(mgr.fn(_parity(mgr, range(n))))
-        ctx = CheckContext(mgr)
-        assert find_initial_grouping(isf, range(n), OR_GATE, ctx) is None
-        assert ctx.check_calls == n * (n - 1) // 2
-        assert ctx.exists_calls == n
+        for mgr, twin in zip(_managers(n), _managers(n)):
+            isf = ISF.from_csf(mgr.fn(_parity(mgr, range(n))))
+            twin_r = ISF.from_csf(twin.fn(_parity(twin, range(n)))).off.node
+            for x in range(n):     # the scan's first-use order
+                exists(twin, [x], twin_r)
+            walks = _quantify(twin)[1]
+            ctx = CheckContext(mgr)
+            assert find_initial_grouping(isf, range(n), OR_GATE, ctx) is None
+            assert ctx.check_calls == pairs
+            assert _quantify(mgr) == (2 * pairs, walks + 2 * pairs - n)
 
-    def test_exor_pair_scan_quantifications_are_linear(self):
+    def test_exor_pair_scan_quantifications_are_linear(self, monkeypatch):
         # The Theorem 2 scan needs the four per-variable derivative
-        # quantifications of Q and R plus one exists per partner; with
-        # the cache that stays O(n), not O(n^2).  Majority of three
-        # overlapping AND pairs refuses EXOR everywhere.
-        mgr = make_mgr(3)
-        maj = mgr.or_(mgr.or_(mgr.and_(mgr.var(0), mgr.var(1)),
-                              mgr.and_(mgr.var(0), mgr.var(2))),
-                      mgr.and_(mgr.var(1), mgr.var(2)))
+        # quantifications of Q and R plus one exists per partner; the
+        # kernel memo keeps the walks O(n), not O(n^2).  Majority of
+        # three overlapping AND pairs refuses EXOR everywhere.
         from repro.boolfn.isf import ISF
-        isf = ISF.from_csf(mgr.fn(maj))
-        ctx = CheckContext(mgr)
-        assert find_initial_grouping(isf, range(3), EXOR_GATE, ctx) is None
-        assert ctx.check_calls == 6       # ordered pairs
-        # Q and R are complements, so exists(x, Q)/forall(x, R) pair up
-        # through complement edges: 2 per variable, plus the per-pair
-        # exists(xb, R_D) probes — still linear-plus-pairs, and far
-        # below the 6 * 5 = 30 an uncached scan issues.
-        assert ctx.exists_calls <= 2 * 3 + 6
+        log = _projection_log(monkeypatch)
+        for mgr in _managers(3):
+            del log[:]
+            maj = mgr.or_(mgr.or_(mgr.and_(mgr.var(0), mgr.var(1)),
+                                  mgr.and_(mgr.var(0), mgr.var(2))),
+                          mgr.and_(mgr.var(1), mgr.var(2)))
+            isf = ISF.from_csf(mgr.fn(maj))
+            ctx = CheckContext(mgr)
+            assert find_initial_grouping(isf, range(3), EXOR_GATE,
+                                         ctx) is None
+            assert ctx.check_calls == 6       # ordered pairs
+            assert _quantify(mgr) == (len(log), sum(s for _, s in log))
+            assert len(log) == 6 * 5
+            # Q and R are complements, so exists(x, Q)/forall(x, R) pair
+            # up through complement edges: 2 walks per variable, plus
+            # the per-pair exists(xb, R_D) probes — still
+            # linear-plus-pairs, and far below the 30 calls.
+            assert len(_walks(log)) <= 2 * 3 + 6
 
     def test_scan_early_exit_pays_nothing_extra(self):
-        # Lazy caching: a scan that accepts its first pair must not
+        # Lazy projection: a scan that accepts its first pair must not
         # quantify over variables it never probed.
-        mgr = make_mgr(5)
-        f = mgr.or_(mgr.var(0), mgr.var(1))   # first pair OR-decomposes
         from repro.boolfn.isf import ISF
-        isf = ISF.from_csf(mgr.fn(f))
-        ctx = CheckContext(mgr)
-        got = find_initial_grouping(isf, range(5), OR_GATE, ctx)
-        assert got == (frozenset([0]), frozenset([1]))
-        assert ctx.exists_calls <= 2
+        for mgr in _managers(5):
+            f = mgr.or_(mgr.var(0), mgr.var(1))   # first pair decomposes
+            isf = ISF.from_csf(mgr.fn(f))
+            ctx = CheckContext(mgr)
+            got = find_initial_grouping(isf, range(5), OR_GATE, ctx)
+            assert got == (frozenset([0]), frozenset([1]))
+            assert _quantify(mgr)[0] == 2
 
 
 class TestEngineIntegration:
@@ -295,7 +362,6 @@ class TestSetDerivativeFilter:
         # quotient by sampling truth tables.
         from repro.decomp.exor import _set_derivative_filter, propagate_exor
         mgr = make_mgr(4)
-        ctx = CheckContext(mgr)
         samples = [(a & ~b, b & ~a)
                    for a in range(1, 65536, 4099)
                    for b in range(2, 65536, 5279)]
@@ -304,5 +370,5 @@ class TestSetDerivativeFilter:
             if isf.is_completely_specified():
                 continue
             for xa, xb in (([0, 1], [2, 3]), ([0, 2], [1, 3])):
-                if not _set_derivative_filter(isf, xa, xb, ctx):
+                if not _set_derivative_filter(isf, xa, xb):
                     assert propagate_exor(isf, xa, xb) is None

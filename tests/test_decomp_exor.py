@@ -1,11 +1,13 @@
 """Tests for the EXOR bi-decomposition check (Fig. 4 + CSF fast path)."""
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD
 from repro.boolfn import ISF, parse
-from repro.decomp import (check_exor_bidecomp, derive_exor_component_b,
+from repro.decomp import (EXOR_GATE, DecompositionConfig, bi_decompose,
+                          check_exor_bidecomp, derive_exor_component_b,
                           exor_decomposable)
+from repro.decomp.bidecomp import DecompositionEngine
 from repro.decomp.exor import propagate_exor
 
 from conftest import (build_isf, exor_split_exists, isf_strategy, make_mgr,
@@ -112,3 +114,59 @@ class TestPrefilter:
             isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
             assert exor_decomposable(isf, [0], [1]) == \
                 (check_exor_bidecomp(isf, [0], [1]) is not None)
+
+
+@st.composite
+def set_order_cases(draw):
+    """``(n, on_tt, off_tt, xa, xb)``: an interval over 3-5 variables and
+    two disjoint non-empty variable sets."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    on_tt, off_tt = draw(isf_strategy(n))
+    perm = draw(st.permutations(range(n)))
+    size_a = draw(st.integers(min_value=1, max_value=n - 1))
+    size_b = draw(st.integers(min_value=1, max_value=n - size_a))
+    return n, on_tt, off_tt, perm[:size_a], perm[size_a:size_a + size_b]
+
+
+def _edges(isf):
+    return isf.on.node, isf.off.node
+
+
+class TestSetOrder:
+    """Fig. 4 seeds component A, so swapping XA and XB keeps the verdict
+    but in general not the component intervals (DESIGN.md section 9):
+    the engine must take A from the ``(XA, XB)`` propagation, which is
+    why its re-run cannot read a verdict memoised in the other order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(set_order_cases())
+    def test_verdict_is_symmetric_in_the_sets(self, case):
+        n, on_tt, off_tt, xa, xb = case
+        mgr = make_mgr(n)
+        isf = build_isf(mgr, list(range(n)), on_tt, off_tt)
+        forward = propagate_exor(isf, xa, xb)
+        assert (forward is None) == (propagate_exor(isf, xb, xa) is None)
+        assert (forward is None) == (check_exor_bidecomp(isf, xb, xa)
+                                     is None)
+
+    def test_engine_takes_component_a_from_the_xa_xb_run(self,
+                                                          monkeypatch):
+        # An EXOR-only run on a 4-variable interval with don't-cares
+        # whose top step is EXOR with XA = {x0, x2}, XB = {x1, x3}; its
+        # (XB, XA) propagation gives component A another interval.
+        steps = []
+
+        def on_step(self, isf, support, gate, xa, xb, isf_a):
+            if gate == EXOR_GATE:
+                steps.append((_edges(isf_a),
+                              _edges(propagate_exor(isf, xa, xb)[0]),
+                              _edges(propagate_exor(isf, xb, xa)[1])))
+        monkeypatch.setattr(DecompositionEngine, "_on_step", on_step)
+        mgr = make_mgr(4)
+        isf = build_isf(mgr, [0, 1, 2, 3], 38565, 26952)
+        bi_decompose({"f": isf}, config=DecompositionConfig(
+            use_or=False, use_and=False, use_weak=False))
+        assert steps
+        for taken, forward, _swapped in steps:
+            assert taken == forward
+        assert steps[0][2] != steps[0][0]

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.bdd import native
 from repro.decomp import exor
-from repro.decomp.context import CheckContext
 from repro.pipeline import Deadline, PipelineConfig, PipelineTimeout, Session
 
 from conftest import (Trip, assert_unique_tables_consistent, build_isf,
@@ -95,9 +94,8 @@ def _edges(result):
 def _outcome(python_loops, case, run):
     """Result edges and manager state after *run* on both groupings."""
     mgr, isf = _manager(python_loops, case)
-    ctx = CheckContext(mgr)
     xa, xb = case[3], case[4]
-    results = [_edges(run(isf, xa, xb, ctx)), _edges(run(isf, xb, xa, ctx))]
+    results = [_edges(run(isf, xa, xb)), _edges(run(isf, xb, xa))]
     return results, _state(mgr)
 
 
@@ -124,7 +122,7 @@ def test_refuted_case_stops_before_xb():
     """The pinned example is refuted before any XB projection, so only
     XA's level suffixes get ids."""
     mgr, isf = _manager(False, REFUTED_BEFORE_XB)
-    assert exor._propagate(isf, [2], [0], CheckContext(mgr)) is None
+    assert exor._propagate(isf, [2], [0]) is None
     assert list(mgr._cache_suffix_id) == [(2,), ()]
 
 
@@ -155,7 +153,7 @@ def _tripped_state(python_loops, case, trip_at):
     assert not isf.is_completely_specified()
     mgr.set_growth_hook(tripping_hook(trip_at), interval=1)
     with pytest.raises(Trip) as info:
-        run(isf, case[3], case[4], CheckContext(mgr))
+        run(isf, case[3], case[4])
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     tripped = (str(info.value), mgr._peak_live, _state(mgr))
     mgr.set_growth_hook(None)
@@ -190,7 +188,7 @@ def test_time_limit_trips_inside_the_c_entry():
     session = Session(PipelineConfig(time_limit=600.0), mgr=mgr)
     session.adopt_deadline(Deadline(1e-9))
     with pytest.raises(PipelineTimeout) as info:
-        exor._propagate(isf, xa, xb, CheckContext(mgr))
+        exor._propagate(isf, xa, xb)
     frames = traceback.extract_tb(info.tb)
     names = [frame.name for frame in frames]
     caller = frames[names.index("_on_manager_growth") - 1]

@@ -4,13 +4,14 @@ On a manager that runs the C inner loops,
 :func:`repro.decomp.grouping.group_variables` hands the pair scan and
 the greedy growth to one C kernel call,
 :func:`repro.bdd.variable_grouping`.  The engine's EXOR rerun, the weak
-step and ``improve_grouping`` read the
-:class:`~repro.decomp.context.CheckContext` caches the scan fills, and
+step and ``improve_grouping`` read the memos the scan fills (the
+:class:`~repro.decomp.context.CheckContext` verdicts and the kernel's
+exists memo), and
 node indices feed every later cache key, so the C scan must repeat the
 Python checks call for call.  Each case here runs OR, AND and EXOR on
 one context, on a C manager and on one held on the Python loops
 (``native._python_loops``), and compares the groupings, the context's
-counters, its ``_cache_ctx_*`` dicts in insertion order,
+counters, its verdict memos in insertion order,
 ``conftest.kernel_state`` and the quantifier's interned level sets.
 Growth hooks that raise part-way and a tiny computed-table cap check
 the commit points.  On the Python fallback both sides run the Python
@@ -33,7 +34,7 @@ from conftest import (Trip, assert_unique_tables_consistent, build_isf,
                       kernel_state, make_mgr, tripping_hook)
 
 GATES = (OR_GATE, AND_GATE, EXOR_GATE)
-MEMOS = ("varset", "exists", "exor1", "exor")
+MEMOS = ("exor1", "exor")
 
 
 def _composed(rng, n, xa, xb, combine, dc_share):
@@ -108,7 +109,7 @@ def _state(mgr, ctx):
                 for name in ("_cache_var_token", "_cache_suffixes",
                              "_cache_suffix_id")]
     return (kernel_state(mgr), memos, interned,
-            (ctx.check_calls, ctx.cache_hits, ctx.exists_calls))
+            (ctx.check_calls, ctx.cache_hits))
 
 
 def _outcome(python_loops, case, gates=GATES):
@@ -238,3 +239,20 @@ def test_no_theorem1_verdict_memo(python_loops):
     assert result.stats.grouping_check_calls > 0
     assert hasattr(mgr, "_cache_ctx_exor1")
     assert not hasattr(mgr, "_cache_ctx_or")
+
+
+@pytest.mark.parametrize("python_loops", [False, True],
+                         ids=["native", "python-loops"])
+def test_no_context_quantification_memo(python_loops):
+    """Projections go straight to the kernel's exists memo: a default run
+    on either kernel leaves no ``_cache_ctx_exists`` or
+    ``_cache_ctx_varset`` on the manager, and the kernel memo holds
+    every walked projection."""
+    mgr, specs = get("rd53").build()
+    if python_loops:
+        native._python_loops(mgr)
+    result = bi_decompose(specs)
+    assert result.stats.grouping_check_calls > 0
+    assert mgr._cache_exists
+    assert not hasattr(mgr, "_cache_ctx_exists")
+    assert not hasattr(mgr, "_cache_ctx_varset")

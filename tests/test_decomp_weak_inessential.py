@@ -9,7 +9,6 @@ from repro.bdd import BDD
 from repro.boolfn import ISF, parse
 from repro.decomp import (AND_GATE, OR_GATE, find_weak_grouping,
                           is_inessential, remove_inessential)
-from repro.decomp.context import CheckContext
 
 from conftest import build_isf, exists_tt, isf_strategy, make_mgr
 
@@ -62,11 +61,11 @@ class TestWeakGrouping:
             mgr = BDD(["a", "b", "c", "d"])
             isf = ISF.from_csf(parse(mgr, "a&b | b&c | c&d | a&d"))
             support = isf.structural_support()
-            ctx = CheckContext(mgr)
             weak = find_weak_grouping(isf, wrap(support) if wrapped
-                                      else support, ctx=ctx)
-            probes.append((weak, ctx.check_calls, ctx.cache_hits,
-                           ctx.exists_calls))
+                                      else support)
+            stats = mgr.cache_stats()
+            probes.append((weak, stats["quantify_calls"],
+                           stats["quantify_steps"]))
         assert probes[0] == probes[1]
 
     @settings(max_examples=150, deadline=None)

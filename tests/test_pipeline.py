@@ -321,6 +321,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_nodes": 2.7}, {"max_nodes": 10.0}, {"max_nodes": True},
+        {"max_nodes": "10"}, {"jobs": 1.9}, {"jobs": False},
+        {"jobs": "2"}, {"time_limit": True}, {"time_limit": "5"},
+        {"time_limit": 1 + 2j},
+    ])
+    def test_rejects_wrongly_typed_budgets(self, kwargs):
+        # int() / float() would truncate or coerce these silently.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            PipelineConfig(**kwargs)
+
     @pytest.mark.parametrize("seconds", [0, float("nan"), float("inf")])
     def test_deadline_rejects_non_finite_or_non_positive(self, seconds):
         # A NaN budget would never expire (elapsed >= nan is False).
