@@ -27,8 +27,8 @@ certificates.  This module does, in an opt-in checked mode (CLI
 
 The four theorem contracts re-prove through the offline certifier's
 closed forms (:func:`repro.analysis.certify.theorem_residue`) and, for
-EXOR, the bare Fig. 4 propagation — never through the engine's checks,
-whose verdict memo would just replay the answer being audited.
+EXOR, the bare Fig. 4 propagation — never through the engine's own
+checks, so a fault in those cannot vouch for itself.
 
 Violations raise :class:`ContractViolation` (a
 :class:`~repro.decomp.DecompositionError`) and are reported through the
@@ -148,7 +148,7 @@ class CheckedDecompositionEngine(DecompositionEngine):
 
     def _exor_holds(self, isf, xa, xb):
         """Per-pair Theorem 2 on a genuine interval, then the Fig. 4
-        propagation itself (no verdict memo, no filter)."""
+        propagation itself (no filter)."""
         if not isf.is_completely_specified():
             for a in xa:
                 for b in xb:

@@ -168,8 +168,8 @@ def check_cache_attr_name(ctx):
     """Memo dicts dynamically attached to the manager must live in the
     ``_cache_``-prefixed namespace that
     ``repro.bdd.manager.BDD.clear_caches`` drops wholesale on reorder
-    and GC — the discipline the kernel quantification walks and
-    ``repro.decomp.context``'s check memos rely on for invalidation.
+    and GC — the discipline the kernel quantification walks rely on
+    for invalidation.
     A ``getattr``/``setattr`` with any other ``_``-prefixed literal
     name creates hidden state that survives node renumbering and can
     replay stale edges."""

@@ -15,9 +15,10 @@
  * of each split (the ``_ct_ite`` dict included) and the cube lists.
  * A fifth entry runs ``repro.decomp.grouping.group_variables`` for one
  * gate (Figs. 5 and 6): the pair scan, then the greedy growth, with the
- * Theorem 1 and 2 checks, the EXOR growth's pairwise filter, its Fig. 4
- * check (the third entry's loop) and the ``CheckContext`` memos and
- * counters they read and write.  All five work through the CPython C
+ * Theorem 1 and 2 checks, the EXOR growth's pairwise filter and its
+ * Fig. 4 check (the third entry's loop), each recomputed from the
+ * kernel's tables and counted on the ``CheckContext``.  All five work
+ * through the CPython C
  * API on the manager's own structures -- the ``_level`` / ``_lo`` /
  * ``_hi`` lists, the per-level ``_unique`` tables, the ``_free`` list,
  * the ``_ct_and`` table and the caller's exists memo -- and repeat the
@@ -62,7 +63,7 @@ static PyObject *s_level, *s_lo, *s_hi, *s_unique, *s_free, *s_ct_and,
     *s_ct_lookups, *s_ct_hits, *s_uniq_lookups, *s_uniq_hits,
     *s_peak_live, *s_q_steps, *s_q_calls, *s_growth_hook,
     *s_growth_countdown, *s_growth_interval, *s_ct_ite, *s_level_to_var,
-    *s_literals, *s_check_calls, *s_cache_hits, *s_var_to_level;
+    *s_literals, *s_check_calls, *s_var_to_level;
 
 /* ------------------------------------------------------------------ */
 /* Growable stacks with inline storage                                 */
@@ -1135,31 +1136,28 @@ error:
 /* ------------------------------------------------------------------ */
 
 /* A quantified variable set.  It is interned through the caller's
- * callback at its first use, where quantify.exists (or
- * quantify.levels_token for a verdict memo key) would intern it, so
- * suffix ids come out in the Python loops' order. */
+ * callback at its first projection, where quantify.exists would intern
+ * it, so suffix ids come out in the Python loops' order. */
 typedef struct {
     PyObject *vars;                 /* new ref: the sequence intern gets */
-    PyObject *key;                  /* new ref: its levels tuple; NULL until
+    long long *levels, *sids;       /* PyMem, one block; NULL until
                                      * interned */
-    long long *levels, *sids;       /* PyMem, one block; NULL until then */
     Py_ssize_t n;                   /* -1 until interned */
 } VarSet;
 
-#define VARSET(vars_) {(vars_), NULL, NULL, NULL, -1}
+#define VARSET(vars_) {(vars_), NULL, NULL, -1}
 
 static void
 varset_clear(VarSet *s)
 {
     Py_CLEAR(s->vars);
-    Py_CLEAR(s->key);
     PyMem_Free(s->levels);
     s->levels = s->sids = NULL;
     s->n = -1;
 }
 
 /* intern(vars) -> (levels, suffix ids), as the quantify helpers give,
- * once per set: its levels tuple becomes its key. */
+ * once per set. */
 static int
 varset_intern(VarSet *s, PyObject *intern)
 {
@@ -1176,7 +1174,6 @@ varset_intern(VarSet *s, PyObject *intern)
         PyErr_SetString(PyExc_TypeError, "intern must return (levels, sids)");
     else if (read_levels(PyTuple_GET_ITEM(res, 0), PyTuple_GET_ITEM(res, 1),
                          &s->levels, &n) == 0) {
-        s->key = Py_NewRef(PyTuple_GET_ITEM(res, 0));
         s->sids = s->levels + n;
         s->n = n;
         rc = 0;
@@ -1396,21 +1393,17 @@ error:
 /* ------------------------------------------------------------------ */
 
 /* The state of one repro.decomp.grouping.group_variables call: the
- * kernel, the CheckContext verdict memos it reads and fills, and the
- * context's counter deltas. */
+ * kernel and the CheckContext's check_calls delta. */
 typedef struct {
     Kernel k;
     edge_t q, r;                    /* the ISF (complemented for AND) */
-    PyObject *qr[2];                /* new refs: q and r as memo keys */
     PyObject *intern;               /* borrowed */
     Table *cache;                   /* borrowed: the exists memo */
-    PyObject *exor1_memo;           /* borrowed: _cache_ctx_exor1 */
-    PyObject *exor_memo;            /* borrowed: _cache_ctx_exor */
     PyObject *propagate;            /* borrowed; NULL for OR and AND */
     PyObject *var_to_level;         /* new ref */
     VarSet *single;                 /* {v} per variable index v */
     Py_ssize_t nsingle;
-    long long check_calls, cache_hits;
+    long long check_calls;
 } Group;
 
 /* The singleton set {var} of a support variable.  Its vars is the
@@ -1435,58 +1428,6 @@ singleton(Group *g, PyObject *var)
 /* quantify.exists(s, node) during the grouping. */
 #define EXISTS(g_, node_, s_, out_) \
     varset_exists(&(g_)->k, (g_)->intern, (g_)->cache, (s_), (node_), (out_))
-
-/* CheckContext.check_memo's probe of *memo*: a and b are interned (their
- * levels tuples are quantify.levels_token), *key* gets a new ref to
- * (Q, R, A, B) and *hit* a new ref to the memoised verdict, which is
- * counted, or NULL on a miss.  -1 on error. */
-static int
-memo_probe(Group *g, PyObject *memo, VarSet *a, VarSet *b, PyObject **key,
-           PyObject **hit)
-{
-    *hit = NULL;
-    *key = NULL;
-    if (varset_intern(a, g->intern) < 0 || varset_intern(b, g->intern) < 0)
-        return -1;
-    *key = PyTuple_Pack(4, g->qr[0], g->qr[1], a->key, b->key);
-    if (*key == NULL)
-        return -1;
-    *hit = PyDict_GetItemWithError(memo, *key);
-    if (*hit == NULL || *hit == Py_None) {
-        *hit = NULL;
-        if (PyErr_Occurred()) {
-            Py_CLEAR(*key);
-            return -1;
-        }
-        return 0;
-    }
-    Py_INCREF(*hit);
-    g->cache_hits++;
-    return 0;
-}
-
-/* Store *value* (a new ref or NULL) under *key* in *memo*, dropping both
- * references; returns *verdict*, or -1 on error. */
-static int
-memo_store(PyObject *memo, PyObject *key, PyObject *value, int verdict)
-{
-    if (verdict >= 0 && (value == NULL || PyDict_SetItem(memo, key,
-                                                         value) < 0))
-        verdict = -1;
-    Py_DECREF(key);
-    Py_XDECREF(value);
-    return verdict;
-}
-
-/* A bool verdict memo hit (1 / 0), or -1 when *hit* is NULL. */
-static int
-verdict_of(PyObject *key, PyObject *hit)
-{
-    int rc = hit != NULL ? PyObject_IsTrue(hit) : -1;
-    Py_DECREF(key);
-    Py_XDECREF(hit);
-    return rc;
-}
 
 /* checks.or_decomposable(isf, xa, xb) on (q, r): Theorem 1,
  * Q & exists(A, R) & exists(B, R) == 0.  1 / 0 / -1. */
@@ -1526,17 +1467,8 @@ theorem2(Group *g, VarSet *x, VarSet *y)
 static int
 exor1_check(Group *g, VarSet *x, VarSet *y)
 {
-    PyObject *key, *hit;
-    int rc;
-
     g->check_calls++;
-    if (memo_probe(g, g->exor1_memo, x, y, &key, &hit) < 0)
-        return -1;
-    if (hit != NULL)
-        return verdict_of(key, hit);
-    rc = theorem2(g, x, y);
-    return memo_store(g->exor1_memo, key,
-                      Py_NewRef(rc ? Py_True : Py_False), rc);
+    return theorem2(g, x, y);
 }
 
 /* The four component edges of a propagation result *seq*. */
@@ -1666,65 +1598,22 @@ out:
     return rc;
 }
 
-/* Raise the ISF constructor's InconsistentISF. */
-static void
-raise_inconsistent(void)
-{
-    PyObject *mod = PyImport_ImportModule("repro.boolfn.isf"), *exc;
-    if (mod == NULL)
-        return;
-    exc = PyObject_GetAttrString(mod, "InconsistentISF");
-    Py_DECREF(mod);
-    if (exc != NULL) {
-        PyErr_SetString(exc, "on-set and off-set overlap");
-        Py_DECREF(exc);
-    }
-}
-
 /* exor.check_exor_bidecomp(isf, xa, xb) for a growth candidate: the
- * verdict memo (a hit rebuilds the two component ISFs), the set-lifted
- * Theorem 2 filter for an incompletely specified ISF, then Fig. 4.
- * 1 decomposable, 0 not, -1 on error. */
+ * set-lifted Theorem 2 filter for an incompletely specified ISF, then
+ * Fig. 4.  1 decomposable, 0 not, -1 on error. */
 static int
 exor_bidecomp(Group *g, VarSet *a, VarSet *b)
 {
-    PyObject *key, *hit;
     edge_t dc, comp[4];
     int rc;
 
     g->check_calls++;
-    if (memo_probe(g, g->exor_memo, a, b, &key, &hit) < 0)
+    if (and_top(&g->k, g->q ^ 1, g->r ^ 1, &dc) < 0)
         return -1;
-    if (hit != NULL) {
-        rc = 0;
-        if (hit != Py_False) {
-            rc = read_components(hit, comp);
-            if (rc == 0 && (rc = consistent(g, comp[0], comp[1])) == 1)
-                rc = consistent(g, comp[2], comp[3]);
-            if (rc == 0) {
-                raise_inconsistent();
-                rc = -1;
-            }
-        }
-        Py_DECREF(key);
-        Py_DECREF(hit);
+    if (dc != 0 && ((rc = theorem2(g, a, b)) != 1
+                    || (rc = theorem2(g, b, a)) != 1))
         return rc;
-    }
-    rc = and_top(&g->k, g->q ^ 1, g->r ^ 1, &dc) < 0 ? -1 : 1;
-    if (rc == 1 && dc != 0 && (rc = theorem2(g, a, b)) == 1)
-        rc = theorem2(g, b, a);
-    if (rc == 1)
-        rc = propagate(g, a, b, comp);
-    if (rc < 0) {
-        Py_DECREF(key);
-        return -1;
-    }
-    return memo_store(g->exor_memo, key,
-                      rc ? Py_BuildValue("(KKKK)", (unsigned long long)comp[0],
-                                         (unsigned long long)comp[1],
-                                         (unsigned long long)comp[2],
-                                         (unsigned long long)comp[3])
-                         : Py_NewRef(Py_False), rc);
+    return propagate(g, a, b, comp);
 }
 
 /* exor.exor_decomposable(isf, xa, xb): for an incompletely specified
@@ -1761,16 +1650,12 @@ done:
     return rc;
 }
 
-/* The gate's check on the variable sets xa and xb (Python sets). */
+/* The gate's check on the variable sets a and b. */
 static int
-set_check(Group *g, PyObject *xa, PyObject *xb)
+set_check(Group *g, VarSet *a, VarSet *b)
 {
-    VarSet a = VARSET(Py_NewRef(xa)), b = VARSET(Py_NewRef(xb));
-    int rc = g->propagate != NULL ? exor_set_check(g, &a, &b)
-                                  : or_check(g, &a, &b);
-    varset_clear(&a);
-    varset_clear(&b);
-    return rc;
+    return g->propagate != NULL ? exor_set_check(g, a, b)
+                                : or_check(g, a, b);
 }
 
 /* find_initial_grouping's scan (Fig. 5): the first pair (x, y) whose
@@ -1803,61 +1688,68 @@ pair_scan(Group *g, PyObject *support, const Py_ssize_t *var,
     return 0;
 }
 
-/* s | {z}, as the Python expression builds it. */
-static PyObject *
-with_var(PyObject *s, PyObject *z)
+/* The gate's check with z added to one side: on (side | {z}, other),
+ * or on (other, side | {z}) when *grow_b*, as the Python expression
+ * builds the grown set. */
+static int
+check_grown(Group *g, VarSet *side, VarSet *other, PyObject *z, int grow_b)
 {
-    PyObject *zs = PySet_New(NULL), *res = NULL;
-    if (zs != NULL && PySet_Add(zs, z) == 0)
-        res = PyNumber_Or(s, zs);
+    PyObject *zs = PySet_New(NULL);
+    VarSet grown = VARSET(NULL);
+    int rc = -1;
+
+    if (zs != NULL && PySet_Add(zs, z) == 0
+        && (grown.vars = PyNumber_Or(side->vars, zs)) != NULL)
+        rc = grow_b ? set_check(g, other, &grown)
+                    : set_check(g, &grown, other);
     Py_XDECREF(zs);
-    return res;
+    varset_clear(&grown);
+    return rc;
+}
+
+/* Add z to the Python set of *s* in place.  Its VarSet starts afresh:
+ * the grown set may iterate in another order than s | {z} did. */
+static int
+varset_add(VarSet *s, PyObject *z)
+{
+    PyObject *vars = s->vars;
+    if (PySet_Add(vars, z) < 0)
+        return -1;
+    Py_INCREF(vars);
+    varset_clear(s);
+    s->vars = vars;
+    return 0;
 }
 
 /* group_variables' growth (Fig. 6) from the seeds xa and xb: each
- * remaining variable goes to the smaller set first, else the other. */
+ * remaining variable goes to the smaller set first, else the other.
+ * Each side keeps one VarSet, interned once, until it grows. */
 static int
 grow_sets(Group *g, PyObject *support, PyObject *xa, PyObject *xb)
 {
     Py_ssize_t n = PyTuple_GET_SIZE(support), i;
-    PyObject *z, *first, *second, *grown;
-    int rc;
+    VarSet sides[2] = {VARSET(Py_NewRef(xa)), VARSET(Py_NewRef(xb))};
+    VarSet *first, *second;
+    PyObject *z;
+    int rc = 0;
 
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < n && rc >= 0; i++) {
         z = PyTuple_GET_ITEM(support, i);
         if ((rc = PySet_Contains(xa, z)) == 0)
             rc = PySet_Contains(xb, z);
-        if (rc < 0)
-            return -1;
-        if (rc)
+        if (rc != 0)
             continue;
-        if (PySet_GET_SIZE(xa) <= PySet_GET_SIZE(xb)) {
-            first = xa;
-            second = xb;
-        }
-        else {
-            first = xb;
-            second = xa;
-        }
-        if ((grown = with_var(first, z)) == NULL)
-            return -1;
-        rc = set_check(g, grown, second);
-        Py_DECREF(grown);
-        if (rc < 0)
-            return -1;
-        if (rc) {
-            if (PySet_Add(first, z) < 0)
-                return -1;
-            continue;
-        }
-        if ((grown = with_var(second, z)) == NULL)
-            return -1;
-        rc = set_check(g, first, grown);
-        Py_DECREF(grown);
-        if (rc < 0 || (rc && PySet_Add(second, z) < 0))
-            return -1;
+        first = &sides[PySet_GET_SIZE(xa) <= PySet_GET_SIZE(xb) ? 0 : 1];
+        second = &sides[first == &sides[0] ? 1 : 0];
+        if ((rc = check_grown(g, first, second, z, 0)) == 1)
+            rc = varset_add(first, z);
+        else if (rc == 0
+                 && (rc = check_grown(g, second, first, z, 1)) == 1)
+            rc = varset_add(second, z);
     }
-    return 0;
+    varset_clear(&sides[0]);
+    varset_clear(&sides[1]);
+    return rc < 0 ? -1 : 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2455,29 +2347,25 @@ out:
     return result;
 }
 
-/* Add the context counter deltas to *counters*, keeping a pending
+/* Add the check_calls delta to *counters*, keeping a pending
  * exception: the Python loops count a probe before it can raise. */
 static int
 add_counts(Group *g, PyObject *counters)
 {
-    PyObject *names[2] = {s_check_calls, s_cache_hits};
-    long long delta[2] = {g->check_calls, g->cache_hits};
     PyObject *type, *value, *tb, *v;
     long long old;
-    int i, rc = 0;
+    int rc = 0;
 
+    if (g->check_calls == 0)
+        return 0;
     PyErr_Fetch(&type, &value, &tb);
-    for (i = 0; i < 2 && rc == 0; i++) {
-        if (delta[i] == 0)
-            continue;
-        rc = get_ll(counters, names[i], &old);
-        if (rc == 0 && (v = PyLong_FromLongLong(old + delta[i])) != NULL) {
-            rc = PyObject_SetAttr(counters, names[i], v);
-            Py_DECREF(v);
-        }
-        else
-            rc = -1;
+    rc = get_ll(counters, s_check_calls, &old);
+    if (rc == 0 && (v = PyLong_FromLongLong(old + g->check_calls)) != NULL) {
+        rc = PyObject_SetAttr(counters, s_check_calls, v);
+        Py_DECREF(v);
     }
+    else
+        rc = -1;
     if (type != NULL) {
         if (rc < 0)
             PyErr_Clear();
@@ -2487,34 +2375,31 @@ add_counts(Group *g, PyObject *counters)
 }
 
 PyDoc_STRVAR(group_doc,
-"group_variables(mgr, q, r, support, intern, cache, memos, propagate,\n"
-"                counters, ct_max)\n\n"
+"group_variables(mgr, q, r, support, intern, cache, propagate, counters,\n"
+"                ct_max)\n\n"
 "repro.decomp.grouping.group_variables for the ISF (q, r), complemented\n"
-"for AND: the Fig. 5 pair scan and the Fig. 6 growth.  *support* is a\n"
-"tuple of variable indices, *intern* and *cache* as for propagate_exor.\n"
-"*memos* holds the CheckContext verdict dicts it reads and fills, keyed\n"
-"on interned level tuples: for EXOR the Theorem 2 and the Fig. 4\n"
-"verdicts, else None and None.  For EXOR, propagate(xa, xb) runs\n"
-"propagate_exor where the kernel loop does not apply and returns None\n"
-"or the four component edges; it is None for OR and AND.  Returns\n"
-"(xa, xb) frozensets or None, and adds its check_calls and cache_hits\n"
-"to *counters*, also when it raises.");
+"for AND: the Fig. 5 pair scan and the Fig. 6 growth, every check\n"
+"recomputed from the kernel's tables.  *support* is a tuple of variable\n"
+"indices, *intern* and *cache* as for propagate_exor.  For EXOR,\n"
+"propagate(xa, xb) runs propagate_exor where the kernel loop does not\n"
+"apply and returns None or the four component edges; it is None for OR\n"
+"and AND.  Returns (xa, xb) frozensets or None, and adds its\n"
+"check_calls to *counters*, also when it raises.");
 
 static PyObject *
 py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Group g;
-    PyObject *support, *memos, *xa = NULL, *xb = NULL, *result = NULL;
+    PyObject *support, *xa = NULL, *xb = NULL, *result = NULL;
     Py_ssize_t ct_max, n, i, ix, iy, *var = NULL;
     int rc;
 
     (void)self;
-    if (nargs != 10) {
-        PyErr_SetString(PyExc_TypeError, "group_variables takes 10 arguments");
+    if (nargs != 9) {
+        PyErr_SetString(PyExc_TypeError, "group_variables takes 9 arguments");
         return NULL;
     }
     support = args[3];
-    memos = args[6];
     if (!PyTuple_Check(support)) {
         PyErr_SetString(PyExc_TypeError, "support must be a tuple");
         return NULL;
@@ -2523,20 +2408,10 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "exists memo must be a Table");
         return NULL;
     }
-    if (!PyTuple_Check(memos) || PyTuple_GET_SIZE(memos) != 2) {
-        PyErr_SetString(PyExc_TypeError, "memos must be a 2-tuple");
-        return NULL;
-    }
-    for (i = 0; i < 2; i++) {
-        if (!PyDict_Check(PyTuple_GET_ITEM(memos, i)) && args[7] != Py_None) {
-            PyErr_SetString(PyExc_TypeError, "verdict memos must be dicts");
-            return NULL;
-        }
-    }
     memset(&g, 0, sizeof(g));
     if (arg_edge(args[1], &g.q) < 0 || arg_edge(args[2], &g.r) < 0)
         return NULL;
-    ct_max = PyLong_AsSsize_t(args[9]);
+    ct_max = PyLong_AsSsize_t(args[8]);
     if (ct_max == -1 && PyErr_Occurred())
         return NULL;
     n = PyTuple_GET_SIZE(support);
@@ -2559,9 +2434,7 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     g.intern = args[4];
     g.cache = (Table *)args[5];
-    g.exor1_memo = PyTuple_GET_ITEM(memos, 0);
-    g.exor_memo = PyTuple_GET_ITEM(memos, 1);
-    g.propagate = args[7] == Py_None ? NULL : args[7];
+    g.propagate = args[6] == Py_None ? NULL : args[6];
     g.single = PyMem_Calloc((size_t)g.nsingle + 1, sizeof(VarSet));
     if (g.single == NULL) {
         PyMem_Free(var);
@@ -2569,10 +2442,8 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     for (i = 0; i < g.nsingle; i++)
         g.single[i].n = -1;
-    if ((g.qr[0] = PyLong_FromUnsignedLongLong(g.q)) == NULL
-        || (g.qr[1] = PyLong_FromUnsignedLongLong(g.r)) == NULL
-        || (g.var_to_level = get_typed(args[0], s_var_to_level,
-                                       &PyList_Type)) == NULL
+    if ((g.var_to_level = get_typed(args[0], s_var_to_level,
+                                    &PyList_Type)) == NULL
         || kernel_open(&g.k, args[0], ct_max, N_COUNTERS) < 0)
         goto out;
     rc = pair_scan(&g, support, var, &ix, &iy);
@@ -2590,13 +2461,11 @@ py_group_variables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     result = kernel_close(&g.k, result);
 out:
-    if (add_counts(&g, args[8]) < 0)
+    if (add_counts(&g, args[7]) < 0)
         Py_CLEAR(result);
     Py_XDECREF(g.var_to_level);
     Py_XDECREF(xa);
     Py_XDECREF(xb);
-    Py_XDECREF(g.qr[0]);
-    Py_XDECREF(g.qr[1]);
     for (i = 0; i < g.nsingle; i++)
         varset_clear(&g.single[i]);
     PyMem_Free(g.single);
@@ -2638,7 +2507,7 @@ PyInit__kernel(void)
         {&s_growth_interval, "_growth_interval"},
         {&s_ct_ite, "_ct_ite"}, {&s_level_to_var, "_level_to_var"},
         {&s_literals, "literals"},
-        {&s_check_calls, "check_calls"}, {&s_cache_hits, "cache_hits"},
+        {&s_check_calls, "check_calls"},
         {&s_var_to_level, "_var_to_level"},
     };
     PyObject *module;

@@ -188,57 +188,38 @@ def exor_propagation(mgr, q: Edge, r: Edge, xa, xb):
         _manager._CT_MAX)
 
 
-def variable_grouping(mgr, q: Edge, r: Edge, support, memos, counters,
+def variable_grouping(mgr, q: Edge, r: Edge, support, counters,
                       propagate=None):
     """Figs. 5 and 6's variable grouping as one C kernel call.
 
     Runs :func:`repro.decomp.grouping.group_variables` on the ISF with
     on-set *q* and off-set *r* (the complemented ISF's for the AND
     gate): the pair scan, then the greedy growth.  *support* is a tuple
-    of variable indices.  *memos* holds the
-    :class:`~repro.decomp.context.CheckContext` verdict dicts the EXOR
-    checks read and fill, Theorem 2's then Fig. 4's (``None`` and
-    ``None`` for OR and AND: Theorem 1 keeps no verdict memo); the
-    kernel probes and fills them as the Python checks do, keyed on
-    :func:`levels_token` sets, and projects straight through the exists
-    memo.  For EXOR, *propagate(xa, xb)* runs
+    of variable indices.  Every check recomputes from the kernel's
+    tables, projecting straight through the exists memo.  For EXOR
+    (*propagate* given), *propagate(xa, xb)* runs
     :func:`repro.decomp.exor.propagate_exor` where the kernel's loop
     does not apply (an empty on-set or no don't-cares), returning
-    ``None`` or the four component edges.  Returns ``(xa, xb)``
-    frozensets or ``None`` and adds the probes' ``check_calls`` and
-    ``cache_hits`` to *counters*, also when a growth hook raises.  The C
-    loop repeats the Python one call for call, so edges, arena,
-    counters, suffix ids and memo entries come out the same.  Only for
-    a manager with :attr:`BDD.native` set.
+    ``None`` or the four component edges; it is ``None`` for OR and
+    AND.  Returns ``(xa, xb)`` frozensets or ``None`` and adds the
+    probes' ``check_calls`` to *counters*, also when a growth hook
+    raises.  The C loop repeats the Python one call for call, so edges,
+    arena, counters and suffix ids come out the same.  Only for a
+    manager with :attr:`BDD.native` set.
     """
     return mgr._kernel.group_variables(
         mgr, q, r, support, _interner(mgr),
-        _cache(mgr, "_cache_exists", native.Table), memos, propagate,
-        counters, _manager._CT_MAX)
-
-
-def levels_token(mgr, variables):
-    """The sorted tuple of the levels of *variables*, interned as
-    :func:`exists` interns a set on its first call (its level suffixes
-    get their ids too).
-
-    The tuple is the key of a variable set in the EXOR verdict memos of
-    :class:`repro.decomp.context.CheckContext`; the C grouping interns
-    a set at the same point through :func:`_interner`.
-    """
-    return _intern(mgr, variables)[0]
-
-
-def _intern(mgr, variables):
-    """``(levels, suffix ids)`` of *variables*, interned as :func:`exists`
-    interns a set on its first call."""
-    levels = _levels_token(mgr, variables)
-    return levels, (_suffixes(mgr, levels)[1] if levels else ())
+        _cache(mgr, "_cache_exists", native.Table), propagate, counters,
+        _manager._CT_MAX)
 
 
 def _interner(mgr):
-    """``intern(variables) -> (levels, suffix ids)`` for the C entries."""
-    return lambda variables: _intern(mgr, variables)
+    """``intern(variables) -> (levels, suffix ids)`` for the C entries,
+    interning a set as :func:`exists` interns it on its first call."""
+    def intern(variables):
+        levels = _levels_token(mgr, variables)
+        return levels, (_suffixes(mgr, levels)[1] if levels else ())
+    return intern
 
 
 def forall(mgr, variables, f: Edge) -> Edge:

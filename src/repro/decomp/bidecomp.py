@@ -104,11 +104,8 @@ class DecompositionConfig:
 
 class DecompositionStats:
     """Counters the paper quotes in prose (Sections 6 and 7), plus the
-    grouping's :class:`~repro.decomp.context.CheckContext` counters:
-    ``grouping_check_calls`` (checks probed) and ``quantify_cache_hits``
-    (probes answered from its EXOR verdict memos; the name predates the
-    move of every projection to the kernel's exists memo, whose repeats
-    ``cache_stats()`` counts as ``quantify_calls``)."""
+    grouping's :class:`~repro.decomp.context.CheckContext` counter
+    ``grouping_check_calls`` (checks probed)."""
 
     def __init__(self):
         self.calls = 0
@@ -118,9 +115,8 @@ class DecompositionStats:
         self.weak = {OR_GATE: 0, AND_GATE: 0}
         self.shannon = 0
         self.inessential_removed = 0
-        # CheckContext counters, summed over every recursion step.
+        # The CheckContext counter, summed over every recursion step.
         self.grouping_check_calls = 0
-        self.quantify_cache_hits = 0
 
     def strong_steps(self):
         """Total strong bi-decomposition steps."""
@@ -147,7 +143,6 @@ class DecompositionStats:
         stats.shannon = data.get("shannon", 0)
         stats.inessential_removed = data.get("inessential_removed", 0)
         stats.grouping_check_calls = data.get("grouping_check_calls", 0)
-        stats.quantify_cache_hits = data.get("quantify_cache_hits", 0)
         return stats
 
     def as_dict(self):
@@ -164,7 +159,6 @@ class DecompositionStats:
             "shannon": self.shannon,
             "inessential_removed": self.inessential_removed,
             "grouping_check_calls": self.grouping_check_calls,
-            "quantify_cache_hits": self.quantify_cache_hits,
         }
 
     def __repr__(self):
@@ -273,13 +267,11 @@ class DecompositionEngine:
             self.cache.insert(csf, node)
             return csf, node
 
-        ctx = CheckContext(self.mgr)
+        ctx = CheckContext()
         step = self._find_strong_step(isf, support, ctx)
         if step is None and self.config.use_weak:
             step = self._find_weak_step(isf, support)
-        stats = self.stats
-        stats.grouping_check_calls += ctx.check_calls
-        stats.quantify_cache_hits += ctx.cache_hits
+        self.stats.grouping_check_calls += ctx.check_calls
         if step is None:
             return self._shannon_step(isf, support)
         gate, xa, isf_a = step

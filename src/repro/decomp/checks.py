@@ -23,27 +23,27 @@ worth taking when it strictly enlarges the don't-care set of component
 A, which is the paper's termination argument.
 
 Every check runs through a :class:`~repro.decomp.context.CheckContext`
-(a caller that passes none gets a fresh one), which counts it; the EXOR
-verdicts (Theorem 2 here, Fig. 4 in :mod:`repro.decomp.exor`) memoise
-there on ``(Q, R, XA, XB)`` keys.  Every quantification is a plain
-:func:`repro.bdd.exists` / :func:`repro.bdd.forall` call, whose kernel
-memo answers a repeated projection at the root.  Theorem 1's verdicts
-are not memoised: with the default config no OR or AND probe repeats
-(DESIGN.md section 9 counts them).  The checks deliberately keep the
-plain apply forms below rather than fusing the conjunction into the
-quantification walk: the manager's global computed tables already share
-every materialised intermediate across the diff/or/and ecosystem, and
-DESIGN.md section 9 records the measurement where the fused
-``and_exists`` walks lost to them.  The closed forms are restated
-independently in :func:`repro.analysis.certify.theorem_residue`, which
-the ``--check`` contracts and the offline certifier re-prove through.
+(a caller that passes none gets a fresh one), which counts it.  No check
+keeps a verdict memo: each recomputes from the kernel's tables.  Every
+quantification is a plain :func:`repro.bdd.exists` /
+:func:`repro.bdd.forall` call, whose kernel memo answers a repeated
+projection at the root, and every AND goes through the computed table,
+so a repeated probe costs a handful of root hits (DESIGN.md section 9
+counts them).  The checks deliberately keep the plain apply forms below
+rather than fusing the conjunction into the quantification walk: the
+manager's global computed tables already share every materialised
+intermediate across the diff/or/and ecosystem, and DESIGN.md section 9
+records the measurement where the fused ``and_exists`` walks lost to
+them.  The closed forms are restated independently in
+:func:`repro.analysis.certify.theorem_residue`, which the ``--check``
+contracts and the offline certifier re-prove through.
 
 :func:`or_decomposable`, :func:`and_decomposable` and
 :func:`exor_decomposable_single` are also restated in C: on a manager
 that runs the C inner loops, variable grouping makes these same calls,
-on the same context memos and in the same order, inside one kernel
-call (:func:`repro.bdd.variable_grouping`), so during grouping the
-functions here run only on the Python loops.
+on the same counter and in the same order, inside one kernel call
+(:func:`repro.bdd.variable_grouping`), so during grouping the functions
+here run only on the Python loops.
 """
 
 from repro.bdd import exists, forall
@@ -53,7 +53,7 @@ from repro.decomp.context import CheckContext
 
 def or_decomposable(isf, xa, xb, ctx=None):
     """Theorem 1: OR-bi-decomposability with variable sets (XA, XB)."""
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     mgr = isf.mgr
     ctx.check_calls += 1
     q, r = isf.on.node, isf.off.node
@@ -92,16 +92,11 @@ def exor_decomposable_single(isf, xa_var, xb_var, ctx=None):
     The check is ``Q_D & exists(xb, R_D) == 0`` on the derivative ISF
     of F with respect to the XA variable.
     """
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     mgr = isf.mgr
     ctx.check_calls += 1
-    cached, store = ctx.check_memo("exor1", isf.on.node, isf.off.node,
-                                   [xa_var], [xb_var])
-    if store is None:
-        return cached
     q_d, r_d = derivative_isf(isf, [xa_var])
-    return store(mgr.and_(q_d.node,
-                          exists(mgr, [xb_var], r_d.node)) == mgr.false)
+    return mgr.and_(q_d.node, exists(mgr, [xb_var], r_d.node)) == mgr.false
 
 
 def weak_or_useful(isf, xa, ctx=None):
@@ -110,7 +105,7 @@ def weak_or_useful(isf, xa, ctx=None):
     Table 1: component A of a weak OR step has ``Q_A = Q & exists(XA, R)``;
     the step injects don't-cares iff ``Q - exists(XA, R) != 0``.
     """
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     mgr = isf.mgr
     ctx.check_calls += 1
     return mgr.diff(isf.on.node, exists(mgr, xa, isf.off.node)) != mgr.false

@@ -11,8 +11,8 @@ alternately propagate forced values between the components,
 until a fixpoint; any overlap of a component's must-1 and must-0 sets
 refutes decomposability.  On success it returns the component ISF
 *constraints* ``(A_isf, B_isf)``; on failure ``None``.
-:func:`propagate_exor` is the propagation itself; the check wraps it in
-the context's verdict memo and a necessary Theorem 2 filter.  On a
+:func:`propagate_exor` is the propagation itself; the check counts the
+probe and runs a necessary Theorem 2 filter before it.  On a
 manager that runs the C inner loops, the check hands the propagation's
 loop to one C kernel call (:func:`repro.bdd.exor_propagation`), which
 repeats it call for call, so edges, nodes and counters do not depend on
@@ -47,44 +47,24 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
     xa, xb:
         Disjoint variable sets (iterables of names/indices).
     ctx:
-        The :class:`~repro.decomp.context.CheckContext` to run in (a
-        fresh one when omitted).  The whole propagation outcome
-        memoises on its ``(Q, R, XA, XB)`` key (the engine re-runs the
-        winning grouping verbatim to derive the components), and the
-        set-lifted Theorem 2 filter of :func:`_set_derivative_filter`
-        prunes infeasible groupings before any propagation runs.
+        The :class:`~repro.decomp.context.CheckContext` that counts the
+        check (a fresh one when omitted).  The set-lifted Theorem 2
+        filter of :func:`_set_derivative_filter` prunes infeasible
+        groupings before any propagation runs.  Nothing is memoised
+        here: when the engine re-runs the winning grouping to derive
+        the components, the kernel's exists memo and computed tables
+        answer the repeated propagation.
 
     Returns ``(isf_a, isf_b)`` — the accumulated must-sets of the two
     components as ISFs — or ``None`` when no EXOR bi-decomposition with
     these sets exists; :func:`propagate_exor` computes it.
     """
-    ctx = ctx or CheckContext(isf.mgr)
-    # The propagation is a pure function of (Q, R, XA, XB) packed
-    # edges, so its outcome memoises exactly.  This is the single
-    # biggest repeat in the whole algorithm: the greedy growth loop
-    # probes a grouping via exor_decomposable, and the engine then
-    # re-runs the winning grouping verbatim to derive the components.
+    ctx = ctx or CheckContext()
     ctx.check_calls += 1
-    mgr = isf.mgr
-    cached, store = ctx.check_memo("exor", isf.on.node, isf.off.node,
-                                   xa, xb)
-    if store is None:
-        if cached is False:
-            return None
-        q_a, r_a, q_b, r_b = cached
-        return (ISF(Function(mgr, q_a), Function(mgr, r_a)),
-                ISF(Function(mgr, q_b), Function(mgr, r_b)))
     if not isf.is_completely_specified() and not _set_derivative_filter(
             isf, xa, xb):
-        store(False)
         return None
-    result = _propagate(isf, xa, xb)
-    if result is None:
-        store(False)
-        return None
-    isf_a, isf_b = result
-    store((isf_a.on.node, isf_a.off.node, isf_b.on.node, isf_b.off.node))
-    return result
+    return _propagate(isf, xa, xb)
 
 
 def _set_derivative_filter(isf, xa, xb):
@@ -120,12 +100,12 @@ def _set_derivative_filter(isf, xa, xb):
 
 
 def propagate_exor(isf, xa, xb):
-    """Fig. 4's propagation itself, with no verdict memo and no filter.
+    """Fig. 4's propagation itself, with no filter and no check count.
 
     Returns ``(isf_a, isf_b)`` or ``None`` like
-    :func:`check_exor_bidecomp`, computed afresh on every call.  The
-    ``--check`` contracts re-prove EXOR steps here, so they never read
-    back a verdict the engine memoised.
+    :func:`check_exor_bidecomp`.  The ``--check`` contracts re-prove
+    EXOR steps through this loop rather than the kernel call of
+    :func:`_propagate`.
 
     For completely specified intervals the exact cofactor ("rank-1")
     test replaces the cube propagation: F decomposes iff
@@ -260,7 +240,7 @@ def exor_decomposable(isf, xa, xb, ctx=None):
     checks in a handful of quantifications.  Only survivors pay for the
     full Fig. 4 propagation.
     """
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     if not isf.is_completely_specified():
         for a in xa:
             for b in xb:

@@ -17,7 +17,8 @@ bi-decomposition feasible:
 On a manager that runs the C inner loops, :func:`group_variables`
 hands the pair scan and the growth of one gate to a single C kernel
 call (:func:`repro.bdd.variable_grouping`), which repeats the Python
-loops below call for call on the same context memos and counters.
+loops below call for call and adds its probes to the same context
+counter.
 The Python loops stay the fallback, the differential tests' reference
 and the path of a support given by variable names;
 :func:`improve_grouping` always runs them.  Fig. 6's growth is one
@@ -67,7 +68,7 @@ def find_initial_grouping(isf, support, gate, ctx=None):
     the O(n^2) pair scan walks only O(n) quantifications — lazily, which
     keeps an early exit from paying for variables it never probed.
     """
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     check = _pair_checker(isf, gate, ctx)
     symmetric = gate in (OR_GATE, AND_GATE)
     if not isinstance(support, (tuple, list)):
@@ -92,7 +93,7 @@ def group_variables(isf, support, gate, ctx=None):
     variable indices on a C manager runs as one kernel call
     (:func:`_group_variables_native`).
     """
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     support = tuple(support)  # scanned by the pair seed, then grown over
     mgr = isf.mgr
     if mgr.native and all(type(v) is int and 0 <= v < mgr.num_vars
@@ -128,16 +129,13 @@ def _group_variables_native(isf, support, gate, ctx):
     """:func:`group_variables` as one C kernel call.
 
     :func:`repro.bdd.variable_grouping` repeats the pair scan and the
-    growth call for call on *ctx*'s verdict memos and counters, the EXOR
-    growth's :func:`exor_decomposable` included; it calls back into
+    growth call for call, counting them on *ctx*, the EXOR growth's
+    :func:`exor_decomposable` included; it calls back into
     :func:`propagate_exor` only where :func:`check_exor_bidecomp` would
     not hand Fig. 4's loop to the kernel.
     """
-    verdicts = (None, None)
     propagate = None
     if gate == EXOR_GATE:
-        verdicts = (ctx.memo("exor1"), ctx.memo("exor"))
-
         def propagate(xa, xb):
             result = propagate_exor(isf, xa, xb)
             if result is None:
@@ -152,7 +150,7 @@ def _group_variables_native(isf, support, gate, ctx):
     else:
         raise ValueError("unknown gate %r" % gate)
     return variable_grouping(isf.mgr, isf.on.node, isf.off.node, support,
-                             verdicts, ctx, propagate)
+                             ctx, propagate)
 
 
 def improve_grouping(isf, support, gate, xa, xb, ctx=None):
@@ -165,7 +163,7 @@ def improve_grouping(isf, support, gate, xa, xb, ctx=None):
     available behind ``DecompositionConfig(exhaustive_grouping=True)``
     so the ablation benchmark can reproduce the trade-off.
     """
-    ctx = ctx or CheckContext(isf.mgr)
+    ctx = ctx or CheckContext()
     support = tuple(support)  # re-scanned for every excluded variable
     check = _set_checker(isf, gate, ctx)
     xa, xb = set(xa), set(xb)

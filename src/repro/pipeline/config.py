@@ -41,6 +41,15 @@ def _count(value, name):
     return int(value)
 
 
+def _jobs(value):
+    """*value* as a worker count: an integer >= 0, where 0 means
+    auto-detect."""
+    jobs = _count(value, "jobs")
+    if jobs < 0:
+        raise ValueError("jobs must be >= 0 (0 = auto), got %r" % jobs)
+    return jobs
+
+
 class PipelineConfig:
     """Validated run-level configuration.
 
@@ -168,10 +177,7 @@ class PipelineConfig:
             raise ValueError("budget_scope must be one of %s, got %r"
                              % ("/".join(BUDGET_SCOPES), budget_scope))
         self.budget_scope = budget_scope
-        jobs = _count(jobs, "jobs")
-        if jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = auto), got %r" % jobs)
-        self.jobs = jobs
+        self.jobs = _jobs(jobs)
         self.emit_certificates = bool(emit_certificates)
 
     @classmethod

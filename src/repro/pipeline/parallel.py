@@ -62,7 +62,7 @@ from collections import deque
 from repro.decomp.cache_store import commit_store, open_store
 from repro.io import parse_pla, read_text
 from repro.network.stats import NetlistStats
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import PipelineConfig, _jobs
 from repro.pipeline.events import Event, EventBus
 from repro.pipeline.limits import Deadline
 from repro.pipeline.pipeline import Pipeline, PipelineInput, PipelineRun
@@ -411,8 +411,9 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
         chooses per-run clocks (``"run"``) vs one sweep-wide deadline
         shared by every worker (``"batch"``).
     jobs:
-        Worker count; defaults to ``config.jobs``; ``0`` means
-        ``os.cpu_count()``.  ``jobs=1`` runs the same isolated
+        Worker count, validated as ``PipelineConfig(jobs=...)`` is (an
+        integer >= 0, else ``ValueError`` before any work); defaults to
+        ``config.jobs``; ``0`` means ``os.cpu_count()``.  ``jobs=1`` runs the same isolated
         semantics in-process (no fork), so its outputs are
         byte-identical to any ``jobs=N`` run.
     events:
@@ -424,12 +425,9 @@ def run_batch_parallel(sources, config=None, jobs=None, events=None,
     """
     config = PipelineConfig.coerce(config)
     events = events if events is not None else EventBus()
-    if jobs is None:
-        jobs = config.jobs
-    jobs = int(jobs)
+    jobs = config.jobs if jobs is None else _jobs(jobs)
     if jobs == 0:
         jobs = os.cpu_count() or 1
-    jobs = max(1, jobs)
     if pipeline is None:
         pipeline = Pipeline.standard()
     descs = [_describe(source, i) for i, source in enumerate(sources)]

@@ -8,9 +8,8 @@ from repro.analysis import (CheckedDecompositionEngine, ContractStats,
                             ContractViolation)
 from repro.bdd import BDD
 from repro.boolfn import ISF, parse
-from repro.decomp import (EXOR_GATE, OR_GATE, CheckContext,
-                          DecompositionError, bi_decompose,
-                          exor_decomposable, or_decomposable)
+from repro.decomp import (EXOR_GATE, OR_GATE, DecompositionError,
+                          bi_decompose, exor_decomposable, or_decomposable)
 from repro.pipeline import PipelineConfig, Session
 
 
@@ -179,18 +178,10 @@ class TestWeakStepContracts:
 
 
 class TestMemoIndependence:
-    """Mutation canary: the contracts never read the engine's verdict
-    memos.  The EXOR test poisons the manager-hosted memos with a
-    "decomposable" verdict for a grouping that is not decomposable,
-    shows the engine's own check now believes it, and expects the
-    contract to fire anyway.  Theorem 1 keeps no verdict memo, so the
-    OR test hands the contract a non-decomposable grouping directly."""
-
-    @staticmethod
-    def _poison(mgr, kind, isf, xa, xb, verdict):
-        _cached, store = CheckContext(mgr).check_memo(
-            kind, isf.on.node, isf.off.node, xa, xb)
-        store(verdict)
+    """Mutation canary: the contracts re-prove every step themselves.
+    No check keeps a verdict memo that could vouch for a grouping, so
+    each test hands the contract a non-decomposable grouping directly
+    and expects it to fire."""
 
     def test_poisoned_or_memo_cannot_vouch(self):
         mgr = BDD(["a", "b"])
@@ -211,10 +202,9 @@ class TestMemoIndependence:
         for isf in (ISF.from_csf(parse(mgr, "a & b")),
                     ISF(parse(mgr, "a & b & ~c"),
                         parse(mgr, "~(a & b) & ~c"))):
-            self._poison(mgr, "exor1", isf, [0], [1], True)
-            self._poison(mgr, "exor", isf, [0], [1],
-                         (isf.on.node, isf.off.node, mgr.false, mgr.false))
-            assert exor_decomposable(isf, [0], [1])
+            assert not exor_decomposable(isf, [0], [1])
+            assert not hasattr(mgr, "_cache_ctx_exor1")
+            assert not hasattr(mgr, "_cache_ctx_exor")
             with pytest.raises(ContractViolation) as excinfo:
                 engine._on_step(isf, [0, 1, 2], EXOR_GATE, [0], [1], isf)
             assert excinfo.value.contract == "exor-check"

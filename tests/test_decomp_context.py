@@ -1,17 +1,16 @@
 """Tests for the shared decomposability-check context (CheckContext).
 
-The context counts the checks and memoises the EXOR verdicts; every
-projection goes straight to the kernel's exists memo.  Everything
-memoised is a canonical BDD edge or a boolean derived from one, so
-every check must agree with the brute-force truth-table oracles, replay
-the same answer from a memo, and the memos must die with
-``clear_caches()`` like the kernel's own computed tables.
+The context only counts the checks; every check recomputes from the
+kernel's tables, and every projection goes straight to the kernel's
+exists memo.  Every check must agree with the brute-force truth-table
+oracles, recompute the same answer when asked again, and the exists
+memo must die with ``clear_caches()`` like the computed tables.
 """
 
 from hypothesis import given, settings
 
 from repro.bdd import exists, forall, native
-from repro.bdd.quantify import levels_token
+from repro.bdd.quantify import _levels_token
 from repro.decomp import CheckContext, bi_decompose
 from repro.decomp import checks
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
@@ -98,14 +97,14 @@ class TestQuantificationCache:
             assert _quantify(mgr)[1] > steps + 1
 
     def test_variable_sets_are_interned_per_argument(self):
-        # A verdict memo key is the set's interned level tuple, which the
-        # quantifier itself uses.
+        # The quantifier normalises a set to its sorted level tuple once
+        # per distinct argument.
         mgr = make_mgr(3)
-        first = levels_token(mgr, ["x0", 2])
+        first = _levels_token(mgr, ["x0", 2])
         assert first == (0, 2)
-        assert levels_token(mgr, ["x0", 2]) is first
-        assert levels_token(mgr, (2, 0)) == first
-        assert levels_token(mgr, []) == ()
+        assert _levels_token(mgr, ["x0", 2]) is first
+        assert _levels_token(mgr, (2, 0)) == first
+        assert _levels_token(mgr, []) == ()
 
     def test_contexts_on_different_managers_are_isolated(self):
         mgr_a, mgr_b = make_mgr(3), make_mgr(3)
@@ -117,48 +116,12 @@ class TestQuantificationCache:
         # ...but each manager walks it: nothing leaked across.
         assert _quantify(mgr_a) == _quantify(mgr_b)
         assert _quantify(mgr_b)[1] > 1
-        ctx_a, ctx_b = CheckContext(mgr_a), CheckContext(mgr_b)
-        ctx_a.check_memo("exor1", f_a, f_a, [0], [1])[1](True)
-        assert ctx_b.check_memo("exor1", f_b, f_b, [0], [1])[0] is None
-        assert ctx_b.cache_hits == 0
-
-
-class TestCheckMemo:
-    def test_miss_store_hit_cycle(self):
-        mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        q, r = mgr.var(0), mgr.var(1)
-        cached, store = ctx.check_memo("exor1", q, r, [0], [1])
-        assert cached is None and store is not None
-        assert store(True) is True
-        cached, store = ctx.check_memo("exor1", q, r, [0], [1])
-        assert cached is True and store is None
-        assert ctx.cache_hits == 1
-
-    def test_false_verdicts_are_cached(self):
-        mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        _, store = ctx.check_memo("exor", mgr.var(0), mgr.var(1),
-                                  [0], [1])
-        store(False)
-        cached, store = ctx.check_memo("exor", mgr.var(0), mgr.var(1),
-                                       [0], [1])
-        assert cached is False and store is None
-
-    def test_kinds_are_separate_namespaces(self):
-        mgr = make_mgr(3)
-        ctx = CheckContext(mgr)
-        _, store = ctx.check_memo("exor1", mgr.var(0), mgr.var(1),
-                                  [0], [1])
-        store(True)
-        cached, _ = ctx.check_memo("exor", mgr.var(0), mgr.var(1),
-                                   [0], [1])
-        assert cached is None
 
 
 class TestCachedEqualsUncached:
-    """Context verdicts equal the brute-force ∃-partition oracles, and a
-    memo replay returns the first answer."""
+    """Check verdicts equal the brute-force ∃-partition oracles, and a
+    repeated check, answered from the kernel's tables, returns the first
+    answer."""
 
     @settings(max_examples=50, deadline=None)
     @given(isf_strategy(3))
@@ -166,7 +129,7 @@ class TestCachedEqualsUncached:
         on_tt, off_tt = pair
         mgr = make_mgr(3)
         isf = build_isf(mgr, [0, 1, 2], on_tt, off_tt)
-        ctx = CheckContext(mgr)
+        ctx = CheckContext()
         for xa, xb in (([0], [1]), ([0], [2]), ([1], [2]),
                        ([0, 1], [2]), ([0], [1, 2])):
             want_or = or_split_exists(on_tt, off_tt, 3, xa, xb)
@@ -185,7 +148,7 @@ class TestCachedEqualsUncached:
                 on_tt & ~exists_tt(off_tt, 3, xa))
             assert checks.weak_and_useful(isf, xa, ctx) == bool(
                 off_tt & ~exists_tt(on_tt, 3, xa))
-        assert ctx.cache_hits > 0
+        assert ctx.check_calls == 5 * 2 * 2 + 4 * 2 + 3 * 2
 
     @settings(max_examples=50, deadline=None)
     @given(isf_strategy(3))
@@ -212,16 +175,16 @@ class TestCachedEqualsUncached:
         on_tt, off_tt = pair
         mgr = make_mgr(4)
         isf = build_isf(mgr, [0, 1, 2, 3], on_tt, off_tt)
-        ctx = CheckContext(mgr)
+        ctx = CheckContext()
         for xa, xb in (([0], [1]), ([0, 1], [2, 3]), ([0, 2], [1]),
                        ([0, 1], [2])):
             want = exor_split_exists(on_tt, off_tt, 4, xa, xb)
             first = check_exor_bidecomp(isf, xa, xb, ctx)
             assert (first is not None) == want
-            # Re-asking must replay the memo, with the same answer.
-            hits = ctx.cache_hits
+            # Re-asking recomputes the same components, node for node.
+            arena = _arena(mgr)
             replay = check_exor_bidecomp(isf, xa, xb, ctx)
-            assert ctx.cache_hits == hits + 1
+            assert _arena(mgr) == arena
             if first is None:
                 assert replay is None
             else:
@@ -240,7 +203,7 @@ class TestCachedEqualsUncached:
                          | set(mgr.support(isf.off.node)))
         if len(support) < 2:
             return
-        ctx = CheckContext(mgr)
+        ctx = CheckContext()
         oracles = {OR_GATE: or_split_exists,
                    AND_GATE: lambda on, off, *rest: or_split_exists(
                        off, on, *rest),
@@ -262,7 +225,7 @@ def _projection_log(monkeypatch):
         def spy(mgr, variables, f, _real=getattr(checks, name), _flip=flip):
             before = _quantify(mgr)[1]
             result = _real(mgr, variables, f)
-            log.append(((levels_token(mgr, variables), f ^ _flip),
+            log.append(((_levels_token(mgr, variables), f ^ _flip),
                         _quantify(mgr)[1] - before))
             return result
         monkeypatch.setattr(checks, name, spy)
@@ -295,7 +258,7 @@ class TestPairScanIsLinear:
             for x in range(n):     # the scan's first-use order
                 exists(twin, [x], twin_r)
             walks = _quantify(twin)[1]
-            ctx = CheckContext(mgr)
+            ctx = CheckContext()
             assert find_initial_grouping(isf, range(n), OR_GATE, ctx) is None
             assert ctx.check_calls == pairs
             assert _quantify(mgr) == (2 * pairs, walks + 2 * pairs - n)
@@ -313,7 +276,7 @@ class TestPairScanIsLinear:
                                   mgr.and_(mgr.var(0), mgr.var(2))),
                           mgr.and_(mgr.var(1), mgr.var(2)))
             isf = ISF.from_csf(mgr.fn(maj))
-            ctx = CheckContext(mgr)
+            ctx = CheckContext()
             assert find_initial_grouping(isf, range(3), EXOR_GATE,
                                          ctx) is None
             assert ctx.check_calls == 6       # ordered pairs
@@ -332,7 +295,7 @@ class TestPairScanIsLinear:
         for mgr in _managers(5):
             f = mgr.or_(mgr.var(0), mgr.var(1))   # first pair decomposes
             isf = ISF.from_csf(mgr.fn(f))
-            ctx = CheckContext(mgr)
+            ctx = CheckContext()
             got = find_initial_grouping(isf, range(5), OR_GATE, ctx)
             assert got == (frozenset([0]), frozenset([1]))
             assert _quantify(mgr)[0] == 2
@@ -345,13 +308,11 @@ class TestEngineIntegration:
         mgr, specs = get("rd53").build()
         stats = bi_decompose(specs).stats
         assert stats.grouping_check_calls > 0
-        assert stats.quantify_cache_hits > 0
         doc = stats.as_dict()
-        for key in ("grouping_check_calls", "quantify_cache_hits"):
-            assert key in doc
+        assert "grouping_check_calls" in doc
+        assert "quantify_cache_hits" not in doc
         again = DecompositionStats.from_dict(doc)
         assert again.grouping_check_calls == stats.grouping_check_calls
-        assert again.quantify_cache_hits == stats.quantify_cache_hits
 
 
 class TestSetDerivativeFilter:

@@ -4,15 +4,14 @@ On a manager that runs the C inner loops,
 :func:`repro.decomp.grouping.group_variables` hands the pair scan and
 the greedy growth to one C kernel call,
 :func:`repro.bdd.variable_grouping`.  The engine's EXOR rerun, the weak
-step and ``improve_grouping`` read the memos the scan fills (the
-:class:`~repro.decomp.context.CheckContext` verdicts and the kernel's
-exists memo), and
-node indices feed every later cache key, so the C scan must repeat the
-Python checks call for call.  Each case here runs OR, AND and EXOR on
-one context, on a C manager and on one held on the Python loops
-(``native._python_loops``), and compares the groupings, the context's
-counters, its verdict memos in insertion order,
-``conftest.kernel_state`` and the quantifier's interned level sets.
+step and ``improve_grouping`` read the kernel tables the scan fills
+(the exists memo and the computed tables), and node indices feed every
+later cache key, so the C scan must repeat the Python checks call for
+call.  Each case here runs OR, AND and EXOR on one
+:class:`~repro.decomp.context.CheckContext`, on a C manager and on one
+held on the Python loops (``native._python_loops``), and compares the
+groupings, the context's ``check_calls``, ``conftest.kernel_state`` and
+the quantifier's interned level sets.
 Growth hooks that raise part-way and a tiny computed-table cap check
 the commit points.  On the Python fallback both sides run the Python
 loops.
@@ -34,7 +33,6 @@ from conftest import (Trip, assert_unique_tables_consistent, build_isf,
                       kernel_state, make_mgr, tripping_hook)
 
 GATES = (OR_GATE, AND_GATE, EXOR_GATE)
-MEMOS = ("exor1", "exor")
 
 
 def _composed(rng, n, xa, xb, combine, dc_share):
@@ -103,22 +101,19 @@ def _manager(python_loops, case):
 
 def _state(mgr, ctx):
     """Everything a grouping leaves behind on the manager and context."""
-    memos = [list(getattr(mgr, "_cache_ctx_" + kind, {}).items())
-             for kind in MEMOS]
     interned = [list(getattr(mgr, name, {}).items())
                 for name in ("_cache_var_token", "_cache_suffixes",
                              "_cache_suffix_id")]
-    return (kernel_state(mgr), memos, interned,
-            (ctx.check_calls, ctx.cache_hits))
+    return kernel_state(mgr), interned, ctx.check_calls
 
 
 def _outcome(python_loops, case, gates=GATES):
     """Groupings of every gate on one context, then the state left."""
     mgr, isf = _manager(python_loops, case)
-    ctx = CheckContext(mgr)
+    ctx = CheckContext()
     support = case[4]
     results = [group_variables(isf, support, gate, ctx) for gate in gates]
-    # A second pass answers from the context's memos.
+    # A second pass recomputes every check from the kernel's tables.
     results += [group_variables(isf, support, gate, ctx) for gate in gates]
     return results, _state(mgr, ctx)
 
@@ -126,8 +121,8 @@ def _outcome(python_loops, case, gates=GATES):
 @settings(max_examples=200, deadline=None)
 @given(grouping_cases())
 def test_grouping_matches_python_loops(case):
-    """Identical groupings, counters, memos, arena, tables and interned
-    level sets on both managers."""
+    """Identical groupings, counters, arena, tables and interned level
+    sets on both managers."""
     assert _outcome(False, case) == _outcome(True, case)
 
 
@@ -155,13 +150,13 @@ def _fresh_nodes(case, gate):
     def hook(_mgr):
         count[0] += 1
     mgr.set_growth_hook(hook, interval=1)
-    group_variables(isf, case[4], gate, CheckContext(mgr))
+    group_variables(isf, case[4], gate, CheckContext())
     return count[0]
 
 
 def _tripped_state(python_loops, case, gate, trip_at):
     mgr, isf = _manager(python_loops, case)
-    ctx = CheckContext(mgr)
+    ctx = CheckContext()
     mgr.set_growth_hook(tripping_hook(trip_at), interval=1)
     with pytest.raises(Trip):
         group_variables(isf, case[4], gate, ctx)
@@ -178,7 +173,7 @@ def _tripped_state(python_loops, case, gate, trip_at):
 @pytest.mark.parametrize("trip_at", [1, 3, 11, "middle", "last"])
 def test_budget_trip_leaves_identical_state(gate, trip_at):
     """A growth hook raising on the N-th fresh node of a grouping leaves
-    the same arena, counters, memos and context counts on both
+    the same arena, counters, interned sets and context count on both
     managers: early in the pair scan, and part-way through and at the
     end of the growth."""
     fresh = _fresh_nodes(TRIP_CASE, gate)
@@ -208,7 +203,7 @@ def test_c_manager_runs_no_python_check(monkeypatch):
     for python_loops in (False, True):
         del calls[:]
         mgr, isf = _manager(python_loops, TRIP_CASE)
-        ctx = CheckContext(mgr)
+        ctx = CheckContext()
         for gate in GATES:
             group_variables(isf, TRIP_CASE[4], gate, ctx)
         assert bool(calls) is python_loops
@@ -237,22 +232,24 @@ def test_no_theorem1_verdict_memo(python_loops):
         native._python_loops(mgr)
     result = bi_decompose(specs)
     assert result.stats.grouping_check_calls > 0
-    assert hasattr(mgr, "_cache_ctx_exor1")
+    assert result.stats.strong[EXOR_GATE] > 0
     assert not hasattr(mgr, "_cache_ctx_or")
 
 
 @pytest.mark.parametrize("python_loops", [False, True],
                          ids=["native", "python-loops"])
 def test_no_context_quantification_memo(python_loops):
-    """Projections go straight to the kernel's exists memo: a default run
-    on either kernel leaves no ``_cache_ctx_exists`` or
-    ``_cache_ctx_varset`` on the manager, and the kernel memo holds
+    """Projections go straight to the kernel's exists memo and checks
+    keep no verdict memo: a default run on either kernel leaves no
+    ``_cache_ctx_exists``, ``_cache_ctx_varset``, ``_cache_ctx_exor1``
+    or ``_cache_ctx_exor`` on the manager, and the kernel memo holds
     every walked projection."""
     mgr, specs = get("rd53").build()
     if python_loops:
         native._python_loops(mgr)
     result = bi_decompose(specs)
     assert result.stats.grouping_check_calls > 0
+    assert result.stats.strong[EXOR_GATE] > 0
     assert mgr._cache_exists
-    assert not hasattr(mgr, "_cache_ctx_exists")
-    assert not hasattr(mgr, "_cache_ctx_varset")
+    for name in ("exists", "varset", "exor1", "exor"):
+        assert not hasattr(mgr, "_cache_ctx_" + name)

@@ -659,6 +659,15 @@ class TestRunBatchWiring:
         with pytest.raises(ValueError, match="jobs"):
             PipelineConfig(jobs=-1)
 
+    @pytest.mark.parametrize("jobs", [-3, 2.7, True, "2"])
+    def test_jobs_override_validated_like_config(self, jobs):
+        # The override obeys PipelineConfig's rule, and is refused
+        # before any worker starts.
+        with pytest.raises(ValueError, match="jobs"):
+            PipelineConfig(jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_batch_parallel(make_inputs()[:1], jobs=jobs)
+
     def test_report_includes_batch_metadata(self):
         config = PipelineConfig(jobs=2)
         result = run_batch_parallel(make_inputs(), config=config)

@@ -292,8 +292,8 @@ class TestHotPathPurity:
 
 class TestCacheAttrName:
     """Manager-hosted memo state must use the _cache_ namespace that
-    clear_caches() invalidates — covering repro.decomp.context and the
-    kernel's and_exists walk, whose caches are attached dynamically."""
+    clear_caches() invalidates — covering the kernel's quantification
+    walks, whose caches are attached dynamically."""
 
     def test_private_literal_attr_flagged_in_hot_path(self, tmp_path):
         source = ("def probe(mgr):\n"
@@ -306,9 +306,9 @@ class TestCacheAttrName:
 
     def test_cache_prefixed_literal_passes(self, tmp_path):
         source = ("def probe(mgr):\n"
-                  "    cache = getattr(mgr, '_cache_ctx_exor', None)\n"
+                  "    cache = getattr(mgr, '_cache_exists', None)\n"
                   "    if cache is None:\n"
-                  "        setattr(mgr, '_cache_ctx_exor', {})\n")
+                  "        setattr(mgr, '_cache_exists', {})\n")
         report = _scan(tmp_path, {"src/repro/bdd/quantify.py": source},
                        rules=["cache-attr-name"])
         assert not report.findings
