@@ -18,9 +18,8 @@
  * Theorem 1 and 2 checks, the EXOR growth's pairwise filter and its
  * Fig. 4 check (the third entry's loop), each recomputed from the
  * kernel's tables and counted on the ``CheckContext``.  All five work
- * through the CPython C
- * API on the manager's own structures -- the ``_level`` / ``_lo`` /
- * ``_hi`` lists, the per-level ``_unique`` tables, the ``_free`` list,
+ * on the manager's own structures -- the ``_level`` / ``_lo`` / ``_hi``
+ * arena columns, the per-level ``_unique`` tables, the ``_free`` list,
  * the ``_ct_and`` table and the caller's exists memo -- and repeat the
  * Python loops step for step: the same probe order, node-creation
  * order, counter increments, ``_peak_live`` updates, growth-hook firing
@@ -32,7 +31,11 @@
  * without boxing a key.  Python code uses them through the subset of
  * the dict API the kernel needs, and they iterate in the order a dict
  * would, so the differential tests can compare them with the dicts the
- * Python fallback uses.
+ * Python fallback uses.  The arena columns are ``Column`` objects: one
+ * uint32 per node, read and written inline, which Python code uses as
+ * lists and which compare equal to the fallback's lists.  Every edge
+ * fits 32 bits, so the packed keys (a << 32) | b never wrap: an edge
+ * from Python past that raises, and so does a node past index 2**31.
  *
  * Counters follow the Python loops' commit points.  Increments the
  * Python code writes to the manager at once (the top-level AND cache
@@ -511,6 +514,291 @@ static PyTypeObject TableType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Column: a growable uint32 array, one per field of the node arena    */
+/* ------------------------------------------------------------------ */
+
+/* The manager's ``_level``, ``_lo`` and ``_hi`` hold one uint32 per node
+ * inline, so the walks read and write them without boxing.  Python code
+ * uses them through the subset of list the kernel needs: len, indexing
+ * (negative indices too), item assignment, append and iteration (through
+ * the sequence protocol), and == against a Column or a list of the same
+ * ints.  Storing anything but an int in [0, 2**32 - 1] raises. */
+
+typedef struct {
+    PyObject_HEAD
+    uint32_t *items;        /* cap slots; the first len are in use */
+    Py_ssize_t len, cap;
+} Column;
+
+static PyTypeObject ColumnType;
+
+/* An item to store: TypeError for a non-int, OverflowError outside
+ * [0, 2**32 - 1]. */
+static int
+column_value(PyObject *obj, uint32_t *out)
+{
+    uint64_t v;
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "Column items are ints, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    v = as_uint64(obj);
+    if (v == UINT64_MAX && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+    }
+    else if (v <= UINT32_MAX) {
+        *out = (uint32_t)v;
+        return 0;
+    }
+    PyErr_SetString(PyExc_OverflowError, "Column items lie in [0, 2**32 - 1]");
+    return -1;
+}
+
+static int
+column_push(Column *c, uint32_t value)
+{
+    if (c->len == c->cap) {
+        Py_ssize_t cap = c->cap + (c->cap >> 1) + 8;
+        uint32_t *items;
+        if (cap > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(uint32_t)
+            || (items = PyMem_Realloc(c->items,
+                                      (size_t)cap * sizeof(uint32_t)))
+               == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        c->items = items;
+        c->cap = cap;
+    }
+    c->items[c->len++] = value;
+    return 0;
+}
+
+static PyObject *
+column_append(Column *c, PyObject *obj)
+{
+    uint32_t v;
+    if (column_value(obj, &v) < 0 || column_push(c, v) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+column_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *iterable = NULL, *it, *item, *r;
+    Column *c;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "Column() takes no keyword arguments");
+        return NULL;
+    }
+    if (!PyArg_UnpackTuple(args, "Column", 0, 1, &iterable))
+        return NULL;
+    c = (Column *)type->tp_alloc(type, 0);      /* zeroed: empty */
+    if (c == NULL || iterable == NULL)
+        return (PyObject *)c;
+    it = PyObject_GetIter(iterable);
+    if (it == NULL) {
+        Py_DECREF(c);
+        return NULL;
+    }
+    while ((item = PyIter_Next(it)) != NULL) {
+        r = column_append(c, item);
+        Py_DECREF(item);
+        if (r == NULL)
+            break;
+        Py_DECREF(r);
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred()) {
+        Py_DECREF(c);
+        return NULL;
+    }
+    return (PyObject *)c;
+}
+
+static void
+column_dealloc(Column *c)
+{
+    PyMem_Free(c->items);
+    Py_TYPE(c)->tp_free((PyObject *)c);
+}
+
+static Py_ssize_t
+column_length(Column *c)
+{
+    return c->len;
+}
+
+/* The position of index *i* (negative counts from the end), or -1 with
+ * IndexError set. */
+static Py_ssize_t
+column_pos(Column *c, PyObject *i)
+{
+    Py_ssize_t pos;
+    if (PyLong_CheckExact(i)) {
+        /* The Python walks' case: skip __index__. */
+        pos = PyLong_AsSsize_t(i);
+        if (pos == -1 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+                return -1;
+            PyErr_Clear();
+            pos = PY_SSIZE_T_MAX;
+        }
+    }
+    else if (!PyIndex_Check(i)) {
+        PyErr_Format(PyExc_TypeError,
+                     "Column indices must be integers, not %.100s",
+                     Py_TYPE(i)->tp_name);
+        return -1;
+    }
+    else {
+        pos = PyNumber_AsSsize_t(i, PyExc_IndexError);
+        if (pos == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (pos < 0)
+        pos += c->len;
+    if (pos < 0 || pos >= c->len) {
+        PyErr_SetString(PyExc_IndexError, "Column index out of range");
+        return -1;
+    }
+    return pos;
+}
+
+static PyObject *
+column_subscript(Column *c, PyObject *i)
+{
+    Py_ssize_t pos = column_pos(c, i);
+    return pos < 0 ? NULL : PyLong_FromLongLong((long long)c->items[pos]);
+}
+
+static int
+column_ass_subscript(Column *c, PyObject *i, PyObject *obj)
+{
+    Py_ssize_t pos;
+    uint32_t v;
+    if (obj == NULL) {
+        PyErr_SetString(PyExc_TypeError, "Column items cannot be deleted");
+        return -1;
+    }
+    pos = column_pos(c, i);
+    if (pos < 0 || column_value(obj, &v) < 0)
+        return -1;
+    c->items[pos] = v;
+    return 0;
+}
+
+/* sq_item, for iteration: PySequence_GetItem has resolved a negative
+ * index already. */
+static PyObject *
+column_item(Column *c, Py_ssize_t pos)
+{
+    if (pos < 0 || pos >= c->len) {
+        PyErr_SetString(PyExc_IndexError, "Column index out of range");
+        return NULL;
+    }
+    return PyLong_FromLongLong((long long)c->items[pos]);
+}
+
+/* 1 when the list *other* holds ints equal to *c*'s items, 0 when not,
+ * -1 on error; compares as list == list would. */
+static int
+column_equals_list(Column *c, PyObject *other)
+{
+    Py_ssize_t i;
+    PyObject *item, *v;
+    int r;
+    if (c->len != PyList_GET_SIZE(other))
+        return 0;
+    /* An item's __eq__ may resize either side. */
+    for (i = 0; i < c->len && i < PyList_GET_SIZE(other); i++) {
+        v = PyLong_FromLongLong((long long)c->items[i]);
+        if (v == NULL)
+            return -1;
+        item = Py_NewRef(PyList_GET_ITEM(other, i));
+        r = PyObject_RichCompareBool(item, v, Py_EQ);
+        Py_DECREF(item);
+        Py_DECREF(v);
+        if (r <= 0)
+            return r;
+    }
+    return c->len == PyList_GET_SIZE(other);
+}
+
+static PyObject *
+column_richcompare(Column *c, PyObject *other, int op)
+{
+    int eq;
+    if (op != Py_EQ && op != Py_NE)
+        Py_RETURN_NOTIMPLEMENTED;
+    if (Py_TYPE(other) == &ColumnType) {
+        Column *d = (Column *)other;
+        eq = c->len == d->len
+             && (c->len == 0
+                 || memcmp(c->items, d->items,
+                           (size_t)c->len * sizeof(uint32_t)) == 0);
+    }
+    else if (PyList_Check(other)) {
+        if ((eq = column_equals_list(c, other)) < 0)
+            return NULL;
+    }
+    else {
+        Py_RETURN_NOTIMPLEMENTED;
+    }
+    return PyBool_FromLong(op == Py_EQ ? eq : !eq);
+}
+
+static PyObject *
+column_repr(Column *c)
+{
+    PyObject *items = PySequence_List((PyObject *)c), *r;
+    if (items == NULL)
+        return NULL;
+    r = PyUnicode_FromFormat("Column(%R)", items);
+    Py_DECREF(items);
+    return r;
+}
+
+static PyMethodDef column_methods[] = {
+    {"append", (PyCFunction)column_append, METH_O,
+     "append(item): add an int in [0, 2**32 - 1] at the end."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMappingMethods column_as_mapping = {
+    (lenfunc)column_length,
+    (binaryfunc)column_subscript,
+    (objobjargproc)column_ass_subscript,
+};
+
+static PySequenceMethods column_as_sequence = {
+    .sq_length = (lenfunc)column_length,
+    .sq_item = (ssizeargfunc)column_item,
+};
+
+static PyTypeObject ColumnType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.bdd._kernel.Column",
+    .tp_basicsize = sizeof(Column),
+    .tp_dealloc = (destructor)column_dealloc,
+    .tp_repr = (reprfunc)column_repr,
+    .tp_as_sequence = &column_as_sequence,
+    .tp_as_mapping = &column_as_mapping,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Column([iterable])\n\nA growable array of ints in "
+              "[0, 2**32 - 1], stored as uint32: the subset\nof list the "
+              "BDD kernel's node arena uses.",
+    .tp_richcompare = (richcmpfunc)column_richcompare,
+    .tp_methods = column_methods,
+    .tp_new = column_new,
+};
+
+/* ------------------------------------------------------------------ */
 /* Manager state                                                       */
 /* ------------------------------------------------------------------ */
 
@@ -523,7 +811,8 @@ enum { C_CT_LOOKUPS, C_CT_HITS, C_UNIQ_LOOKUPS, C_UNIQ_HITS, C_PEAK_LIVE,
 
 typedef struct {
     PyObject *mgr;                      /* borrowed from the caller */
-    PyObject *level, *lo, *hi, *unique, *free;  /* new refs */
+    Column *level, *lo, *hi;                    /* new refs */
+    PyObject *unique, *free;                    /* new refs */
     Table *ct;                                  /* new ref */
     Py_ssize_t ct_max;
     PyObject *hook;                     /* new ref, NULL for None */
@@ -624,9 +913,9 @@ kernel_open(Kernel *k, PyObject *mgr, Py_ssize_t ct_max, int ncounters)
     k->mgr = mgr;
     k->ct_max = ct_max;
     k->ncounters = ncounters;
-    if ((k->level = get_typed(mgr, s_level, &PyList_Type)) == NULL
-        || (k->lo = get_typed(mgr, s_lo, &PyList_Type)) == NULL
-        || (k->hi = get_typed(mgr, s_hi, &PyList_Type)) == NULL
+    if ((k->level = (Column *)get_typed(mgr, s_level, &ColumnType)) == NULL
+        || (k->lo = (Column *)get_typed(mgr, s_lo, &ColumnType)) == NULL
+        || (k->hi = (Column *)get_typed(mgr, s_hi, &ColumnType)) == NULL
         || (k->unique = get_typed(mgr, s_unique, &PyList_Type)) == NULL
         || (k->free = get_typed(mgr, s_free, &PyList_Type)) == NULL
         || (k->ct = (Table *)get_typed(mgr, s_ct_and, &TableType)) == NULL
@@ -662,6 +951,10 @@ kernel_close(Kernel *k, PyObject *result)
 /* Arena and table access                                              */
 /* ------------------------------------------------------------------ */
 
+/* An edge (or node index) from Python.  Every edge fits 32 bits, the
+ * width of the arena's columns, so the packed keys (a << 32) | b of the
+ * unique and AND tables never wrap: edges from Python are checked here,
+ * and make_node refuses a node whose edges would not fit. */
 static inline int
 as_edge(PyObject *v, edge_t *out)
 {
@@ -670,6 +963,10 @@ as_edge(PyObject *v, edge_t *out)
         return -1;
     if (x < 0) {
         PyErr_SetString(PyExc_ValueError, "negative BDD edge");
+        return -1;
+    }
+    if (x > (long long)UINT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "BDD edge exceeds 32 bits");
         return -1;
     }
     *out = (edge_t)x;
@@ -684,6 +981,18 @@ list_item(PyObject *list, edge_t idx, edge_t *out)
         return -1;
     }
     return as_edge(PyList_GET_ITEM(list, (Py_ssize_t)idx), out);
+}
+
+/* Node *idx*'s slot of an arena column. */
+static inline int
+column_get(const Column *c, edge_t idx, edge_t *out)
+{
+    if (idx >= (edge_t)c->len) {
+        PyErr_SetString(PyExc_IndexError, "BDD node index out of range");
+        return -1;
+    }
+    *out = c->items[idx];
+    return 0;
 }
 
 /* Probe *t* for *key*: 1 found (*out set), 0 absent. */
@@ -707,30 +1016,17 @@ store(Table *t, edge_t key, edge_t value)
     return table_set(t, key, value);
 }
 
+/* Node *idx*'s slot of a column := *value* (a level or an edge, both
+ * below 2**32). */
 static inline int
-set_slot(PyObject *list, Py_ssize_t idx, edge_t value)
+column_set(Column *c, edge_t idx, edge_t value)
 {
-    PyObject *v = PyLong_FromUnsignedLongLong(value);
-    if (v == NULL)
-        return -1;
-    if (idx >= PyList_GET_SIZE(list)) {
-        Py_DECREF(v);
+    if (idx >= (edge_t)c->len) {
         PyErr_SetString(PyExc_IndexError, "BDD node index out of range");
         return -1;
     }
-    return PyList_SetItem(list, idx, v);        /* steals v */
-}
-
-static inline int
-append(PyObject *list, edge_t value)
-{
-    PyObject *v = PyLong_FromUnsignedLongLong(value);
-    int rc;
-    if (v == NULL)
-        return -1;
-    rc = PyList_Append(list, v);
-    Py_DECREF(v);
-    return rc;
+    c->items[idx] = (uint32_t)value;
+    return 0;
 }
 
 /* The growth hook, with the manager in the state the Python loops
@@ -792,21 +1088,28 @@ make_node(Kernel *k, long long level, edge_t lo, edge_t hi,
     if (nfree) {
         if (as_edge(PyList_GET_ITEM(k->free, nfree - 1), &node) < 0
             || PyList_SetSlice(k->free, nfree - 1, nfree, NULL) < 0
-            || set_slot(k->level, (Py_ssize_t)node, (edge_t)level) < 0
-            || set_slot(k->lo, (Py_ssize_t)node, lo) < 0
-            || set_slot(k->hi, (Py_ssize_t)node, hi) < 0)
+            || column_set(k->level, node, (edge_t)level) < 0
+            || column_set(k->lo, node, lo) < 0
+            || column_set(k->hi, node, hi) < 0)
             goto done;
     }
     else {
-        node = (edge_t)PyList_GET_SIZE(k->level);
-        if (append(k->level, (edge_t)level) < 0 || append(k->lo, lo) < 0
-            || append(k->hi, hi) < 0)
+        node = (edge_t)k->level->len;
+        if (node > (UINT32_MAX >> 1)) {
+            /* Its edges would not fit the columns. */
+            PyErr_SetString(PyExc_OverflowError,
+                            "BDD arena full: 2**31 nodes");
+            goto done;
+        }
+        if (column_push(k->level, (uint32_t)level) < 0
+            || column_push(k->lo, (uint32_t)lo) < 0
+            || column_push(k->hi, (uint32_t)hi) < 0)
             goto done;
     }
     rc = store((Table *)table, key, node);
     if (rc < 0)
         goto done;
-    live = PyList_GET_SIZE(k->level) - PyList_GET_SIZE(k->free);
+    live = k->level->len - PyList_GET_SIZE(k->free);
     if (live > k->val[C_PEAK_LIVE])
         k->val[C_PEAK_LIVE] = live;
     if (k->hook != NULL && --k->val[C_COUNTDOWN] <= 0) {
@@ -853,7 +1156,7 @@ branches(Kernel *k, edge_t e, edge_t elvl, edge_t lvl, edge_t *e0,
         *e0 = *e1 = e;
         return 0;
     }
-    if (list_item(k->lo, e >> 1, e0) < 0 || list_item(k->hi, e >> 1, e1) < 0)
+    if (column_get(k->lo, e >> 1, e0) < 0 || column_get(k->hi, e >> 1, e1) < 0)
         return -1;
     *e0 ^= e & 1;
     *e1 ^= e & 1;
@@ -912,8 +1215,8 @@ and_walk(Kernel *k, edge_t f, edge_t g, edge_t *out)
         }
 expand:
         for (;;) {
-            if (list_item(k->level, a >> 1, &la) < 0
-                || list_item(k->level, b >> 1, &lb) < 0)
+            if (column_get(k->level, a >> 1, &la) < 0
+                || column_get(k->level, b >> 1, &lb) < 0)
                 goto error;
             lvl = la < lb ? la : lb;
             if (branches(k, a, la, lvl, &a0, &a1) < 0
@@ -1074,7 +1377,7 @@ exists_walk(Kernel *k, edge_t f, const long long *levels,
                 RPUSH(e);
                 continue;
             }
-            if (list_item(k->level, e >> 1, &lv) < 0)
+            if (column_get(k->level, e >> 1, &lv) < 0)
                 goto error;
             lvl = (long long)lv;
             /* Drop quantified levels that can no longer appear below. */
@@ -1288,7 +1591,7 @@ seed_cube(Exor *x, edge_t q, edge_t *out)
 
     STACK_INIT(path);
     while (e != 1) {
-        if (list_item(k->level, e >> 1, &lv) < 0)
+        if (column_get(k->level, e >> 1, &lv) < 0)
             goto error;
         if (lv >= (edge_t)nlevels) {
             PyErr_SetString(PyExc_ValueError, "pick_cube reached FALSE");
@@ -1898,9 +2201,9 @@ ite_top(Isop *s, edge_t f, edge_t g, edge_t h, edge_t *out)
             b ^= 1;
             c ^= 1;
         }
-        if (list_item(k->level, a >> 1, &la) < 0
-            || list_item(k->level, b >> 1, &lb) < 0
-            || list_item(k->level, c >> 1, &lc) < 0
+        if (column_get(k->level, a >> 1, &la) < 0
+            || column_get(k->level, b >> 1, &lb) < 0
+            || column_get(k->level, c >> 1, &lc) < 0
             || branches(k, a, la, la, &a0, &a1) < 0)
             return -1;
         if (b == (c ^ 1) || la >= lb || la >= lc || a0 > 1 || a1 > 1)
@@ -2001,8 +2304,8 @@ isop_walk(Isop *s, edge_t lower, edge_t upper, Cover *out)
                 PUSH(results, s->memo.items[(Py_ssize_t)slot]);
                 continue;
             }
-            if (list_item(k->level, lo >> 1, &la) < 0
-                || list_item(k->level, up >> 1, &lu) < 0)
+            if (column_get(k->level, lo >> 1, &la) < 0
+                || column_get(k->level, up >> 1, &lu) < 0)
                 goto error;
             next.tag = 1;
             next.lvl = (long long)(la < lu ? la : lu);
@@ -2519,14 +2822,14 @@ PyInit__kernel(void)
                 return NULL;
         }
     }
-    if (PyType_Ready(&TableType) < 0)
+    if (PyType_Ready(&TableType) < 0 || PyType_Ready(&ColumnType) < 0)
         return NULL;
     module = PyModule_Create(&kernel_module);
     if (module == NULL)
         return NULL;
-    Py_INCREF(&TableType);
-    if (PyModule_AddObject(module, "Table", (PyObject *)&TableType) < 0) {
-        Py_DECREF(&TableType);
+    if (PyModule_AddObjectRef(module, "Table", (PyObject *)&TableType) < 0
+        || PyModule_AddObjectRef(module, "Column",
+                                 (PyObject *)&ColumnType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

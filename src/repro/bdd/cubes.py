@@ -26,37 +26,59 @@ def sat_count(mgr, f, num_vars=None):
     if cache is None:
         cache = {}
         mgr._cache_satcount = cache
-    count = _sat_count_rec(mgr, f, num_vars, cache)
-    # _sat_count_rec counts over the levels at and below the root; the
+    count = _sat_count_walk(mgr, f, num_vars, cache)
+    # _sat_count_walk counts over the levels at and below the root; the
     # levels above the root are unconstrained.
     return count << mgr.level(f)
 
 
-def _sat_count_rec(mgr, f, num_vars, cache):
-    """Count assignments over the variables at levels >= level(f)."""
-    if f == FALSE:
-        return 0
-    if f == TRUE:
-        return 1
+def _sat_count_walk(mgr, f, num_vars, cache):
+    """Count assignments over the variables at levels >= level(f).
+
+    An explicit-stack walk over the regular edges below *f* (not
+    constant), so deep BDDs cannot hit the recursion limit.  *cache*
+    maps ``(regular edge, num_vars)`` to its count.  A complemented
+    edge ~e holds exactly where e does not, over the
+    ``2 ** (num_vars - level)`` assignments of the variables at and
+    below its root.
+    """
+    _lev = mgr._level
+    _lo = mgr._lo
+    _hi = mgr._hi
+    stack = [f & -2]
+    while stack:
+        e = stack[-1]
+        key = (e, num_vars)
+        if key in cache:
+            stack.pop()
+            continue
+        idx = e >> 1
+        lo = _lo[idx]           # stored low edges are regular
+        hi = _hi[idx]
+        lo_count = 0
+        if lo:
+            lo_count = cache.get((lo, num_vars))
+            if lo_count is None:
+                stack.append(lo)
+        if hi < 2:
+            hi_count = hi
+        else:
+            hi_count = cache.get((hi & -2, num_vars))
+            if hi_count is None:
+                stack.append(hi & -2)
+                continue
+            if hi & 1:
+                hi_count = (1 << (num_vars - _lev[hi >> 1])) - hi_count
+        if lo_count is None:
+            continue
+        stack.pop()
+        level = _lev[idx]
+        cache[key] = ((lo_count << (min(_lev[lo >> 1], num_vars) - level - 1))
+                      + (hi_count
+                         << (min(_lev[hi >> 1], num_vars) - level - 1)))
+    count = cache[(f & -2, num_vars)]
     if f & 1:
-        # Complement rule: over the 2^(num_vars - level) assignments of
-        # the variables at and below the root, ~f holds exactly where f
-        # does not.  Keeps the cache keyed on regular edges only.
-        return ((1 << (num_vars - mgr.level(f)))
-                - _sat_count_rec(mgr, f ^ 1, num_vars, cache))
-    key = (f, num_vars)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    level = mgr.level(f)
-    lo, hi = mgr.low(f), mgr.high(f)
-    lo_level = min(mgr.level(lo), num_vars)
-    hi_level = min(mgr.level(hi), num_vars)
-    count = ((_sat_count_rec(mgr, lo, num_vars, cache)
-              << (lo_level - level - 1))
-             + (_sat_count_rec(mgr, hi, num_vars, cache)
-                << (hi_level - level - 1)))
-    cache[key] = count
+        count = (1 << (num_vars - _lev[f >> 1])) - count
     return count
 
 

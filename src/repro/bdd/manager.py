@@ -11,8 +11,11 @@ equivalence checking O(1).
 
 Storage layout:
 
-* parallel lists ``_level`` / ``_lo`` / ``_hi`` indexed by node index
-  (slot 0 is the single terminal, the constant-0 function);
+* parallel columns ``_level`` / ``_lo`` / ``_hi`` indexed by node index
+  (slot 0 is the single terminal, the constant-0 function): with the C
+  extension loaded, :data:`repro.bdd.native.Column` arrays holding one
+  uint32 per node, 12 bytes a node for the three, that Python code
+  reads and writes as lists; on the Python fallback, plain lists;
 * a per-level unique table keyed on the packed int
   ``(lo << 32) | hi`` — per-level tables make adjacent-level swaps
   (sifting) local operations;
@@ -36,10 +39,10 @@ pay no python recursion overhead and cannot hit the recursion limit.
 The hottest of them, the miss path of :meth:`BDD.and_` (which OR, DIFF,
 IMPLIES, NAND and NOR reach through De Morgan), runs in C when
 :mod:`repro.bdd.native` could build its extension: the C loop works on
-these same lists and tables and repeats the Python loop below step for
+these same columns and tables and repeats the Python loop below step for
 step, so node indices and counters do not depend on which one ran.  The
 Python loop stays as the fallback and as the differential tests'
-reference; it runs on either kind of table.
+reference; it runs on either kind of table and arena.
 
 The manager offers:
 
@@ -86,9 +89,9 @@ class BDD:
 
     def __init__(self, var_names=()):
         # Physical node arena; slot 0 is the terminal (constant 0).
-        self._level = [TERMINAL_LEVEL]
-        self._lo = [FALSE]
-        self._hi = [FALSE]
+        self._level = native.Column((TERMINAL_LEVEL,))
+        self._lo = native.Column((FALSE,))
+        self._hi = native.Column((FALSE,))
         # Unique table: one native.Table per level, keyed (lo << 32) | hi.
         self._unique = []
         # Computed tables: one exact table per operator, keyed on the
@@ -895,30 +898,56 @@ class BDD:
         return f
 
     def compose(self, f: Edge, var, g: Edge) -> Edge:
-        """Substitute function *g* for variable *var* in *f*."""
-        level = self._var_to_level[self.var_index(var)]
-        return self._compose_rec(f, level, g, {})
+        """Substitute function *g* for variable *var* in *f*.
 
-    def _compose_rec(self, f: Edge, level: Level, g: Edge, memo) -> Edge:
-        node_level = self._level[f >> 1]
-        if node_level > level:
-            return f
-        out = f & 1
-        f ^= out
-        cached = memo.get(f)
-        if cached is not None:
-            return cached ^ out
-        if node_level == level:
-            result = self.ite(g, self._hi[f >> 1], self._lo[f >> 1])
-        else:
-            lo = self._compose_rec(self._lo[f >> 1], level, g, memo)
-            hi = self._compose_rec(self._hi[f >> 1], level, g, memo)
-            var = self._level_to_var[node_level]
-            # The substituted g may depend on variables ordered above
-            # this node, so the recombination must go through ite.
-            result = self.ite(self.var(var), hi, lo)
-        memo[f] = result
-        return result ^ out
+        An explicit-stack walk with a per-call memo on regular edges.
+        Above *var*'s level a node's low subtree is composed first, then
+        its high subtree, then the two are joined with ``ite`` on the
+        node's variable: the substituted *g* may depend on variables
+        ordered above the node, so the join cannot be a plain ``_mk``.
+        """
+        level = self._var_to_level[self.var_index(var)]
+        _lev = self._level
+        _lo = self._lo
+        _hi = self._hi
+        ite = self.ite
+        memo = {}
+        results = []
+        rpush = results.append
+        rpop = results.pop
+        # Frames: (0, e, 0) composes edge e; (1, e, out) joins the top
+        # two results for regular edge e, reached with complement out.
+        tasks = [(0, f, 0)]
+        tpush = tasks.append
+        tpop = tasks.pop
+        while tasks:
+            tag, e, out = tpop()
+            if tag == 0:
+                idx = e >> 1
+                node_level = _lev[idx]
+                if node_level > level:
+                    rpush(e)
+                    continue
+                out = e & 1
+                cached = memo.get(e ^ out)
+                if cached is not None:
+                    rpush(cached ^ out)
+                elif node_level == level:
+                    res = ite(g, _hi[idx], _lo[idx])
+                    memo[e ^ out] = res
+                    rpush(res ^ out)
+                else:
+                    tpush((1, e ^ out, out))
+                    tpush((0, _hi[idx], 0))
+                    tpush((0, _lo[idx], 0))
+            else:
+                hi = rpop()
+                lo = rpop()
+                var = self._level_to_var[_lev[e >> 1]]
+                res = ite(self.var(var), hi, lo)
+                memo[e] = res
+                rpush(res ^ out)
+        return results[0]
 
     def rename(self, f: Edge, mapping) -> Edge:
         """Rename variables of *f* according to ``{old: new}`` *mapping*.

@@ -7,7 +7,9 @@ module could build and load ``_kernel.c``; otherwise they run as Python
 loops, which produce the same edges, arena, counters and caches.  The
 manager's unique tables, its AND / XOR computed tables and the exists
 memo are then :data:`Table` objects, which the C walks probe without
-boxing a key; on the fallback they are dicts.
+boxing a key, and its node arena is three :data:`Column` arrays of
+uint32, which they read and write without boxing a slot; on the
+fallback these are dicts and lists.
 
 The first import compiles ``_kernel.c`` with ``sysconfig``'s compiler
 (``$CC`` when set) against the running interpreter's headers and stores
@@ -163,6 +165,10 @@ ACTIVE = KERNEL is not None
 #: insertion-ordered ``Table`` when ACTIVE (the C walks accept nothing
 #: else), else ``dict``.
 Table = KERNEL.Table if ACTIVE else dict
+#: Type of the node arena's ``_level`` / ``_lo`` / ``_hi`` columns: the
+#: extension's uint32 ``Column`` when ACTIVE (the C walks accept nothing
+#: else), else ``list``.
+Column = KERNEL.Column if ACTIVE else list
 
 
 def _python_loops(mgr):

@@ -1,6 +1,6 @@
 """Low-level edge conventions for the BDD package.
 
-The manager stores *physical* nodes in flat parallel lists indexed by
+The manager stores *physical* nodes in flat parallel arrays indexed by
 integer node indices, and functions are denoted by *edges*: packed
 integers ``(index << 1) | complement_bit``.  A set complement bit means
 the denoted function is the negation of the one stored at the index, so

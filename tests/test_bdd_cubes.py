@@ -34,6 +34,19 @@ class TestSatCount:
         with pytest.raises(ValueError):
             sat_count(mgr, mgr.var(0), num_vars=2)
 
+    def test_deep_cube_needs_no_recursion(self):
+        """A 1,500-level chain: the walk keeps its own stack."""
+        n = 1500
+        mgr = make_mgr(n)
+        f = TRUE
+        for v in reversed(range(n)):
+            f = mgr.and_(mgr.var(v), f)
+        assert sat_count(mgr, f) == 1
+        assert sat_count(mgr, mgr.not_(f)) == (1 << n) - 1
+        assert sat_count(mgr, f, num_vars=n + 3) == 8
+        # Drop the root's variable: the count doubles.
+        assert sat_count(mgr, mgr.cofactor(f, 0, 1)) == 2
+
     def test_count_correct_after_adding_variable(self):
         mgr = make_mgr(2)
         f = mgr.and_(mgr.var(0), mgr.var(1))

@@ -136,6 +136,23 @@ class TestCofactorComposeRename:
         f = mgr.or_(mgr.var("a"), mgr.var("b"))
         assert mgr.compose(f, "a", TRUE) == mgr.cofactor(f, "a", 1)
 
+    def test_compose_on_deep_cube(self):
+        """Composing at the bottom of a 1,500-level chain walks every
+        level with its own stack."""
+        n = 1500
+        mgr = BDD(["x%d" % i for i in range(n + 1)])
+        f = TRUE
+        for v in reversed(range(n)):
+            f = mgr.and_(mgr.var(v), f)
+        last = n - 1
+        assert mgr.compose(f, last, mgr.xor(mgr.var(0), mgr.var(1))) == FALSE
+        assert mgr.compose(mgr.not_(f), last, TRUE) == mgr.not_(
+            mgr.cofactor(f, last, 1))
+        expected = mgr.var(n)
+        for v in reversed(range(last)):
+            expected = mgr.and_(mgr.var(v), expected)
+        assert mgr.compose(f, last, mgr.var(n)) == expected
+
     def test_rename_disjoint(self):
         mgr = BDD(["a", "b", "p", "q"])
         f = mgr.and_(mgr.var("a"), mgr.not_(mgr.var("b")))

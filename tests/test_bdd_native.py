@@ -65,6 +65,7 @@ def _setup(name, monkeypatch):
     with monkeypatch.context() as patch:
         if name == "fallback":
             patch.setattr(native, "Table", dict)
+            patch.setattr(native, "Column", list)
         yield name != "c"
 
 
@@ -102,6 +103,7 @@ def test_fallback_setup_matches(op, monkeypatch):
             if setup == "fallback":
                 assert type(mgr._ct_and) is type(mgr._ct_xor) is dict
                 assert all(type(t) is dict for t in mgr._unique)
+                assert type(mgr._level) is type(mgr._lo) is list
                 if op in ("exists", "forall"):
                     assert type(mgr._cache_exists) is dict
     assert states[0] == states[1] == states[2]
@@ -175,8 +177,8 @@ def test_bad_edge_raises_like_python(monkeypatch):
 
 @pytest.mark.skipif(not native.ACTIVE, reason="needs the C extension")
 def test_c_walks_accept_only_tables():
-    """The C walks have no dict path: a dict where a Table belongs
-    raises TypeError."""
+    """The C walks have no dict or list path: a dict where a Table
+    belongs, or a list where an arena Column belongs, raises TypeError."""
     mgr, f, g = _operands(False)
     mgr._ct_and = {}
     with pytest.raises(TypeError):
@@ -189,6 +191,11 @@ def test_c_walks_accept_only_tables():
     mgr._cache_exists = {}
     with pytest.raises(TypeError):
         exists(mgr, [0, 2], f)
+    for name in ("_level", "_lo", "_hi"):
+        mgr, f, g = _operands(False)
+        setattr(mgr, name, list(getattr(mgr, name)))
+        with pytest.raises(TypeError):
+            mgr.and_(f, g)
 
 
 def _truth(mgr, edge):
